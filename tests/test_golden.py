@@ -1,0 +1,70 @@
+"""Golden outputs: a small cut of the shipped paper sweep must reproduce these
+SHA-256 digests byte for byte.
+
+A refactor that claims "no output change" is checked here: every result
+file of a traced sweep (both policies, two loads, two seeds) is hashed, once
+with a warm and once with a cold start. A digest may change only with a
+deliberate change of the model or of a file format.
+"""
+
+import hashlib
+import os
+from dataclasses import replace
+
+import pytest
+
+import obs_gprm
+from obs_gprm.experiment import parse_scenario, run_experiment
+
+GOLDEN = {
+    "warm": {
+        "results": "9cf7932367a99c75f0c90b483130e29f"
+            "2c9ad654e444c463cdd91fbd48bbe043",
+        "learning": "b66ce5fbf6a6dd45c3258606a80cecab"
+            "ba89ba333de555ce4741bbfadad3dfc5",
+        "gains": "9f921008d37234a3d67964552a3687b4"
+            "5658d32c0c1a5e18711687c7c7fbe58c",
+        "traces": "c0e105c161d6ebbdea28184d5dcba92f"
+            "09e8b9615d0cedf3dba12c21a9dbbb76",
+    },
+    "cold": {
+        "results": "c34e56fcf56ce99b0f4722db95f953dd"
+            "4713aea7dad78aafdd16c14bc0ec35cb",
+        "learning": "95bfac32dbd12fd7370bc8ce0d9a2fba"
+            "e4f9ffcd09d54384053adede5c6cd57f",
+        "gains": "db9981362c13977e2bcc5c15c10ae66a"
+            "1c5a702dcaae022988db107f36914cf7",
+        "traces": "60036362f85d0e1b83ad044feedf1992"
+            "6cdfc0f9757a5794867b4fb5c8309381",
+    },
+}
+
+
+def _group(name):
+    if name == "results.csv":
+        return "results"
+    if name == "gains.csv":
+        return "gains"
+    if name.startswith("learning_"):
+        return "learning"
+    if name.startswith("trace_"):
+        return "traces"
+    raise AssertionError(f"unexpected output file {name}")
+
+
+def output_digests(out_dir):
+    """One digest per output kind over its files' names and bytes, in name order."""
+    digests = {}
+    for name in sorted(os.listdir(out_dir)):
+        h = digests.setdefault(_group(name), hashlib.sha256())
+        h.update(name.encode() + b"\0" + (out_dir / name).read_bytes())
+    return {kind: h.hexdigest() for kind, h in digests.items()}
+
+
+@pytest.mark.parametrize("initial_mode", ["warm", "cold"])
+def test_small_paper_sweep_matches_golden_digests(tmp_path, initial_mode):
+    scenario = replace(parse_scenario(obs_gprm.data_path("nsfnet_paper.scn")),
+                       policies=["sp", "gprm"], loads=[0.3, 0.6], seeds=[1, 2],
+                       duration=1.5, warmup=0.3, initial_mode=initial_mode)
+    run_experiment(scenario, out_dir=str(tmp_path), trace=True, threads=2)
+    assert output_digests(tmp_path) == GOLDEN[initial_mode]
