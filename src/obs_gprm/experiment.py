@@ -8,8 +8,9 @@ gain summary when both policies were run.
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from multiprocessing import Pool
+from typing import get_args, get_origin
 
 from .metrics import blr_gain, blr_gain_terms, u_gain, u_gain_terms
 from .signaling import SimConfig, Simulator
@@ -19,6 +20,8 @@ from .traffic import LoadSpec, load_matrix, scale_to_load
 RESULT_COLUMNS = ("policy", "seed", "load", "blr", "mean_delay_s", "utilization",
                   "drops_contention", "drops_offset", "drops_noroute", "drops_ingress")
 LEARNING_COLUMNS = ("t_bucket", "sent", "dropped", "rolling_blr")
+GAINS_COLUMNS = ("load", "blr_sp", "blr_gprm", "blr_gain_point", "delay_sp_s", "delay_gprm_s",
+                 "util_sp", "util_gprm", "util_gain_point")
 ROLLING_WINDOW_BUCKETS = 20
 
 
@@ -31,41 +34,37 @@ class ScenarioError(Exception):
 
 
 @dataclass
-class Scenario:
+class Scenario(SimConfig):
+    """A sweep: the simulator settings it inherits, plus the network, the
+    workload and the (policy, load, seed) grid. Every field is a scenario key."""
+
     topology: str = ""
     matrix: str = ""
-    policies: list = field(default_factory=lambda: ["sp", "gprm"])
-    loads: list = field(default_factory=list)
-    seeds: list = field(default_factory=lambda: [1])
+    policies: list[str] = field(default_factory=lambda: ["sp", "gprm"])
+    loads: list[float] = field(default_factory=list)
+    seeds: list[int] = field(default_factory=lambda: [1])
     duration: float = 20.0
+    # a sweep's default run lasts 20 s, long enough to cut its first tenth as
+    # the warm-up transient; SimConfig's 1 s default suits shorter single runs
     warmup: float = 2.0
-    alpha: float = 0.9
-    refresh_period: float = 0.1
-    initial_mode: str = "warm"
-    detour_penalty: float = 0.8
-    blr_low: float = 0.01
-    blr_high: float = 0.05
-    blr_window: float = 0.1
-    per_hop_processing: float = 1e-4
-    offset_guard: float = 0.0
     mean_burst_size: float = 3.2e6
     signal_speed: float = 2.0e8
-    bucket_width: float = 0.01
     connections_per_pair: int = 1
-    util_mode: str = "delivered"
 
 
-_FLOAT_KEYS = {"duration", "warmup", "alpha", "refresh_period", "detour_penalty",
-               "blr_low", "blr_high", "blr_window", "per_hop_processing",
-               "offset_guard", "mean_burst_size", "signal_speed", "bucket_width"}
-_INT_KEYS = {"connections_per_pair"}
-_STR_KEYS = {"topology", "matrix", "initial_mode", "util_mode"}
+def _parse_value(kind, value):
+    """Convert one scenario value to its field's declared type."""
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
+        return [item(v.strip()) for v in value.split(",")]
+    return kind(value)
 
 
 def parse_scenario(path):
     """Read a flat `key = value` scenario file; lists are comma separated and
     file paths resolve relative to the scenario file."""
     base = os.path.dirname(os.path.abspath(path))
+    types = {f.name: f.type for f in fields(Scenario)}
     scenario = Scenario()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -76,23 +75,12 @@ def parse_scenario(path):
                 raise ScenarioError([f"{path}:{lineno}: expected key = value, got {line!r}"])
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
+            if key not in types:
+                raise ScenarioError([f"{path}:{lineno}: unknown key {key!r}"])
+            if key in ("topology", "matrix") and not os.path.isabs(value):
+                value = os.path.join(base, value)
             try:
-                if key in _FLOAT_KEYS:
-                    setattr(scenario, key, float(value))
-                elif key in _INT_KEYS:
-                    setattr(scenario, key, int(value))
-                elif key in _STR_KEYS:
-                    if key in ("topology", "matrix") and not os.path.isabs(value):
-                        value = os.path.join(base, value)
-                    setattr(scenario, key, value)
-                elif key == "policies":
-                    scenario.policies = [p.strip() for p in value.split(",") if p.strip()]
-                elif key == "loads":
-                    scenario.loads = [float(v) for v in value.split(",")]
-                elif key == "seeds":
-                    scenario.seeds = [int(v) for v in value.split(",")]
-                else:
-                    raise ScenarioError([f"{path}:{lineno}: unknown key {key!r}"])
+                setattr(scenario, key, _parse_value(types[key], value))
             except ValueError as exc:
                 raise ScenarioError([f"{path}:{lineno}: bad value for {key}: {exc}"]) from exc
     return scenario
@@ -100,7 +88,7 @@ def parse_scenario(path):
 
 def validate(scenario):
     """All scenario invariants; returns a list of `field: reason` strings."""
-    errors = []
+    errors = scenario.problems()
     if not scenario.topology:
         errors.append("topology: missing")
     elif not os.path.exists(scenario.topology):
@@ -120,54 +108,15 @@ def validate(scenario):
         errors.append("loads: every load must be > 0")
     if not scenario.seeds:
         errors.append("seeds: must not be empty")
-    if scenario.warmup < 0:
-        errors.append("warmup: must be >= 0")
     if scenario.duration <= scenario.warmup:
         errors.append("warmup: must be < duration")
-    if not 0.0 <= scenario.alpha <= 1.0:
-        errors.append("alpha: out of [0,1]")
-    if scenario.refresh_period <= 0:
-        errors.append("refresh_period: must be > 0")
-    if scenario.initial_mode not in ("warm", "cold"):
-        errors.append(f"initial_mode: expected warm or cold, got {scenario.initial_mode!r}")
-    if not 0.0 < scenario.detour_penalty <= 1.0:
-        errors.append("detour_penalty: must be in (0,1]")
-    if not 0.0 < scenario.blr_low < scenario.blr_high < 1.0:
-        errors.append("blr thresholds: need 0 < low < high < 1")
-    if scenario.blr_window <= 0:
-        errors.append("blr_window: must be > 0")
-    if scenario.per_hop_processing <= 0:
-        errors.append("per_hop_processing: must be > 0")
-    if scenario.offset_guard < 0:
-        errors.append("offset_guard: must be >= 0")
     if scenario.mean_burst_size <= 0:
         errors.append("mean_burst_size: must be > 0")
     if scenario.signal_speed <= 0:
         errors.append("signal_speed: must be > 0")
-    if scenario.bucket_width <= 0:
-        errors.append("bucket_width: must be > 0")
     if scenario.connections_per_pair < 1:
         errors.append("connections_per_pair: must be >= 1")
-    if scenario.util_mode not in ("delivered", "all"):
-        errors.append(f"util_mode: expected delivered or all, got {scenario.util_mode!r}")
     return errors
-
-
-def sim_config(scenario):
-    return SimConfig(
-        per_hop_processing=scenario.per_hop_processing,
-        offset_guard=scenario.offset_guard,
-        alpha=scenario.alpha,
-        refresh_period=scenario.refresh_period,
-        initial_mode=scenario.initial_mode,
-        detour_penalty=scenario.detour_penalty,
-        blr_low=scenario.blr_low,
-        blr_high=scenario.blr_high,
-        blr_window=scenario.blr_window,
-        util_mode=scenario.util_mode,
-        bucket_width=scenario.bucket_width,
-        warmup=scenario.warmup,
-    )
 
 
 def run_single(scenario, policy, load, seed, trace_path=None):
@@ -185,7 +134,7 @@ def run_single(scenario, policy, load, seed, trace_path=None):
             f"{t:.9f} {kind} {node} {bid} {detail}\n")
     try:
         sim = Simulator(topology, connections, policy=policy,
-                        config=sim_config(scenario), trace=trace)
+                        config=scenario, trace=trace)
         result = sim.run(scenario.duration)
     finally:
         if trace_fh:
@@ -216,25 +165,24 @@ def _learning_name(policy, load, seed):
     return f"learning_{policy}_load{load:g}_seed{seed}.csv"
 
 
-def _write_results_csv(path, rows):
+def _write_csv(path, header, rows):
+    """Write through a temporary file, so `path` never holds a partial table."""
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in RESULT_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
     os.replace(tmp, path)
+
+
+def _write_results_csv(path, rows):
+    _write_csv(path, RESULT_COLUMNS, ([_fmt(row[c]) for c in RESULT_COLUMNS] for row in rows))
 
 
 def _write_learning_csv(path, arrays):
     times, sent, dropped, rolling = arrays
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEARNING_COLUMNS)
-        for t, s, d, r in zip(times, sent, dropped, rolling):
-            writer.writerow([_fmt(float(t)), int(s), int(d), _fmt(float(r))])
-    os.replace(tmp, path)
+    _write_csv(path, LEARNING_COLUMNS, ([_fmt(float(t)), int(s), int(d), _fmt(float(r))]
+                                        for t, s, d, r in zip(times, sent, dropped, rolling)))
 
 
 def _fmt(v):
@@ -243,8 +191,9 @@ def _fmt(v):
     return v
 
 
-def _write_gains_csv(path, rows, loads, seeds):
-    """Per-load gains from seed-averaged BLR and utilization (both policies)."""
+def _gains_rows(rows, loads, seeds):
+    """Per-load gains from seed-averaged BLR and utilization (both policies),
+    as the rows of gains.csv; raises ValueError on a zero baseline."""
     by_key = {(r["policy"], r["load"], r["seed"]): r for r in rows}
 
     def seed_mean(policy, load, column):
@@ -259,27 +208,29 @@ def _write_gains_csv(path, rows, loads, seeds):
     d_gp = [seed_mean("gprm", l, "mean_delay_s") for l in loads]
     blr_terms = blr_gain_terms(blr_sp, blr_gp)
     u_terms = u_gain_terms(u_sp, u_gp)
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["load", "blr_sp", "blr_gprm", "blr_gain_point",
-                         "delay_sp_s", "delay_gprm_s",
-                         "util_sp", "util_gprm", "util_gain_point"])
-        for i, l in enumerate(loads):
-            writer.writerow([_fmt(float(v)) for v in
-                             (l, blr_sp[i], blr_gp[i], blr_terms[i],
-                              d_sp[i], d_gp[i], u_sp[i], u_gp[i], u_terms[i])])
-        writer.writerow(["sum", "", "", _fmt(blr_gain(blr_sp, blr_gp)),
-                         "", "", "", "", _fmt(u_gain(u_sp, u_gp))])
-        writer.writerow(["mean", "", "", _fmt(blr_gain(blr_sp, blr_gp) / len(loads)),
-                         "", "", "", "", _fmt(u_gain(u_sp, u_gp) / len(loads))])
-    os.replace(tmp, path)
+    out = []
+    for i, l in enumerate(loads):
+        out.append([_fmt(float(v)) for v in
+                    (l, blr_sp[i], blr_gp[i], blr_terms[i],
+                     d_sp[i], d_gp[i], u_sp[i], u_gp[i], u_terms[i])])
+    out.append(["sum", "", "", _fmt(blr_gain(blr_sp, blr_gp)),
+                "", "", "", "", _fmt(u_gain(u_sp, u_gp))])
+    out.append(["mean", "", "", _fmt(blr_gain(blr_sp, blr_gp) / len(loads)),
+                "", "", "", "", _fmt(u_gain(u_sp, u_gp) / len(loads))])
+    return out
+
+
+def _write_gains_csv(path, gains_rows):
+    _write_csv(path, GAINS_COLUMNS, gains_rows)
 
 
 def worker_count(n_runs, threads=None):
     if threads is None:
         env = os.environ.get("OBS_SIM_THREADS", "")
-        threads = int(env) if env else (os.cpu_count() or 1)
+        try:
+            threads = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ScenarioError([f"OBS_SIM_THREADS: expected an integer, got {env!r}"]) from None
     return max(1, min(threads, n_runs))
 
 
@@ -287,8 +238,9 @@ def run_experiment(scenario, out_dir=".", trace=False, policy=None,
                    seed_override=None, util_mode=None, threads=None, log=None):
     """Run the full sweep and write results.csv, learning CSVs, and gains.csv.
 
-    Result files appear only after every run has completed; a failed run
-    aborts the whole experiment with nothing written.
+    Result files appear only after every run has completed and the gains
+    are computed; a failed run or gain aborts the whole experiment with no
+    result file written.
     """
     if policy and policy != "both":
         scenario = replace(scenario, policies=[policy])
@@ -316,15 +268,18 @@ def run_experiment(scenario, out_dir=".", trace=False, policy=None,
     else:
         outcomes = [run_single(*spec) for spec in specs]
     rows = [row for row, _ in outcomes]
+    gains = None
+    if {"sp", "gprm"} <= set(scenario.policies):
+        gains = _gains_rows(rows, scenario.loads, scenario.seeds)
     results_path = os.path.join(out_dir, "results.csv")
     _write_results_csv(results_path, rows)
     for row, arrays in outcomes:
         _write_learning_csv(os.path.join(
             out_dir, _learning_name(row["policy"], row["load"], row["seed"])), arrays)
     written = {"results": results_path}
-    if {"sp", "gprm"} <= set(scenario.policies):
+    if gains is not None:
         gains_path = os.path.join(out_dir, "gains.csv")
-        _write_gains_csv(gains_path, rows, scenario.loads, scenario.seeds)
+        _write_gains_csv(gains_path, gains)
         written["gains"] = gains_path
     if log:
         log(f"wrote {results_path}")

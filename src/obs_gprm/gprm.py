@@ -201,6 +201,14 @@ class SuccessTable:
     def _default(self, k, e):
         return self._initial(k, e) if callable(self._initial) else self._initial
 
+    def _unseen_prob(self, k, e, totals, factors):
+        """Estimate for a (k, e) with no stored value: the naive-Bayes
+        generalization when enabled and k has history, else the initial default."""
+        if self.nb_fallback and sum(totals[k]) > 0:
+            s_succ, s_fail = self._nb_scores(k, e, totals, factors)
+            return s_succ / (s_succ + s_fail)
+        return self._default(k, e)
+
     def sp_query(self, k, e):
         """Stored success probability for (k, e), or the initial default."""
         self._check_neighbor(k)
@@ -222,13 +230,8 @@ class SuccessTable:
         old = values.get(key)
         if key not in self._journal:
             self._journal[key] = old
-        if old is not None:
-            base = old
-        elif self.nb_fallback and sum(self._totals[k]) > 0:
-            s_succ, s_fail = self._nb_scores(k, e, self._totals, self._factor_counts)
-            base = s_succ / (s_succ + s_fail)
-        else:
-            base = self._default(k, e)
+        base = (old if old is not None
+                else self._unseen_prob(k, e, self._totals, self._factor_counts))
         alpha = self.params.alpha
         a = 1.0 if outcome is Outcome.SUCCESS else 0.0
         new = alpha * base + (1.0 - alpha) * a
@@ -279,10 +282,7 @@ class SuccessTable:
         v = self.values.get((k, *e))
         if v is not None:
             return v
-        if self.nb_fallback and sum(self._totals[k]) > 0:
-            s_succ, s_fail = self._nb_scores(k, e, self._totals, self._factor_counts)
-            return s_succ / (s_succ + s_fail)
-        return self._default(k, e)
+        return self._unseen_prob(k, e, self._totals, self._factor_counts)
 
     def begin_epoch(self):
         """Freeze the current state as the routing view for the next period."""
@@ -302,10 +302,7 @@ class SuccessTable:
         v = journal[key] if key in journal else self.values.get(key)
         if v is not None:
             return v
-        if self.nb_fallback and sum(self._epoch_totals[k]) > 0:
-            s_succ, s_fail = self._nb_scores(k, e, self._epoch_totals, self._epoch_factors)
-            return s_succ / (s_succ + s_fail)
-        return self._default(k, e)
+        return self._unseen_prob(k, e, self._epoch_totals, self._epoch_factors)
 
     def dump(self, path_or_file):
         """Write observed entries as flat text: `k o b nb d sp` per line."""
@@ -319,29 +316,6 @@ class SuccessTable:
             for key in sorted(self.values):
                 k, o, b, nb, d = key
                 fh.write(f"{k} {o} {b} {nb} {d} {self.values[key]:.12g}\n")
-        finally:
-            if close:
-                fh.close()
-
-    def restore(self, path_or_file):
-        """Load entries written by dump (warm-start injection)."""
-        close = False
-        fh = path_or_file
-        if isinstance(path_or_file, str):
-            fh = open(path_or_file)
-            close = True
-        try:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                k, o, b, nb, d, sp = line.split()
-                k = int(k)
-                self._check_neighbor(k)
-                sp = float(sp)
-                if not 0.0 <= sp <= 1.0:
-                    raise ValueError(f"success probability out of [0,1]: {sp}")
-                self.values[(k, int(o), int(b), int(nb), int(d))] = sp
         finally:
             if close:
                 fh.close()

@@ -7,7 +7,6 @@ table materializes a row only when it is first consulted in a period, which
 is observationally identical to a full periodic rebuild.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -25,18 +24,6 @@ def permutation_count(state_counts):
 class RouteEntry(NamedTuple):
     next_hop: int
     cost: float
-
-
-@dataclass
-class RoutingPolicy:
-    variant: str = "gprm"  # "gprm" | "sp"
-    refresh_period: float = 0.1  # seconds, gprm only
-
-    def __post_init__(self):
-        if self.variant not in ("gprm", "sp"):
-            raise ValueError(f"unknown policy variant {self.variant!r}")
-        if self.variant == "gprm" and self.refresh_period <= 0:
-            raise ValueError("refresh period must be > 0")
 
 
 def _build_row(success_prob, neighbors, e):

@@ -43,8 +43,6 @@ class EventKind(IntEnum):
     BHP_ARRIVE = 1
     BURST_ARRIVE = 2
     NOTIFICATION_ARRIVE = 3
-    TABLE_REFRESH = 4  # unused: refresh is derived lazily from event times
-    STATS_TICK = 5     # unused: buckets are derived from event times
 
 
 class Bhp:
@@ -56,16 +54,13 @@ class Bhp:
     evidence used, the chosen next hop and the reserved interval start.
     """
 
-    __slots__ = ("burst_id", "source", "dest", "wavelength", "size", "duration",
+    __slots__ = ("burst_id", "dest", "wavelength", "duration",
                  "remaining_offset", "created_at", "path_log", "visited")
 
-    def __init__(self, burst_id, source, dest, wavelength, size, duration,
-                 remaining_offset, created_at):
+    def __init__(self, burst_id, source, dest, duration, remaining_offset, created_at):
         self.burst_id = burst_id
-        self.source = source
         self.dest = dest
-        self.wavelength = wavelength
-        self.size = size
+        self.wavelength = None
         self.duration = duration
         self.remaining_offset = remaining_offset
         self.created_at = created_at
@@ -76,14 +71,13 @@ class Bhp:
 class Notification:
     """ACK/NACK walking the reverse path on the control channel."""
 
-    __slots__ = ("outcome", "burst_id", "path_log", "wavelength", "failure_node")
+    __slots__ = ("outcome", "burst_id", "path_log", "wavelength")
 
-    def __init__(self, outcome, burst_id, path_log, wavelength, failure_node=None):
+    def __init__(self, outcome, burst_id, path_log, wavelength):
         self.outcome = outcome
         self.burst_id = burst_id
         self.path_log = path_log
         self.wavelength = wavelength
-        self.failure_node = failure_node
 
     @property
     def kind(self):
@@ -156,6 +150,35 @@ class SimConfig:
     bucket_width: float = 0.01
     warmup: float = 1.0
 
+    def problems(self):
+        """Every invalid field, as a list of `field: reason` strings."""
+        errors = []
+        if self.warmup < 0:
+            errors.append("warmup: must be >= 0")
+        if not 0.0 <= self.alpha <= 1.0:
+            errors.append("alpha: out of [0,1]")
+        if not 0.0 <= self.initial_sp <= 1.0:
+            errors.append("initial_sp: out of [0,1]")
+        if self.refresh_period <= 0:
+            errors.append("refresh_period: must be > 0")
+        if self.initial_mode not in ("warm", "cold"):
+            errors.append(f"initial_mode: expected warm or cold, got {self.initial_mode!r}")
+        if not 0.0 < self.detour_penalty <= 1.0:
+            errors.append("detour_penalty: must be in (0,1]")
+        if not 0.0 < self.blr_low < self.blr_high < 1.0:
+            errors.append("blr thresholds: need 0 < low < high < 1")
+        if self.blr_window <= 0:
+            errors.append("blr_window: must be > 0")
+        if self.per_hop_processing <= 0:
+            errors.append("per_hop_processing: must be > 0")
+        if self.offset_guard < 0:
+            errors.append("offset_guard: must be >= 0")
+        if self.bucket_width <= 0:
+            errors.append("bucket_width: must be > 0")
+        if self.util_mode not in ("delivered", "all"):
+            errors.append(f"util_mode: expected delivered or all, got {self.util_mode!r}")
+        return errors
+
 
 class _NodeState:
     __slots__ = ("success", "router", "loss_window")
@@ -176,6 +199,9 @@ class Simulator:
         self.connections = list(connections)
         self.policy = policy
         self.config = config or SimConfig()
+        problems = self.config.problems()
+        if problems:
+            raise ValueError("invalid SimConfig: " + "; ".join(problems))
         self.trace = trace  # callable(time, kind, node, burst_id, detail) or None
         self.hop_counts = topology.hop_counts()
         self.schedule = ChannelSchedule()
@@ -244,7 +270,7 @@ class Simulator:
         self._emit(kind, node, bhp.burst_id, f"drop {cause}")
         if bhp.path_log:
             notif = Notification(Outcome.FAILURE, bhp.burst_id, bhp.path_log,
-                                 bhp.wavelength, failure_node=node)
+                                 bhp.wavelength)
             prev_node = bhp.path_log[-1][0]
             delay = self.config.per_hop_processing + self._prop(prev_node, node)
             self._push(self._now + delay, EventKind.NOTIFICATION_ARRIVE,
@@ -297,7 +323,7 @@ class Simulator:
         link = self.topology.link(source, next_hop)
         duration = size / link.channel_rate
         start = now + offset
-        bhp = Bhp(burst_id, source, dest, None, size, duration, offset, now)
+        bhp = Bhp(burst_id, source, dest, duration, offset, now)
         self._emit(EventKind.BURST_ARRIVAL, source, burst_id, f"dest {dest} size {size:.0f}")
         wavelength = self.schedule.first_fit(source, next_hop, link.data_channels,
                                              start, duration, now)
@@ -391,7 +417,12 @@ class Simulator:
     # -- main loop ---------------------------------------------------------
 
     def run(self, duration):
-        """Process arrivals up to `duration`, then drain all in-flight events."""
+        """Process arrivals up to `duration`, then drain all in-flight events.
+
+        A Simulator runs once: its counters and schedules are not reset.
+        """
+        if self._duration is not None:
+            raise RuntimeError("Simulator.run was already called; make a new Simulator")
         if duration <= self.config.warmup:
             raise ValueError("duration must exceed the warm-up interval")
         self._duration = duration

@@ -103,14 +103,6 @@ class Topology:
             l.data_channels * l.channel_rate for (u, _), l in self.links.items() if u == node
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Topology)
-            and self.nodes == other.nodes
-            and self.links == other.links
-            and self.signal_speed == other.signal_speed
-        )
-
 
 def all_pairs_hop_counts(topology):
     """Minimum hop count for every ordered node pair, via BFS per source."""
@@ -163,16 +155,3 @@ def load_topology(path, signal_speed=SIGNAL_SPEED):
             except (IndexError, ValueError) as exc:
                 raise TopologyError(f"{path}:{lineno}: malformed line: {line!r}") from exc
     return Topology(nodes, links, signal_speed=signal_speed, names=names)
-
-
-def save_topology(topology, path):
-    """Write a topology back to its file format (one line per fiber)."""
-    with open(path, "w") as fh:
-        for n in topology.nodes:
-            fh.write(f"node {n} {topology.names.get(n, n)}\n")
-        for (u, v), l in sorted(topology.links.items()):
-            if u < v:
-                fh.write(
-                    f"link {u} {v} {l.length_km:g} {l.control_channels} "
-                    f"{l.data_channels} {l.channel_rate:g}\n"
-                )

@@ -54,7 +54,7 @@ class TrafficMatrix:
                 self.weights[(i, j)] = float(w)
         if not self.weights:
             raise ValueError("traffic matrix has no positive weights")
-        self.xi = {pair: connections_per_pair for pair in self.weights}
+        self.connections_per_pair = connections_per_pair
 
     def pairs(self):
         return sorted(self.weights)
@@ -106,11 +106,11 @@ def scale_to_load(matrix, target, mean_burst_size, master_seed=0):
     """
     denom = 0.0
     for (i, j), w in matrix.weights.items():
-        denom += matrix.xi[(i, j)] * w * mean_burst_size / target.node_capacity[i]
+        denom += matrix.connections_per_pair * w * mean_burst_size / target.node_capacity[i]
     scale = target.target_load / denom
     connections = []
     for (i, j) in matrix.pairs():
-        for k in range(matrix.xi[(i, j)]):
+        for k in range(matrix.connections_per_pair):
             connections.append(
                 ConnectionSpec(
                     src=i,

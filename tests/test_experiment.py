@@ -1,5 +1,6 @@
 import csv
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -53,6 +54,44 @@ alpha = 0.95
     assert s.seeds == [1, 2, 3]
     assert s.alpha == 0.95
     assert validate(s) == []
+
+
+# every scenario key: (key, text in the file, parsed value); paths are relative
+SCENARIO_KEYS = [
+    ("topology", "net.topo", "net.topo"),
+    ("matrix", "/abs/m.matrix", "/abs/m.matrix"),
+    ("policies", "gprm, sp", ["gprm", "sp"]),
+    ("loads", "0.1, 1", [0.1, 1.0]),
+    ("seeds", "4, 5", [4, 5]),
+    ("duration", "7", 7.0),
+    ("warmup", "1.5", 1.5),
+    ("alpha", "0.95", 0.95),
+    ("initial_sp", "0.3", 0.3),
+    ("refresh_period", "0.02", 0.02),
+    ("initial_mode", "cold", "cold"),
+    ("detour_penalty", "0.7", 0.7),
+    ("blr_low", "0.02", 0.02),
+    ("blr_high", "0.2", 0.2),
+    ("blr_window", "0.3", 0.3),
+    ("per_hop_processing", "2e-4", 2e-4),
+    ("offset_guard", "3e-4", 3e-4),
+    ("mean_burst_size", "1e5", 1e5),
+    ("signal_speed", "3e8", 3e8),
+    ("bucket_width", "0.05", 0.05),
+    ("connections_per_pair", "2", 2),
+    ("util_mode", "all", "all"),
+]
+
+
+@pytest.mark.parametrize("key,text,expected", SCENARIO_KEYS)
+def test_every_scenario_key_parses_to_its_type(tmp_path, key, text, expected):
+    assert {k for k, _, _ in SCENARIO_KEYS} == {f.name for f in fields(Scenario)}
+    value = getattr(parse_scenario(write_scn(tmp_path, f"{key} = {text}\n")), key)
+    if key in ("topology", "matrix"):
+        expected = os.path.join(str(tmp_path), expected)
+    assert value == expected
+    items = zip(value, expected) if isinstance(expected, list) else [(value, expected)]
+    assert all(type(v) is type(e) for v, e in items)
 
 
 def test_parse_resolves_relative_paths(tmp_path):
@@ -167,6 +206,24 @@ def test_invalid_scenario_raises_and_writes_nothing(tmp_path):
     with pytest.raises(ScenarioError):
         run_experiment(s, out_dir=str(out), threads=1)
     assert not os.path.exists(out / "results.csv")
+
+
+def test_lossless_baseline_fails_sweep_before_any_file(tmp_path):
+    out = tmp_path / "out"
+    s = small_scenario(tmp_path, loads=[0.01], duration=1.5, warmup=0.3)
+    with pytest.raises(ValueError, match="baseline values must be > 0"):
+        run_experiment(s, out_dir=str(out), threads=1)
+    assert [name for name in os.listdir(out) if name.endswith(".csv")] == []
+
+
+def test_bad_thread_count_is_a_scenario_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("OBS_SIM_THREADS", "two")
+    with pytest.raises(ScenarioError) as exc:
+        worker_count(4)
+    assert exc.value.errors == ["OBS_SIM_THREADS: expected an integer, got 'two'"]
+    assert main(["run", "--scenario", obs_gprm.data_path("nsfnet_paper.scn"),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "error: OBS_SIM_THREADS: expected an integer" in capsys.readouterr().err
 
 
 def test_worker_count_env(monkeypatch):

@@ -8,7 +8,6 @@ import obs_gprm
 from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable, UpdateParams
 from obs_gprm.routing import (
     LazyRoutingTable,
-    RoutingPolicy,
     build_table,
     permutation_count,
     shortest_path_next_hop,
@@ -212,14 +211,6 @@ def test_sp_paths_are_loop_free_and_minimal():
                 assert node not in seen
                 seen.add(node)
             assert steps == hops[(src, dst)]
-
-
-def test_routing_policy_validation():
-    RoutingPolicy("gprm", 0.1)
-    with pytest.raises(ValueError):
-        RoutingPolicy("bogus")
-    with pytest.raises(ValueError):
-        RoutingPolicy("gprm", 0.0)
 
 
 def test_dump_format(tmp_path):

@@ -218,6 +218,22 @@ def test_zero_traffic_run():
     with pytest.raises(UndefinedMetricError):
         res.blr()
     assert res.utilization(topo) == 0.0
+    # a misspelled mode must not silently select the other branch
+    for field, value in (("util_mode", "deliverd"), ("initial_mode", "Warm"),
+                         ("refresh_period", 0)):
+        with pytest.raises(ValueError, match=field):
+            Simulator(topo, [], policy="gprm", config=SimConfig(**{field: value}))
+
+
+def test_second_run_raises_instead_of_accumulating(arrivals):
+    arrivals({(0, 2): [(1 * MS, 1e6)]})
+    topo = path_topology(3)
+    sim = Simulator(topo, [conn(0, 2)], policy="sp", config=SimConfig(warmup=0.0))
+    sent = sim.run(0.01).counters_total.bursts_sent
+    assert sent == 1
+    with pytest.raises(RuntimeError, match="already"):
+        sim.run(0.01)
+    assert sim.counters_total.bursts_sent == sent
 
 
 def run_nsfnet(policy, seed, duration=6.0, load=0.4, trace=None, initial_mode="warm"):

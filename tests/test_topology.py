@@ -10,7 +10,6 @@ from obs_gprm.topology import (
     all_pairs_hop_counts,
     load_topology,
     propagation_delay,
-    save_topology,
 )
 
 
@@ -54,6 +53,8 @@ def test_shipped_nsfnet():
     t = load_topology(obs_gprm.data_path("nsfnet.topo"))
     assert len(t.nodes) == 14
     assert len(t.links) == 42  # 21 bidirectional fibers
+    assert t.names[0] == "Seattle" and t.names[13] == "CollegePark"
+    assert len(t.names) == 14
     for link in t.links.values():
         assert link.control_channels == 2
         assert link.data_channels == 4
@@ -128,15 +129,6 @@ def test_propagation_delay():
     assert propagation_delay(Link(0, 1, 200.0, 2, 4, 1e9), 2e8) == pytest.approx(1e-3)
     assert propagation_delay(Link(0, 1, 0.2, 2, 4, 1e9), 2e8) == pytest.approx(1e-6)
     assert propagation_delay(Link(0, 1, 1000.0, 2, 4, 1e9), 2e8) == pytest.approx(5e-3)
-
-
-def test_save_load_round_trip(tmp_path):
-    t = load_topology(obs_gprm.data_path("nsfnet.topo"))
-    path = str(tmp_path / "copy.topo")
-    save_topology(t, path)
-    again = load_topology(path)
-    assert again == t
-    assert again.names == t.names
 
 
 def test_egress_capacity():
