@@ -3,8 +3,9 @@ SHA-256 digests byte for byte.
 
 A refactor that claims "no output change" is checked here: every result
 file of a traced sweep (both policies, two loads, two seeds) is hashed, once
-with a warm and once with a cold start. A digest may change only with a
-deliberate change of the model or of a file format.
+with a warm and once with a cold start, and once more with a warm start that
+counts the channel time of every reservation (`util_mode = all`). A digest
+may change only with a deliberate change of the model or of a file format.
 """
 
 import hashlib
@@ -37,6 +38,17 @@ GOLDEN = {
         "traces": "60036362f85d0e1b83ad044feedf1992"
             "6cdfc0f9757a5794867b4fb5c8309381",
     },
+    # only the utilization columns differ from "warm"
+    "warm-util-all": {
+        "results": "ad49be1f26699d8ea460f3bb2f0a61c1"
+            "53cd6e3b6d7f012ee2c16bc310840e25",
+        "learning": "b66ce5fbf6a6dd45c3258606a80cecab"
+            "ba89ba333de555ce4741bbfadad3dfc5",
+        "gains": "e45e94ece902d35568043de3af7ed756"
+            "f4b917e7ad1cb3e26bcbfe1206ae1e48",
+        "traces": "c0e105c161d6ebbdea28184d5dcba92f"
+            "09e8b9615d0cedf3dba12c21a9dbbb76",
+    },
 }
 
 
@@ -61,10 +73,15 @@ def output_digests(out_dir):
     return {kind: h.hexdigest() for kind, h in digests.items()}
 
 
-@pytest.mark.parametrize("initial_mode", ["warm", "cold"])
-def test_small_paper_sweep_matches_golden_digests(tmp_path, initial_mode):
+@pytest.mark.parametrize("initial_mode, util_mode", [
+    pytest.param("warm", "delivered", id="warm"),
+    pytest.param("cold", "delivered", id="cold"),
+    pytest.param("warm", "all", id="warm-util-all"),
+])
+def test_small_paper_sweep_matches_golden_digests(request, tmp_path, initial_mode, util_mode):
     scenario = replace(parse_scenario(obs_gprm.data_path("nsfnet_paper.scn")),
                        policies=["sp", "gprm"], loads=[0.3, 0.6], seeds=[1, 2],
-                       duration=1.5, warmup=0.3, initial_mode=initial_mode)
+                       duration=1.5, warmup=0.3, initial_mode=initial_mode,
+                       util_mode=util_mode)
     run_experiment(scenario, out_dir=str(tmp_path), trace=True, threads=2)
-    assert output_digests(tmp_path) == GOLDEN[initial_mode]
+    assert output_digests(tmp_path) == GOLDEN[request.node.callspec.id]
