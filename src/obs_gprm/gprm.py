@@ -114,10 +114,16 @@ def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, classi
     The offset class counts how many per-hop processing budgets remain; the
     small epsilon keeps exact multiples from flooring down a class.
     """
-    o = min(OFFSET_CLASSES - 1, int(remaining_offset / per_hop_processing + 1e-9))
-    b = classifier.classify(local_blr)
-    nb = min(HOP_CLASSES - 1, hop_counts[(node, dest)])
-    return EvidenceVector(o, int(b), nb, dest)
+    o = int(remaining_offset / per_hop_processing + 1e-9)
+    if o >= OFFSET_CLASSES:
+        o = OFFSET_CLASSES - 1
+    # BlrClassifier.classify without the BlrClass round-trip
+    b = (0 if local_blr < classifier.low_threshold
+         else 1 if local_blr < classifier.high_threshold else 2)
+    nb = hop_counts[(node, dest)]
+    if nb >= HOP_CLASSES:
+        nb = HOP_CLASSES - 1
+    return EvidenceVector(o, b, nb, dest)
 
 
 def cold_start_prior(initial_sp=0.5, dest_neighbor_sp=0.95):
@@ -129,7 +135,7 @@ def cold_start_prior(initial_sp=0.5, dest_neighbor_sp=0.95):
     """
 
     def prior(k, e):
-        return dest_neighbor_sp if k == e.dest else initial_sp
+        return dest_neighbor_sp if k == e[3] else initial_sp
 
     return prior
 
@@ -147,11 +153,11 @@ def warm_start_prior(hop_counts, owner, detour_base=0.8, infeasible_sp=0.02):
     starts near zero instead.
     """
 
-    def prior(k, e):
-        k_hops = hop_counts[(k, e.dest)]
-        if k_hops + 1 > e.offset_class:
+    def prior(k, e):  # e[0] is the offset class, e[3] the destination
+        k_hops = hop_counts[(k, e[3])]
+        if k_hops + 1 > e[0]:
             return infeasible_sp
-        extra = k_hops + 1 - hop_counts[(owner, e.dest)]
+        extra = k_hops + 1 - hop_counts[(owner, e[3])]
         return detour_base ** extra
 
     return prior
@@ -179,7 +185,9 @@ class SuccessTable:
         self.params = params or UpdateParams()
         # (offset states, blr states, hop states, destination states)
         self.state_counts = state_counts or (OFFSET_CLASSES, 3, HOP_CLASSES, 16)
-        self._initial = self.params.initial_sp if initial_sp is None else initial_sp
+        initial = self.params.initial_sp if initial_sp is None else initial_sp
+        # `_default(k, e)`: the initial success probability of an unseen (k, e)
+        self._default = initial if callable(initial) else (lambda k, e: initial)
         self.nb_fallback = nb_fallback
         self.values = {}
         # per neighbor, per outcome: total count and one Counter per evidence field
@@ -197,9 +205,6 @@ class SuccessTable:
     def _check_neighbor(self, k):
         if k not in self._neighbor_set:
             raise UnknownNeighborError(f"{k} is not a neighbor of node {self.owner}")
-
-    def _default(self, k, e):
-        return self._initial(k, e) if callable(self._initial) else self._initial
 
     def _unseen_prob(self, k, e, totals, factors):
         """Estimate for a (k, e) with no stored value: the naive-Bayes
@@ -224,7 +229,8 @@ class SuccessTable:
         the naive-Bayes generalization when enabled and available, else the
         initial default.
         """
-        self._check_neighbor(k)
+        if k not in self._neighbor_set:
+            raise UnknownNeighborError(f"{k} is not a neighbor of node {self.owner}")
         key = (k, *e)
         values = self.values
         old = values.get(key)
@@ -233,16 +239,17 @@ class SuccessTable:
         base = (old if old is not None
                 else self._unseen_prob(k, e, self._totals, self._factor_counts))
         alpha = self.params.alpha
-        a = 1.0 if outcome is Outcome.SUCCESS else 0.0
-        new = alpha * base + (1.0 - alpha) * a
+        success = outcome is Outcome.SUCCESS
+        new = alpha * base + (1.0 - alpha) * (1.0 if success else 0.0)
         values[key] = new
-        idx = 0 if outcome is Outcome.SUCCESS else 1
+        idx = 0 if success else 1
         self._totals[k][idx] += 1
-        counters = self._factor_counts[k][idx]
-        counters[0][e[0]] += 1
-        counters[1][e[1]] += 1
-        counters[2][e[2]] += 1
-        counters[3][e[3]] += 1
+        c_o, c_b, c_nb, c_d = self._factor_counts[k][idx]
+        o, b, nb, d = e
+        c_o[o] += 1
+        c_b[b] += 1
+        c_nb[nb] += 1
+        c_d[d] += 1
         self._nb_dirty = True
         return new
 

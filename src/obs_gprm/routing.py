@@ -4,7 +4,8 @@ A GPRM routing table row maps one evidence permutation to all candidate next
 hops, each costed 1 - success_probability and sorted ascending (ties by node
 id). Rows are rebuilt from the learning state every refresh period; the lazy
 table materializes a row only when it is first consulted in a period, which
-is observationally identical to a full periodic rebuild.
+is observationally identical to a full periodic rebuild, and keeps only the
+row's next hops in cost order.
 """
 
 from itertools import product
@@ -26,19 +27,6 @@ class RouteEntry(NamedTuple):
     cost: float
 
 
-def _build_row(success_prob, neighbors, e):
-    entries = [RouteEntry(k, 1.0 - success_prob(k, e)) for k in neighbors]
-    entries.sort(key=lambda r: (r.cost, r.next_hop))
-    return entries
-
-
-def _first_allowed(row, excluded):
-    for entry in row:
-        if entry.next_hop not in excluded:
-            return entry.next_hop
-    return None
-
-
 class RoutingTable:
     """Fully materialized table over every evidence permutation."""
 
@@ -49,7 +37,7 @@ class RoutingTable:
 
     def lookup(self, e, excluded=frozenset()):
         """Lowest-cost next hop not excluded, or None if all are."""
-        return _first_allowed(self.rows[e], excluded)
+        return next((r.next_hop for r in self.rows[e] if r.next_hop not in excluded), None)
 
     def total_entries(self):
         return sum(len(row) for row in self.rows.values())
@@ -71,10 +59,12 @@ def build_table(success_table, neighbors, state_counts=None, now=0.0):
     if not neighbors:
         raise ValueError("neighbors must be nonempty")
     counts = state_counts or success_table.state_counts
+    prob = success_table.routing_success_prob
     rows = {}
     for combo in product(*(range(c) for c in counts)):
         e = EvidenceVector(*combo)
-        rows[e] = _build_row(success_table.routing_success_prob, neighbors, e)
+        row = [RouteEntry(k, 1.0 - prob(k, e)) for k in neighbors]
+        rows[e] = sorted(row, key=lambda r: (r.cost, r.next_hop))
     return RoutingTable(success_table.owner, rows, built_at=now)
 
 
@@ -105,12 +95,18 @@ class LazyRoutingTable:
             self.success_table.begin_epoch()
 
     def lookup(self, e, excluded, now):
-        self.maybe_roll(now)
+        if int(now / self.refresh_period) != self._epoch:
+            self.maybe_roll(now)
         row = self._rows.get(e)
         if row is None:
-            row = _build_row(self.success_table.epoch_success_prob, self.neighbors, e)
-            self._rows[e] = row
-        return _first_allowed(row, excluded)
+            prob = self.success_table.epoch_success_prob
+            cost = {k: 1.0 - prob(k, e) for k in self.neighbors}
+            # a stable sort keeps equal costs in the ascending id order of neighbors
+            row = self._rows[e] = tuple(sorted(self.neighbors, key=cost.__getitem__))
+        for k in row:
+            if k not in excluded:
+                return k
+        return None
 
 
 def shortest_path_next_hop(topology, frm, dest):

@@ -19,7 +19,6 @@ from heapq import heappop, heappush
 
 from .gprm import (
     BlrClassifier,
-    EvidenceVector,
     HOP_CLASSES,
     LossRateWindow,
     OFFSET_CLASSES,
@@ -43,6 +42,10 @@ class EventKind(IntEnum):
     BHP_ARRIVE = 1
     BURST_ARRIVE = 2
     NOTIFICATION_ARRIVE = 3
+
+
+# plain ints for the event tuples: (time, seq, kind, a, b)
+BURST_ARRIVAL, BHP_ARRIVE, BURST_ARRIVE, NOTIFICATION_ARRIVE = map(int, EventKind)
 
 
 class Bhp:
@@ -79,58 +82,77 @@ class Notification:
         self.path_log = path_log
         self.wavelength = wavelength
 
-    @property
-    def kind(self):
-        return "ACK" if self.outcome is Outcome.SUCCESS else "NACK"
+
+def _reserve(lane, start, duration, now):
+    """Insert [start, start+duration) into one wavelength's sorted (starts,
+    ends) lists if it overlaps nothing; report success."""
+    starts, ends = lane
+    if ends and ends[0] <= now:  # expired reservations can never conflict
+        n = bisect.bisect_right(ends, now)
+        del starts[:n]
+        del ends[:n]
+    i = bisect.bisect_left(starts, start)
+    if i > 0 and ends[i - 1] > start:
+        return False
+    end = start + duration
+    if i < len(starts) and starts[i] < end:
+        return False
+    starts.insert(i, start)
+    ends.insert(i, end)
+    return True
 
 
 class ChannelSchedule:
-    """Per (link, wavelength) sets of reserved half-open intervals."""
+    """Reserved half-open intervals per directed link and wavelength.
+
+    Each link (u, v) holds one `(starts, ends)` pair of lists per wavelength.
+    Intervals on one wavelength never overlap, so both lists stay sorted.
+    """
 
     def __init__(self):
         self._res = {}
 
+    def _lanes(self, u, v, n_channels):
+        """The lanes of link (u, v), grown to at least `n_channels`."""
+        lanes = self._res.setdefault((u, v), [])
+        while len(lanes) < n_channels:
+            lanes.append(([], []))
+        return lanes
+
     def try_reserve(self, u, v, wavelength, start, duration, now=0.0):
         """Insert [start, start+duration) if it overlaps nothing; report success."""
-        key = (u, v, wavelength)
-        slots = self._res.get(key)
-        if slots is None:
-            slots = self._res[key] = ([], [])
-        starts, ends = slots
-        while starts and ends[0] <= now:  # expired reservations can never conflict
-            del starts[0]
-            del ends[0]
-        i = bisect.bisect_left(starts, start)
-        if i > 0 and ends[i - 1] > start:
-            return False
-        end = start + duration
-        if i < len(starts) and starts[i] < end:
-            return False
-        starts.insert(i, start)
-        ends.insert(i, end)
-        return True
+        lanes = self._res.get((u, v))
+        if lanes is None or len(lanes) <= wavelength:
+            lanes = self._lanes(u, v, wavelength + 1)
+        return _reserve(lanes[wavelength], start, duration, now)
 
     def first_fit(self, u, v, n_channels, start, duration, now=0.0):
         """Reserve on the lowest-index free wavelength; None if all conflict."""
+        lanes = self._res.get((u, v))
+        if lanes is None or len(lanes) < n_channels:
+            lanes = self._lanes(u, v, n_channels)
         for w in range(n_channels):
-            if self.try_reserve(u, v, w, start, duration, now):
+            if _reserve(lanes[w], start, duration, now):
                 return w
         return None
 
     def release(self, u, v, wavelength, start):
         """Remove a reservation by its start time; missing entries are ignored
         (the interval may already lie in the past and have been pruned)."""
-        slots = self._res.get((u, v, wavelength))
-        if slots is None:
+        lanes = self._res.get((u, v))
+        if lanes is None or wavelength >= len(lanes):
             return
-        starts, ends = slots
+        starts, ends = lanes[wavelength]
         i = bisect.bisect_left(starts, start)
         if i < len(starts) and starts[i] == start:
             del starts[i]
             del ends[i]
 
     def intervals(self, u, v, wavelength):
-        starts, ends = self._res.get((u, v, wavelength), ([], []))
+        lanes = self._res.get((u, v), ())
+        if wavelength >= len(lanes):
+            return []
+        starts, ends = lanes[wavelength]
         return list(zip(starts, ends))
 
 
@@ -198,33 +220,42 @@ class Simulator:
         self.topology = topology
         self.connections = list(connections)
         self.policy = policy
-        self.config = config or SimConfig()
-        problems = self.config.problems()
+        self.config = cfg = config or SimConfig()
+        problems = cfg.problems()
         if problems:
             raise ValueError("invalid SimConfig: " + "; ".join(problems))
         self.trace = trace  # callable(time, kind, node, burst_id, detail) or None
         self.hop_counts = topology.hop_counts()
         self.schedule = ChannelSchedule()
-        self.classifier = BlrClassifier(self.config.blr_low, self.config.blr_high,
-                                        self.config.blr_window)
-        self._now = 0.0
+        self.classifier = BlrClassifier(cfg.blr_low, cfg.blr_high, cfg.blr_window)
+        self._gprm = policy == "gprm"
+        self._php = php = cfg.per_hop_processing
+        self._warmup = cfg.warmup
+        self._util_all = cfg.util_mode == "all"
+        # directed link -> (data channels, channel rate, propagation delay,
+        # one hop of control signalling: processing plus propagation)
+        self._links = {}
+        for uv, link in topology.links.items():
+            prop = propagation_delay(link, topology.signal_speed)
+            self._links[uv] = (link.data_channels, link.channel_rate, prop, php + prop)
+        self._offsets = {pair: h * php + cfg.offset_guard
+                         for pair, h in self.hop_counts.items()}
         self._heap = []
         self._seq = 0
         self._burst_ids = 0
-        self._prop_cache = {}
-        self._sp_next = shortest_path_table(topology) if policy == "sp" else None
+        self._sp_next = None if self._gprm else shortest_path_table(topology)
         self.nodes = {}
         n_dest = len(topology.nodes)
         for n in topology.nodes:
-            success = router = None
-            if policy == "gprm":
-                params = UpdateParams(self.config.alpha, self.config.initial_sp)
-                if self.config.initial_mode == "warm":
+            success = router = window = None
+            if self._gprm:
+                params = UpdateParams(cfg.alpha, cfg.initial_sp)
+                if cfg.initial_mode == "warm":
                     initial = warm_start_prior(self.hop_counts, n,
-                                               detour_base=self.config.detour_penalty)
+                                               detour_base=cfg.detour_penalty)
                     fallback = False
                 else:
-                    initial = cold_start_prior(self.config.initial_sp)
+                    initial = cold_start_prior(cfg.initial_sp)
                     fallback = True
                 success = SuccessTable(
                     n, topology.neighbors[n], params=params,
@@ -232,187 +263,178 @@ class Simulator:
                     initial_sp=initial, nb_fallback=fallback,
                 )
                 router = LazyRoutingTable(success, topology.neighbors[n],
-                                          self.config.refresh_period)
-            self.nodes[n] = _NodeState(success, router,
-                                       LossRateWindow(self.config.blr_window))
+                                          cfg.refresh_period)
+                window = LossRateWindow(cfg.blr_window)  # only GPRM evidence reads it
+            self.nodes[n] = _NodeState(success, router, window)
         self.counters = RunCounters()        # steady-state cohort
         self.counters_total = RunCounters()  # every burst
-        self.series = TimeSeries(self.config.bucket_width)
+        self.series = TimeSeries(cfg.bucket_width)
         self._duration = None
-
-    # -- event plumbing ----------------------------------------------------
-
-    def _push(self, time, kind, a, b):
-        self._seq += 1
-        heappush(self._heap, (time, self._seq, kind, a, b))
-
-    def _emit(self, kind, node, burst_id, detail):
-        if self.trace is not None:
-            self.trace(self._now, EventKind(kind).name, node, burst_id, detail)
 
     # -- helpers -----------------------------------------------------------
 
-    def _steady(self, bhp_created_at):
-        return self.config.warmup <= bhp_created_at
-
-    def _record_sent(self, created_at):
-        self.counters_total.bursts_sent += 1
-        if self._steady(created_at):
-            self.counters.bursts_sent += 1
-        self.series.add_sent(created_at)
-
-    def _drop(self, bhp, cause, node, kind=EventKind.BHP_ARRIVE):
-        self.counters_total.add_drop(cause)
-        if self._steady(bhp.created_at):
-            self.counters.add_drop(cause)
-        self.series.add_drop(self._now)
-        self.nodes[node].loss_window.record_failure(self._now)
-        self._emit(kind, node, bhp.burst_id, f"drop {cause}")
-        if bhp.path_log:
-            notif = Notification(Outcome.FAILURE, bhp.burst_id, bhp.path_log,
-                                 bhp.wavelength)
-            prev_node = bhp.path_log[-1][0]
-            delay = self.config.per_hop_processing + self._prop(prev_node, node)
-            self._push(self._now + delay, EventKind.NOTIFICATION_ARRIVE,
-                       prev_node, (notif, len(bhp.path_log) - 1))
-
-    def _prop(self, u, v):
-        d = self._prop_cache.get((u, v))
-        if d is None:
-            d = self._prop_cache[(u, v)] = propagation_delay(
-                self.topology.link(u, v), self.topology.signal_speed)
-        return d
-
-    def _evidence(self, node, dest, remaining_offset):
-        local_blr = self.nodes[node].loss_window.ratio(self._now)
-        return extract_evidence(node, dest, remaining_offset, local_blr,
-                                self.hop_counts, self.classifier,
-                                self.config.per_hop_processing)
-
-    def _choose(self, node, dest, evidence, visited):
-        if self.policy == "sp":
-            return self._sp_next[(node, dest)]
-        return self.nodes[node].router.lookup(evidence, visited, self._now)
-
     def _add_busy(self, key, start, duration, steady):
-        lo = max(start, self.config.warmup)
+        lo = max(start, self._warmup)
         hi = min(start + duration, self._duration)
         self.counters_total.add_busy(key, duration)
         if steady and hi > lo:
             self.counters.add_busy(key, hi - lo)
 
-    # -- handlers ----------------------------------------------------------
+    def _notify(self, now, node, bhp, outcome):
+        """Send an ACK or NACK from `node` back to the last forwarding node."""
+        path_log = bhp.path_log
+        idx = len(path_log) - 1
+        notif = Notification(outcome, bhp.burst_id, path_log, bhp.wavelength)
+        self._seq += 1
+        heappush(self._heap, (now + self._links[(path_log[idx][0], node)][3], self._seq,
+                              NOTIFICATION_ARRIVE, idx, notif))
 
-    def _handle_burst_arrival(self, conn_idx, size):
+    def _drop(self, now, bhp, cause, node, kind="BHP_ARRIVE"):
+        self.counters_total.add_drop(cause)
+        if self._warmup <= bhp.created_at:
+            self.counters.add_drop(cause)
+        self.series.add_drop(now)
+        if self._gprm:
+            self.nodes[node].loss_window.record_failure(now)
+        if self.trace is not None:
+            self.trace(now, kind, node, bhp.burst_id, f"drop {cause}")
+        if bhp.path_log:
+            self._notify(now, node, bhp, Outcome.FAILURE)
+
+    # -- handlers, one per EventKind, each called as (now, a, b) -------------
+
+    def _on_burst_arrival(self, now, conn_idx, size):
+        """A burst enters at its source: choose, reserve and send its BHP."""
         conn, rng = self._streams[conn_idx]
         dt, next_size = next_arrival(conn, rng)
-        t_next = self._now + dt
+        t_next = now + dt
         if t_next < self._duration:
-            self._push(t_next, EventKind.BURST_ARRIVAL, conn_idx, next_size)
-        self._ingress_admit(conn.src, conn.dst, size)
-
-    def _ingress_admit(self, source, dest, size):
-        now = self._now
-        cfg = self.config
-        self._record_sent(now)
+            self._seq += 1
+            heappush(self._heap, (t_next, self._seq, BURST_ARRIVAL, conn_idx, next_size))
+        source, dest = conn.src, conn.dst
+        steady = self._warmup <= now
+        self.counters_total.bursts_sent += 1
+        if steady:
+            self.counters.bursts_sent += 1
+        self.series.add_sent(now)
         self._burst_ids += 1
         burst_id = self._burst_ids
-        offset = self.hop_counts[(source, dest)] * cfg.per_hop_processing + cfg.offset_guard
-        evidence = self._evidence(source, dest, offset) if self.policy == "gprm" else None
-        next_hop = self._choose(source, dest, evidence, {source})
-        link = self.topology.link(source, next_hop)
-        duration = size / link.channel_rate
+        php = self._php
+        offset = self._offsets[(source, dest)]
+        if self._gprm:
+            state = self.nodes[source]
+            evidence = extract_evidence(source, dest, offset, state.loss_window.ratio(now),
+                                        self.hop_counts, self.classifier, php)
+            next_hop = state.router.lookup(evidence, {source}, now)
+        else:
+            evidence = None
+            next_hop = self._sp_next[(source, dest)]
+        channels, rate, prop, _ = self._links[(source, next_hop)]
+        duration = size / rate
         start = now + offset
-        bhp = Bhp(burst_id, source, dest, duration, offset, now)
-        self._emit(EventKind.BURST_ARRIVAL, source, burst_id, f"dest {dest} size {size:.0f}")
-        wavelength = self.schedule.first_fit(source, next_hop, link.data_channels,
-                                             start, duration, now)
+        bhp = Bhp(burst_id, source, dest, duration, offset - php, now)
+        if self.trace is not None:
+            self.trace(now, "BURST_ARRIVAL", source, burst_id, f"dest {dest} size {size:.0f}")
+        wavelength = self.schedule.first_fit(source, next_hop, channels, start, duration, now)
         if wavelength is None:
-            self._drop(bhp, "ingress", source, EventKind.BURST_ARRIVAL)
+            self._drop(now, bhp, "ingress", source, "BURST_ARRIVAL")
             return
         bhp.wavelength = wavelength
-        bhp.remaining_offset = offset - cfg.per_hop_processing
         bhp.path_log.append((source, evidence, next_hop, start))
         bhp.visited.add(next_hop)
-        self.nodes[source].loss_window.record_forward(now)
-        if cfg.util_mode == "all":
-            self._add_busy((source, next_hop, wavelength), start, duration,
-                           self._steady(now))
-        self._push(now + cfg.per_hop_processing + self._prop(source, next_hop),
-                   EventKind.BHP_ARRIVE, next_hop, bhp)
+        if self._gprm:
+            state.loss_window.record_forward(now)
+        if self._util_all:
+            self._add_busy((source, next_hop, wavelength), start, duration, steady)
+        self._seq += 1
+        heappush(self._heap, (now + php + prop, self._seq, BHP_ARRIVE, next_hop, bhp))
 
-    def _handle_bhp(self, node, bhp):
-        now = self._now
-        cfg = self.config
+    def _on_bhp(self, now, node, bhp):
+        """A BHP reaches `node`: deliver it, or forward it one more hop."""
         if node == bhp.dest:
             # burst tail arrives one remaining offset plus one transmission later
-            self._push(now + bhp.remaining_offset + bhp.duration,
-                       EventKind.BURST_ARRIVE, node, bhp)
-            self._emit(EventKind.BHP_ARRIVE, node, bhp.burst_id, "at destination")
-            if bhp.path_log:
-                notif = Notification(Outcome.SUCCESS, bhp.burst_id, bhp.path_log,
-                                     bhp.wavelength)
-                prev_node = bhp.path_log[-1][0]
-                delay = cfg.per_hop_processing + self._prop(prev_node, node)
-                self._push(now + delay, EventKind.NOTIFICATION_ARRIVE,
-                           prev_node, (notif, len(bhp.path_log) - 1))
+            self._seq += 1
+            heappush(self._heap, (now + bhp.remaining_offset + bhp.duration, self._seq,
+                                  BURST_ARRIVE, node, bhp))
+            if self.trace is not None:
+                self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, "at destination")
+            self._notify(now, node, bhp, Outcome.SUCCESS)
             return
-        evidence = (self._evidence(node, bhp.dest, bhp.remaining_offset)
-                    if self.policy == "gprm" else None)
-        next_hop = self._choose(node, bhp.dest, evidence, bhp.visited)
-        if next_hop is None:
-            self._drop(bhp, "noroute", node)
-            return
-        remaining = bhp.remaining_offset - cfg.per_hop_processing
+        php = self._php
+        if self._gprm:
+            state = self.nodes[node]
+            evidence = extract_evidence(node, bhp.dest, bhp.remaining_offset,
+                                        state.loss_window.ratio(now), self.hop_counts,
+                                        self.classifier, php)
+            next_hop = state.router.lookup(evidence, bhp.visited, now)
+            if next_hop is None:
+                self._drop(now, bhp, "noroute", node)
+                return
+        else:
+            evidence = None
+            next_hop = self._sp_next[(node, bhp.dest)]
+        remaining = bhp.remaining_offset - php
         if remaining < -OFFSET_EPS:
-            self._drop(bhp, "offset", node)
+            self._drop(now, bhp, "offset", node)
             return
         start = now + bhp.remaining_offset  # burst reaches this node then
-        link = self.topology.link(node, next_hop)
+        channels, _, prop, _ = self._links[(node, next_hop)]
+        wavelength = bhp.wavelength
         # no conversion: the ingress wavelength must exist and be free here
-        if bhp.wavelength >= link.data_channels or not self.schedule.try_reserve(
-                node, next_hop, bhp.wavelength, start, bhp.duration, now):
-            self._drop(bhp, "contention", node)
+        if wavelength >= channels or not self.schedule.try_reserve(
+                node, next_hop, wavelength, start, bhp.duration, now):
+            self._drop(now, bhp, "contention", node)
             return
         bhp.remaining_offset = remaining
         bhp.path_log.append((node, evidence, next_hop, start))
         bhp.visited.add(next_hop)
-        self.nodes[node].loss_window.record_forward(now)
-        if cfg.util_mode == "all":
-            self._add_busy((node, next_hop, bhp.wavelength), start, bhp.duration,
-                           self._steady(bhp.created_at))
-        self._emit(EventKind.BHP_ARRIVE, node, bhp.burst_id, f"forward {next_hop}")
-        self._push(now + cfg.per_hop_processing + self._prop(node, next_hop),
-                   EventKind.BHP_ARRIVE, next_hop, bhp)
+        if self._gprm:
+            state.loss_window.record_forward(now)
+        if self._util_all:
+            self._add_busy((node, next_hop, wavelength), start, bhp.duration,
+                           self._warmup <= bhp.created_at)
+        if self.trace is not None:
+            self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, f"forward {next_hop}")
+        self._seq += 1
+        heappush(self._heap, (now + php + prop, self._seq, BHP_ARRIVE, next_hop, bhp))
 
-    def _handle_burst_arrive(self, node, bhp):
-        steady = self._steady(bhp.created_at)
+    def _on_burst_arrive(self, now, node, bhp):
+        """A burst's tail reaches its destination."""
+        steady = self._warmup <= bhp.created_at
+        delay = now - bhp.created_at
         self.counters_total.bursts_delivered += 1
-        self.counters_total.delay_sum += self._now - bhp.created_at
+        self.counters_total.delay_sum += delay
         if steady:
             self.counters.bursts_delivered += 1
-            self.counters.delay_sum += self._now - bhp.created_at
-        if self.config.util_mode == "delivered":
+            self.counters.delay_sum += delay
+        if not self._util_all:
+            wavelength, duration = bhp.wavelength, bhp.duration
             for hop_node, _, next_hop, start in bhp.path_log:
-                self._add_busy((hop_node, next_hop, bhp.wavelength), start,
-                               bhp.duration, steady)
-        self._emit(EventKind.BURST_ARRIVE, node, bhp.burst_id, "delivered")
+                self._add_busy((hop_node, next_hop, wavelength), start, duration, steady)
+        if self.trace is not None:
+            self.trace(now, "BURST_ARRIVE", node, bhp.burst_id, "delivered")
 
-    def _handle_notification(self, node, notif, idx):
-        hop_node, evidence, next_hop, start = notif.path_log[idx]
-        state = self.nodes[node]
-        if notif.outcome is Outcome.FAILURE:
-            state.loss_window.record_failure(self._now)
+    def _on_notification(self, now, idx, notif):
+        """An ACK/NACK reaches the forwarding node at `path_log[idx]`."""
+        path_log = notif.path_log
+        node, evidence, next_hop, start = path_log[idx]
+        failed = notif.outcome is Outcome.FAILURE
+        if failed:
             self.schedule.release(node, next_hop, notif.wavelength, start)
-        if self.policy == "gprm":
-            state.router.maybe_roll(self._now)
+        if self._gprm:
+            state = self.nodes[node]
+            if failed:
+                state.loss_window.record_failure(now)
+            state.router.maybe_roll(now)
             state.success.sp_update(next_hop, evidence, notif.outcome)
-        self._emit(EventKind.NOTIFICATION_ARRIVE, node, notif.burst_id, notif.kind)
+        if self.trace is not None:
+            self.trace(now, "NOTIFICATION_ARRIVE", node, notif.burst_id,
+                       "NACK" if failed else "ACK")
         if idx > 0:
-            prev_node = notif.path_log[idx - 1][0]
-            delay = self.config.per_hop_processing + self._prop(prev_node, node)
-            self._push(self._now + delay, EventKind.NOTIFICATION_ARRIVE,
-                       prev_node, (notif, idx - 1))
+            prev_node = path_log[idx - 1][0]
+            self._seq += 1
+            heappush(self._heap, (now + self._links[(prev_node, node)][3], self._seq,
+                                  NOTIFICATION_ARRIVE, idx - 1, notif))
 
     # -- main loop ---------------------------------------------------------
 
@@ -426,27 +448,17 @@ class Simulator:
         if duration <= self.config.warmup:
             raise ValueError("duration must exceed the warm-up interval")
         self._duration = duration
-        self._streams = []
-        for conn in self.connections:
-            rng = conn.make_rng()
-            self._streams.append((conn, rng))
+        self._streams = [(conn, conn.make_rng()) for conn in self.connections]
         for idx, (conn, rng) in enumerate(self._streams):
             dt, size = next_arrival(conn, rng)
             if dt < duration:
-                self._push(dt, EventKind.BURST_ARRIVAL, idx, size)
+                self._seq += 1
+                heappush(self._heap, (dt, self._seq, BURST_ARRIVAL, idx, size))
+        handlers = (self._on_burst_arrival, self._on_bhp, self._on_burst_arrive,
+                    self._on_notification)  # indexed by EventKind
         heap = self._heap
         while heap:
-            t, _, kind, a, b = heappop(heap)
-            self._now = t
-            if kind == EventKind.BHP_ARRIVE:
-                self._handle_bhp(a, b)
-            elif kind == EventKind.BURST_ARRIVAL:
-                self._handle_burst_arrival(a, b)
-            elif kind == EventKind.NOTIFICATION_ARRIVE:
-                self._handle_notification(a, b[0], b[1])
-            elif kind == EventKind.BURST_ARRIVE:
-                self._handle_burst_arrive(a, b)
-            else:  # pragma: no cover - no other kinds are scheduled
-                raise AssertionError(f"unexpected event kind {kind}")
+            now, _, kind, a, b = heappop(heap)
+            handlers[kind](now, a, b)
         return RunResult(self.counters, self.counters_total, self.series,
                          duration, self.config.warmup)

@@ -85,9 +85,6 @@ class Topology:
             missing = sorted(set(self.nodes) - seen)
             raise TopologyError(f"graph is disconnected; unreachable nodes {missing}")
 
-    def link(self, u, v):
-        return self.links[(u, v)]
-
     def hop_counts(self):
         """Cached all-pairs minimum hop counts."""
         if self._hop_counts is None:
