@@ -240,7 +240,8 @@ def run_experiment(scenario, out_dir=".", trace=False, policy=None,
 
     Result files appear only after every run has completed and the gains
     are computed; a failed run or gain aborts the whole experiment with no
-    result file written.
+    result file written. With `trace`, each run writes its trace under a
+    `.tmp` name, moved into place with the CSVs or removed on failure.
     """
     if policy and policy != "both":
         scenario = replace(scenario, policies=[policy])
@@ -256,21 +257,28 @@ def run_experiment(scenario, out_dir=".", trace=False, policy=None,
     for pol in scenario.policies:
         for load in scenario.loads:
             for seed in scenario.seeds:
-                trace_path = (os.path.join(out_dir, f"trace_{pol}_load{load:g}_seed{seed}.log")
-                              if trace else None)
+                name = f"trace_{pol}_load{load:g}_seed{seed}.log.tmp"
+                trace_path = os.path.join(out_dir, name) if trace else None
                 specs.append((scenario, pol, load, seed, trace_path))
+    traces = [spec[4] for spec in specs if trace]
     workers = worker_count(len(specs), threads)
     if log:
         log(f"running {len(specs)} simulations on {workers} worker(s)")
-    if workers > 1:
-        with Pool(workers) as pool:
-            outcomes = pool.map(_pool_worker, specs)
-    else:
-        outcomes = [run_single(*spec) for spec in specs]
-    rows = [row for row, _ in outcomes]
-    gains = None
-    if {"sp", "gprm"} <= set(scenario.policies):
-        gains = _gains_rows(rows, scenario.loads, scenario.seeds)
+    try:
+        if workers > 1:
+            with Pool(workers) as pool:
+                outcomes = pool.map(_pool_worker, specs)
+        else:
+            outcomes = [run_single(*spec) for spec in specs]
+        rows = [row for row, _ in outcomes]
+        gains = None
+        if {"sp", "gprm"} <= set(scenario.policies):
+            gains = _gains_rows(rows, scenario.loads, scenario.seeds)
+    except BaseException:
+        for tmp in traces:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
     results_path = os.path.join(out_dir, "results.csv")
     _write_results_csv(results_path, rows)
     for row, arrays in outcomes:
@@ -281,6 +289,8 @@ def run_experiment(scenario, out_dir=".", trace=False, policy=None,
         gains_path = os.path.join(out_dir, "gains.csv")
         _write_gains_csv(gains_path, gains)
         written["gains"] = gains_path
+    for tmp in traces:
+        os.replace(tmp, tmp[:-len(".tmp")])
     if log:
         log(f"wrote {results_path}")
     return written

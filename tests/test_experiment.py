@@ -216,6 +216,14 @@ def test_lossless_baseline_fails_sweep_before_any_file(tmp_path):
     assert [name for name in os.listdir(out) if name.endswith(".csv")] == []
 
 
+def test_failed_traced_sweep_leaves_no_trace(tmp_path):
+    out = tmp_path / "out"
+    s = small_scenario(tmp_path, loads=[0.01], duration=1.5, warmup=0.3)
+    with pytest.raises(ValueError, match="baseline values must be > 0"):
+        run_experiment(s, out_dir=str(out), trace=True, threads=1)
+    assert os.listdir(out) == []
+
+
 def test_bad_thread_count_is_a_scenario_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("OBS_SIM_THREADS", "two")
     with pytest.raises(ScenarioError) as exc:
