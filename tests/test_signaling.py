@@ -2,6 +2,8 @@ import math
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import obs_gprm
 import obs_gprm.signaling as signaling
@@ -59,6 +61,68 @@ class TestChannelSchedule:
         s.try_reserve(0, 1, 0, 1 * MS, 1 * MS)
         s.try_reserve(0, 1, 0, 100 * MS, 1 * MS, now=50 * MS)
         assert s.intervals(0, 1, 0) == [(100 * MS, 101 * MS)]
+
+
+class NaiveSchedule:
+    """Oracle for ChannelSchedule: one unsorted interval list per (link,
+    wavelength), every pair checked for overlap."""
+
+    def __init__(self):
+        self.lanes = defaultdict(list)
+
+    def try_reserve(self, u, v, w, start, duration, now):
+        # expired intervals go when their lane is next touched, as in ChannelSchedule
+        lane = self.lanes[(u, v, w)] = [iv for iv in self.lanes[(u, v, w)] if iv[1] > now]
+        end = start + duration
+        if any(s < end and start < e for s, e in lane):
+            return False
+        lane.append((start, end))
+        return True
+
+    def first_fit(self, u, v, n_channels, start, duration, now):
+        for w in range(n_channels):
+            if self.try_reserve(u, v, w, start, duration, now):
+                return w
+        return None
+
+    def release(self, u, v, w, start):
+        self.lanes[(u, v, w)] = [iv for iv in self.lanes[(u, v, w)] if iv[0] != start]
+
+    def intervals(self, u, v, w):
+        return sorted(self.lanes[(u, v, w)])
+
+
+LINKS = ((0, 1), (1, 0), (2, 1))
+CHANNELS = 4
+# (operation, link, wavelength or channel count - 1, start - now, duration, now step);
+# small integers make touching and identical intervals common
+SCHEDULE_OPS = st.lists(st.tuples(
+    st.sampled_from(["try_reserve", "first_fit", "release"]),
+    st.integers(0, len(LINKS) - 1), st.integers(0, CHANNELS - 1),
+    st.integers(0, 12), st.integers(1, 6), st.integers(0, 3)), max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCHEDULE_OPS)
+def test_schedule_matches_naive_oracle(ops):
+    real, naive = ChannelSchedule(), NaiveSchedule()
+    now = 0.0
+    for op, link, w, ahead, duration, step in ops:
+        now += step
+        u, v = LINKS[link]
+        start = now + ahead
+        if op == "try_reserve":
+            args = (u, v, w, start, float(duration), now)
+        elif op == "first_fit":
+            args = (u, v, w + 1, start, float(duration), now)
+        else:
+            args = (u, v, w, start)
+        assert getattr(real, op)(*args) == getattr(naive, op)(*args), (op, args)
+        for u, v in LINKS:
+            for w in range(CHANNELS):
+                got = real.intervals(u, v, w)
+                assert got == naive.intervals(u, v, w)
+                assert all(a[1] <= b[0] for a, b in zip(got, got[1:]))
 
 
 def scripted_arrivals(script):
