@@ -8,7 +8,7 @@ over the same observation counts generalizes to evidence combinations that
 were never hit directly.
 """
 
-from collections import Counter, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple
@@ -190,11 +190,12 @@ class SuccessTable:
         self._default = initial if callable(initial) else (lambda k, e: initial)
         self.nb_fallback = nb_fallback
         self.values = {}
-        # per neighbor, per outcome: total count and one Counter per evidence field
+        # per neighbor, per outcome: total count and one count per value of each
+        # evidence field (defaultdict: built and copied in C, unseen values read 0)
         self._totals = {k: [0, 0] for k in self.neighbors}
         self._factor_counts = {
-            k: ([Counter(), Counter(), Counter(), Counter()],
-                [Counter(), Counter(), Counter(), Counter()])
+            k: ([defaultdict(int), defaultdict(int), defaultdict(int), defaultdict(int)],
+                [defaultdict(int), defaultdict(int), defaultdict(int), defaultdict(int)])
             for k in self.neighbors
         }
         self._journal = {}
