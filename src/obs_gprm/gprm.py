@@ -190,8 +190,7 @@ class SuccessTable:
         self._default = initial if callable(initial) else (lambda k, e: initial)
         self.nb_fallback = nb_fallback
         self.values = {}
-        # per neighbor, per outcome: total count and one count per value of each
-        # evidence field (defaultdict: built and copied in C, unseen values read 0)
+        # per neighbor, per outcome: total count and counts per evidence field value
         self._totals = {k: [0, 0] for k in self.neighbors}
         self._factor_counts = {
             k: ([defaultdict(int), defaultdict(int), defaultdict(int), defaultdict(int)],

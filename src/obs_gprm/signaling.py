@@ -232,14 +232,13 @@ class Simulator:
         self._php = php = cfg.per_hop_processing
         self._warmup = cfg.warmup
         self._util_all = cfg.util_mode == "all"
-        # directed link -> (data channels, channel rate, propagation delay,
-        # one hop of control signalling: processing plus propagation)
+        # directed link -> (data channels, channel rate, propagation, processing +
+        # propagation): a BHP hop adds the two delays to the clock in turn and a
+        # notification hop adds their sum; the golden outputs fix that float order
         self._links = {}
         for uv, link in topology.links.items():
             prop = propagation_delay(link, topology.signal_speed)
             self._links[uv] = (link.data_channels, link.channel_rate, prop, php + prop)
-        self._offsets = {pair: h * php + cfg.offset_guard
-                         for pair, h in self.hop_counts.items()}
         self._heap = []
         self._seq = 0
         self._burst_ids = 0
@@ -305,7 +304,7 @@ class Simulator:
 
     def _on_burst_arrival(self, now, conn_idx, size):
         """A burst enters at its source: choose, reserve and send its BHP."""
-        conn, rng = self._streams[conn_idx]
+        conn, rng, offset = self._streams[conn_idx]
         dt, next_size = next_arrival(conn, rng)
         t_next = now + dt
         if t_next < self._duration:
@@ -320,7 +319,6 @@ class Simulator:
         self._burst_ids += 1
         burst_id = self._burst_ids
         php = self._php
-        offset = self._offsets[(source, dest)]
         if self._gprm:
             state = self.nodes[source]
             evidence = extract_evidence(source, dest, offset, state.loss_window.ratio(now),
@@ -448,8 +446,12 @@ class Simulator:
         if duration <= self.config.warmup:
             raise ValueError("duration must exceed the warm-up interval")
         self._duration = duration
-        self._streams = [(conn, conn.make_rng()) for conn in self.connections]
-        for idx, (conn, rng) in enumerate(self._streams):
+        # per connection: arrival stream, ingress offset (a budget per hop + guard)
+        guard = self.config.offset_guard
+        self._streams = [(conn, conn.make_rng(),
+                          self.hop_counts[(conn.src, conn.dst)] * self._php + guard)
+                         for conn in self.connections]
+        for idx, (conn, rng, _) in enumerate(self._streams):
             dt, size = next_arrival(conn, rng)
             if dt < duration:
                 self._seq += 1
