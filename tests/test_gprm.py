@@ -142,14 +142,15 @@ def test_extract_evidence_cold_start_low():
     assert e.blr_class == BlrClass.LOW
 
 
-@given(st.integers(0, 3), st.integers(0, 3), st.floats(0, 2e-3), st.floats(0, 1))
+@given(st.integers(0, 3), st.integers(0, 3), st.floats(0, 2e-3),
+       st.floats(0, 1) | st.sampled_from([0.01, 0.05]))
 def test_extract_evidence_ranges(node, dest, rem, blr_value):
     if node == dest:
         return
     c = BlrClassifier()
     e = extract_evidence(node, dest, rem, blr_value, hop_table(), c, 1e-4)
     assert 0 <= e.offset_class <= 15
-    assert 0 <= e.blr_class <= 2
+    assert e.blr_class == c.classify(blr_value)  # the thresholds, compared inline
     assert 0 <= e.hop_class <= 15
     assert e.dest == dest
 
