@@ -1,3 +1,4 @@
+import heapq
 import math
 from collections import defaultdict
 
@@ -236,12 +237,19 @@ def test_ingress_drop_when_first_hop_full(arrivals):
     # one data channel, two bursts from the same source overlapping in time
     topo = path_topology(2, data=1)
     arrivals({(0, 1): [(1 * MS, 1e6), (0.5 * MS, 1e6)]})
-    sim = Simulator(topo, [conn(0, 1)], policy="sp", config=SimConfig(warmup=0.0))
+    trace = TraceLog()
+    sim = Simulator(topo, [conn(0, 1)], policy="sp", config=SimConfig(warmup=0.0),
+                    trace=trace)
     res = sim.run(1.0)
     c = res.counters
     assert c.drops_ingress == 1
     assert c.bursts_delivered == 1
     assert c.bursts_sent == 2
+    # the dropped burst leaves its arrival line, then the drop, and nothing else
+    assert [l[1:] for l in trace.lines if l[3] == 2] == [
+        ("BURST_ARRIVAL", 0, 2, "dest 1 size 1000000"),
+        ("BURST_ARRIVAL", 0, 2, "drop ingress")]
+    assert not [l for l in trace.lines if l[2] == 0 and l[4].startswith("forward")]
 
 
 def test_insufficient_offset_detour_drop(arrivals):
@@ -332,6 +340,27 @@ def test_loop_freedom_and_schedule_integrity(policy):
                            initial_mode="cold")
     for bid, nodes in forwards.items():
         assert len(nodes) == len(set(nodes)), f"burst {bid} revisited a node"
+
+
+@pytest.mark.parametrize("policy", ["sp", "gprm"])
+def test_trace_calls_are_events_plus_ingress_drops(policy, monkeypatch):
+    # the trace hook is called once per processed event (one heap pop), plus
+    # once more for each burst dropped at its source; sources never forward
+    pops = [0]
+
+    def counting_heappop(heap):
+        pops[0] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(signaling, "heappop", counting_heappop)
+    trace = TraceLog()
+    res, _ = run_nsfnet(policy, seed=4, duration=1.0, load=0.8, trace=trace)
+    ingress = [l for l in trace.lines if l[4] == "drop ingress"]
+    assert len(ingress) == res.counters_total.drops_ingress > 0
+    assert len(trace.lines) == pops[0] + len(ingress)
+    source = {l[3]: l[2] for l in trace.of_kind("BURST_ARRIVAL")}
+    assert not [l for l in trace.lines
+                if l[4].startswith("forward") and l[2] == source[l[3]]]
 
 
 def test_series_buckets_match_counters():
