@@ -2,10 +2,13 @@
 
 A burst header packet (BHP) travels one offset ahead of its data burst,
 reserving the exact burst interval on one wavelength per link (no conversion,
-no buffering). Reaching the destination triggers an ACK along the reverse
-path; any failure (no viable next hop, exhausted offset, reservation
-conflict) drops the burst and sends a NACK that also releases the upstream
-reservations it passes. Under the adaptive policy every notification updates
+no buffering). Every node on the path, the source included, makes the same
+one-hop decision in `Simulator._on_bhp`: the source picks the lowest free
+wavelength, later hops must reserve that same one. Reaching the destination
+triggers an ACK along the reverse path; any failure (no viable next hop,
+exhausted offset, reservation conflict) drops the burst and sends a NACK that
+also releases the upstream reservations it passes. The notification carries
+the BHP record itself. Under the adaptive policy every notification updates
 the learning state of each node on the path.
 
 One run is strictly single-threaded over a global (time, sequence) ordered
@@ -14,7 +17,6 @@ event queue, so identical inputs replay bit-identically.
 
 import bisect
 from dataclasses import dataclass
-from enum import IntEnum
 from heapq import heappop, heappush
 
 from .gprm import (
@@ -37,50 +39,36 @@ from .traffic import next_arrival
 OFFSET_EPS = 1e-12  # tolerance for exact-multiple offset arithmetic
 
 
-class EventKind(IntEnum):
-    BURST_ARRIVAL = 0
-    BHP_ARRIVE = 1
-    BURST_ARRIVE = 2
-    NOTIFICATION_ARRIVE = 3
-
-
-# plain ints for the event tuples: (time, seq, kind, a, b)
-BURST_ARRIVAL, BHP_ARRIVE, BURST_ARRIVE, NOTIFICATION_ARRIVE = map(int, EventKind)
+# event kinds, plain ints for the event tuples (time, seq, kind, a, b); they
+# index the handler tuple of `Simulator.run`
+BURST_ARRIVAL, BHP_ARRIVE, BURST_ARRIVE, NOTIFICATION_ARRIVE = range(4)
 
 
 class Bhp:
-    """Control packet reserving ahead of its burst.
+    """Control packet reserving ahead of its burst; its ACK/NACK carries it back.
 
     `remaining_offset` is the gap between this packet and its burst at the
     node currently processing it; each forwarding decision consumes one
     per-hop processing budget. `path_log` records, per forwarding node, the
     evidence used, the chosen next hop and the reserved interval start.
+    `wavelength` stays None until the source hop reserves one, and until then
+    `duration` holds the burst size in bits, which that hop divides by its
+    link's rate. `outcome` is set when the notification is sent.
     """
 
-    __slots__ = ("burst_id", "dest", "wavelength", "duration",
-                 "remaining_offset", "created_at", "path_log", "visited")
+    __slots__ = ("burst_id", "dest", "wavelength", "duration", "remaining_offset",
+                 "created_at", "path_log", "visited", "outcome")
 
-    def __init__(self, burst_id, source, dest, duration, remaining_offset, created_at):
+    def __init__(self, burst_id, source, dest, size, offset, created_at):
         self.burst_id = burst_id
         self.dest = dest
         self.wavelength = None
-        self.duration = duration
-        self.remaining_offset = remaining_offset
+        self.duration = size
+        self.remaining_offset = offset
         self.created_at = created_at
         self.path_log = []
         self.visited = {source}
-
-
-class Notification:
-    """ACK/NACK walking the reverse path on the control channel."""
-
-    __slots__ = ("outcome", "burst_id", "path_log", "wavelength")
-
-    def __init__(self, outcome, burst_id, path_log, wavelength):
-        self.outcome = outcome
-        self.burst_id = burst_id
-        self.path_log = path_log
-        self.wavelength = wavelength
+        self.outcome = None
 
 
 def _reserve(lane, start, duration, now):
@@ -283,10 +271,10 @@ class Simulator:
         """Send an ACK or NACK from `node` back to the last forwarding node."""
         path_log = bhp.path_log
         idx = len(path_log) - 1
-        notif = Notification(outcome, bhp.burst_id, path_log, bhp.wavelength)
+        bhp.outcome = outcome
         self._seq += 1
         heappush(self._heap, (now + self._links[(path_log[idx][0], node)][3], self._seq,
-                              NOTIFICATION_ARRIVE, idx, notif))
+                              NOTIFICATION_ARRIVE, idx, bhp))
 
     def _drop(self, now, bhp, cause, node, kind="BHP_ARRIVE"):
         self.counters_total.add_drop(cause)
@@ -300,55 +288,31 @@ class Simulator:
         if bhp.path_log:
             self._notify(now, node, bhp, Outcome.FAILURE)
 
-    # -- handlers, one per EventKind, each called as (now, a, b) -------------
+    # -- handlers, one per event kind, each called as (now, a, b) ------------
 
     def _on_burst_arrival(self, now, conn_idx, size):
-        """A burst enters at its source: choose, reserve and send its BHP."""
+        """A burst enters at its source, where its BHP takes the first hop."""
         conn, rng, offset = self._streams[conn_idx]
         dt, next_size = next_arrival(conn, rng)
         t_next = now + dt
         if t_next < self._duration:
             self._seq += 1
             heappush(self._heap, (t_next, self._seq, BURST_ARRIVAL, conn_idx, next_size))
-        source, dest = conn.src, conn.dst
-        steady = self._warmup <= now
+        source = conn.src
         self.counters_total.bursts_sent += 1
-        if steady:
+        if self._warmup <= now:
             self.counters.bursts_sent += 1
         self.series.add_sent(now)
         self._burst_ids += 1
-        burst_id = self._burst_ids
-        php = self._php
-        if self._gprm:
-            state = self.nodes[source]
-            evidence = extract_evidence(source, dest, offset, state.loss_window.ratio(now),
-                                        self.hop_counts, self.classifier, php)
-            next_hop = state.router.lookup(evidence, {source}, now)
-        else:
-            evidence = None
-            next_hop = self._sp_next[(source, dest)]
-        channels, rate, prop, _ = self._links[(source, next_hop)]
-        duration = size / rate
-        start = now + offset
-        bhp = Bhp(burst_id, source, dest, duration, offset - php, now)
+        bhp = Bhp(self._burst_ids, source, conn.dst, size, offset, now)
         if self.trace is not None:
-            self.trace(now, "BURST_ARRIVAL", source, burst_id, f"dest {dest} size {size:.0f}")
-        wavelength = self.schedule.first_fit(source, next_hop, channels, start, duration, now)
-        if wavelength is None:
-            self._drop(now, bhp, "ingress", source, "BURST_ARRIVAL")
-            return
-        bhp.wavelength = wavelength
-        bhp.path_log.append((source, evidence, next_hop, start))
-        bhp.visited.add(next_hop)
-        if self._gprm:
-            state.loss_window.record_forward(now)
-        if self._util_all:
-            self._add_busy((source, next_hop, wavelength), start, duration, steady)
-        self._seq += 1
-        heappush(self._heap, (now + php + prop, self._seq, BHP_ARRIVE, next_hop, bhp))
+            self.trace(now, "BURST_ARRIVAL", source, bhp.burst_id,
+                       f"dest {conn.dst} size {size:.0f}")
+        self._on_bhp(now, source, bhp)
 
     def _on_bhp(self, now, node, bhp):
-        """A BHP reaches `node`: deliver it, or forward it one more hop."""
+        """A BHP reaches `node`: deliver it, or forward it one more hop (the
+        first hop, at its source, when it has no wavelength yet)."""
         if node == bhp.dest:
             # burst tail arrives one remaining offset plus one transmission later
             self._seq += 1
@@ -359,11 +323,14 @@ class Simulator:
             self._notify(now, node, bhp, Outcome.SUCCESS)
             return
         php = self._php
+        offset = bhp.remaining_offset
+        # Neither the noroute nor the offset drop can fire at the source: its
+        # visited set is just {source}, so every neighbour is a candidate, and
+        # its offset holds at least one hop budget.
         if self._gprm:
             state = self.nodes[node]
-            evidence = extract_evidence(node, bhp.dest, bhp.remaining_offset,
-                                        state.loss_window.ratio(now), self.hop_counts,
-                                        self.classifier, php)
+            evidence = extract_evidence(node, bhp.dest, offset, state.loss_window.ratio(now),
+                                        self.hop_counts, self.classifier, php)
             next_hop = state.router.lookup(evidence, bhp.visited, now)
             if next_hop is None:
                 self._drop(now, bhp, "noroute", node)
@@ -371,15 +338,24 @@ class Simulator:
         else:
             evidence = None
             next_hop = self._sp_next[(node, bhp.dest)]
-        remaining = bhp.remaining_offset - php
+        remaining = offset - php
         if remaining < -OFFSET_EPS:
             self._drop(now, bhp, "offset", node)
             return
-        start = now + bhp.remaining_offset  # burst reaches this node then
-        channels, _, prop, _ = self._links[(node, next_hop)]
+        start = now + offset  # burst reaches this node then
+        channels, rate, prop, _ = self._links[(node, next_hop)]
         wavelength = bhp.wavelength
+        at_source = wavelength is None
+        if at_source:  # the lowest free wavelength; none is an ingress drop
+            bhp.duration /= rate  # size -> transmission time on this link
+            wavelength = self.schedule.first_fit(node, next_hop, channels, start,
+                                                 bhp.duration, now)
+            if wavelength is None:
+                self._drop(now, bhp, "ingress", node, "BURST_ARRIVAL")
+                return
+            bhp.wavelength = wavelength
         # no conversion: the ingress wavelength must exist and be free here
-        if wavelength >= channels or not self.schedule.try_reserve(
+        elif wavelength >= channels or not self.schedule.try_reserve(
                 node, next_hop, wavelength, start, bhp.duration, now):
             self._drop(now, bhp, "contention", node)
             return
@@ -391,7 +367,7 @@ class Simulator:
         if self._util_all:
             self._add_busy((node, next_hop, wavelength), start, bhp.duration,
                            self._warmup <= bhp.created_at)
-        if self.trace is not None:
+        if self.trace is not None and not at_source:
             self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, f"forward {next_hop}")
         self._seq += 1
         heappush(self._heap, (now + php + prop, self._seq, BHP_ARRIVE, next_hop, bhp))
@@ -412,27 +388,27 @@ class Simulator:
         if self.trace is not None:
             self.trace(now, "BURST_ARRIVE", node, bhp.burst_id, "delivered")
 
-    def _on_notification(self, now, idx, notif):
-        """An ACK/NACK reaches the forwarding node at `path_log[idx]`."""
-        path_log = notif.path_log
+    def _on_notification(self, now, idx, bhp):
+        """The ACK/NACK of `bhp` reaches the forwarding node at `path_log[idx]`."""
+        path_log = bhp.path_log
         node, evidence, next_hop, start = path_log[idx]
-        failed = notif.outcome is Outcome.FAILURE
+        failed = bhp.outcome is Outcome.FAILURE
         if failed:
-            self.schedule.release(node, next_hop, notif.wavelength, start)
+            self.schedule.release(node, next_hop, bhp.wavelength, start)
         if self._gprm:
             state = self.nodes[node]
             if failed:
                 state.loss_window.record_failure(now)
             state.router.maybe_roll(now)
-            state.success.sp_update(next_hop, evidence, notif.outcome)
+            state.success.sp_update(next_hop, evidence, bhp.outcome)
         if self.trace is not None:
-            self.trace(now, "NOTIFICATION_ARRIVE", node, notif.burst_id,
+            self.trace(now, "NOTIFICATION_ARRIVE", node, bhp.burst_id,
                        "NACK" if failed else "ACK")
         if idx > 0:
             prev_node = path_log[idx - 1][0]
             self._seq += 1
             heappush(self._heap, (now + self._links[(prev_node, node)][3], self._seq,
-                                  NOTIFICATION_ARRIVE, idx - 1, notif))
+                                  NOTIFICATION_ARRIVE, idx - 1, bhp))
 
     # -- main loop ---------------------------------------------------------
 
@@ -457,7 +433,7 @@ class Simulator:
                 self._seq += 1
                 heappush(self._heap, (dt, self._seq, BURST_ARRIVAL, idx, size))
         handlers = (self._on_burst_arrival, self._on_bhp, self._on_burst_arrive,
-                    self._on_notification)  # indexed by EventKind
+                    self._on_notification)  # indexed by event kind
         heap = self._heap
         while heap:
             now, _, kind, a, b = heappop(heap)

@@ -11,7 +11,7 @@ import obs_gprm.signaling as signaling
 from conftest import path_topology, ring_topology, star_into_chain
 from obs_gprm.gprm import EvidenceVector
 from obs_gprm.metrics import UndefinedMetricError
-from obs_gprm.signaling import ChannelSchedule, EventKind, SimConfig, Simulator
+from obs_gprm.signaling import ChannelSchedule, SimConfig, Simulator
 from obs_gprm.topology import load_topology
 from obs_gprm.traffic import ConnectionSpec, LoadSpec, load_matrix, scale_to_load
 
