@@ -44,30 +44,14 @@ class NoObservationsError(ValueError):
 
 
 @dataclass
-class UpdateParams:
-    alpha: float = 0.9       # smoothing factor; 1.0 freezes the table
-    initial_sp: float = 0.5  # default success probability for unseen pairs
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
-        if not 0.0 <= self.initial_sp <= 1.0:
-            raise ValueError(f"initial_sp must be in [0,1], got {self.initial_sp}")
-
-
-@dataclass
 class BlrClassifier:
-    """Maps an observed loss ratio onto the three-state traffic class."""
+    """Maps an observed loss ratio onto the three-state traffic class.
+
+    The thresholds are checked once, by `SimConfig.problems()`.
+    """
 
     low_threshold: float = 0.01
     high_threshold: float = 0.05
-    window: float = 0.1  # seconds of sliding observation
-
-    def __post_init__(self):
-        if not 0.0 < self.low_threshold < self.high_threshold < 1.0:
-            raise ValueError(
-                f"need 0 < low < high < 1, got {self.low_threshold}, {self.high_threshold}"
-            )
 
     def classify(self, observed_blr):
         if observed_blr < self.low_threshold:
@@ -166,8 +150,10 @@ def warm_start_prior(hop_counts, owner, detour_base=0.8, infeasible_sp=0.02):
 class SuccessTable:
     """Learned P(success | evidence) for each neighbor of one node.
 
-    `initial_sp` may be a float (uniform default) or a callable
-    ``(neighbor, evidence) -> float`` for informed warm starts. With
+    `alpha` is the smoothing factor (1.0 freezes the table). `initial_sp`,
+    the success probability of an unseen pair, may be a float (uniform
+    default) or a callable ``(neighbor, evidence) -> float`` for informed
+    warm starts. Both are checked once, by `SimConfig.problems()`. With
     ``nb_fallback`` enabled, evidence vectors never observed for a neighbor
     are scored by the naive-Bayes estimator instead of the blind default as
     soon as that neighbor has any recorded outcome.
@@ -177,17 +163,17 @@ class SuccessTable:
     last epoch start while live updates keep accumulating underneath.
     """
 
-    def __init__(self, owner, neighbors, params=None, state_counts=None,
-                 initial_sp=None, nb_fallback=False):
+    def __init__(self, owner, neighbors, alpha=0.9, initial_sp=0.5, state_counts=None,
+                 nb_fallback=False):
         self.owner = owner
         self.neighbors = tuple(sorted(neighbors))
         self._neighbor_set = frozenset(neighbors)
-        self.params = params or UpdateParams()
+        self.alpha = alpha
         # (offset states, blr states, hop states, destination states)
         self.state_counts = state_counts or (OFFSET_CLASSES, 3, HOP_CLASSES, 16)
-        initial = self.params.initial_sp if initial_sp is None else initial_sp
         # `_default(k, e)`: the initial success probability of an unseen (k, e)
-        self._default = initial if callable(initial) else (lambda k, e: initial)
+        self._default = (initial_sp if callable(initial_sp)
+                         else (lambda k, e: initial_sp))
         self.nb_fallback = nb_fallback
         self.values = {}
         # per neighbor, per outcome: total count and counts per evidence field value
@@ -238,7 +224,7 @@ class SuccessTable:
             self._journal[key] = old
         base = (old if old is not None
                 else self._unseen_prob(k, e, self._totals, self._factor_counts))
-        alpha = self.params.alpha
+        alpha = self.alpha
         success = outcome is Outcome.SUCCESS
         new = alpha * base + (1.0 - alpha) * (1.0 if success else 0.0)
         values[key] = new

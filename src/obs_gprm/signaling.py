@@ -26,7 +26,6 @@ from .gprm import (
     OFFSET_CLASSES,
     Outcome,
     SuccessTable,
-    UpdateParams,
     cold_start_prior,
     extract_evidence,
     warm_start_prior,
@@ -215,7 +214,7 @@ class Simulator:
         self.trace = trace  # callable(time, kind, node, burst_id, detail) or None
         self.hop_counts = topology.hop_counts()
         self.schedule = ChannelSchedule()
-        self.classifier = BlrClassifier(cfg.blr_low, cfg.blr_high, cfg.blr_window)
+        self.classifier = BlrClassifier(cfg.blr_low, cfg.blr_high)
         self._gprm = policy == "gprm"
         self._php = php = cfg.per_hop_processing
         self._warmup = cfg.warmup
@@ -236,7 +235,6 @@ class Simulator:
         for n in topology.nodes:
             success = router = window = None
             if self._gprm:
-                params = UpdateParams(cfg.alpha, cfg.initial_sp)
                 if cfg.initial_mode == "warm":
                     initial = warm_start_prior(self.hop_counts, n,
                                                detour_base=cfg.detour_penalty)
@@ -244,11 +242,9 @@ class Simulator:
                 else:
                     initial = cold_start_prior(cfg.initial_sp)
                     fallback = True
-                success = SuccessTable(
-                    n, topology.neighbors[n], params=params,
-                    state_counts=(OFFSET_CLASSES, 3, HOP_CLASSES, n_dest),
-                    initial_sp=initial, nb_fallback=fallback,
-                )
+                success = SuccessTable(n, topology.neighbors[n], alpha=cfg.alpha,
+                                       initial_sp=initial, nb_fallback=fallback,
+                                       state_counts=(OFFSET_CLASSES, 3, HOP_CLASSES, n_dest))
                 router = LazyRoutingTable(success, topology.neighbors[n],
                                           cfg.refresh_period)
                 window = LossRateWindow(cfg.blr_window)  # only GPRM evidence reads it

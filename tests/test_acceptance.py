@@ -16,7 +16,7 @@ import pytest
 
 import obs_gprm
 from obs_gprm.experiment import parse_scenario, run_single, worker_count
-from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable, UpdateParams
+from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable
 from obs_gprm.metrics import u_gain_terms
 from obs_gprm.routing import build_table, permutation_count
 from obs_gprm.signaling import SimConfig, Simulator
@@ -163,7 +163,7 @@ def test_criterion_5_cold_start_learning():
 
 def _props_unit_interval():
     rng = random.Random(99)
-    t = SuccessTable(0, (1, 2, 3), params=UpdateParams(0.9, 0.5),
+    t = SuccessTable(0, (1, 2, 3), alpha=0.9, initial_sp=0.5,
                      state_counts=(16, 3, 16, 14))
     for _ in range(1_000_000):
         e = EvidenceVector(rng.randrange(16), rng.randrange(3), rng.randrange(16),
@@ -179,7 +179,7 @@ def _props_sort_and_rows():
     rng = random.Random(5)
     counts = (2, 3, 4, 5)
     for _ in range(20):
-        t = SuccessTable(0, (1, 2, 3), params=UpdateParams(0.9, 0.5),
+        t = SuccessTable(0, (1, 2, 3), alpha=0.9, initial_sp=0.5,
                          state_counts=counts)
         for _ in range(rng.randrange(80)):
             e = EvidenceVector(rng.randrange(2), rng.randrange(3), rng.randrange(4),
@@ -237,10 +237,10 @@ def _props_replay():
 
 
 def _props_algorithm3_spot():
-    t = SuccessTable(0, (1,), params=UpdateParams(0.9, 0.5))
+    t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5)
     e = EvidenceVector(1, 0, 1, 1)
     ok = abs(t.sp_update(1, e, Outcome.SUCCESS) - 0.55) < 1e-12
-    t2 = SuccessTable(0, (1,), params=UpdateParams(0.9, 0.5))
+    t2 = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5)
     ok &= abs(t2.sp_update(1, e, Outcome.FAILURE) - 0.45) < 1e-12
     return ok
 
@@ -249,7 +249,7 @@ def _props_nb_exhaustive():
     counts = (2, 2, 2, 2)
     rng = random.Random(3)
     for _ in range(10):
-        t = SuccessTable(0, (1,), params=UpdateParams(0.9, 0.5), state_counts=counts)
+        t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts)
         for _ in range(rng.randrange(1, 25)):
             e = EvidenceVector(rng.randrange(2), rng.randrange(2), rng.randrange(2),
                                rng.randrange(2))

