@@ -53,12 +53,9 @@ class Topology:
         self.names = dict(names) if names else {}
         self._hop_counts = None
         self._validate()
-        nbrs = {n: [] for n in self.nodes}
-        for (u, v) in self.links:
-            nbrs[u].append(v)
-        self.neighbors = {n: tuple(sorted(ks)) for n, ks in nbrs.items()}
 
     def _validate(self):
+        """Check the graph invariants and build `neighbors` on the way."""
         n = len(self.nodes)
         if n == 0:
             raise TopologyError("topology has no nodes")
@@ -69,20 +66,14 @@ class Topology:
                 raise TopologyError(f"link {u}->{v} references undeclared node")
             if (v, u) not in self.links:
                 raise TopologyError(f"link {u}->{v} has no reverse link")
-        # connectivity via BFS from node 0 (reverse links exist, so one sweep suffices)
-        seen = {0}
-        queue = deque([0])
-        adj = {m: [] for m in self.nodes}
+        nbrs = {m: [] for m in self.nodes}
         for (u, v) in self.links:
-            adj[u].append(v)
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
+            nbrs[u].append(v)
+        self.neighbors = {m: tuple(sorted(ks)) for m, ks in nbrs.items()}
+        # reverse links exist, so one sweep from node 0 decides connectivity
+        seen = _hops_from(self.neighbors, 0)
         if len(seen) != n:
-            missing = sorted(set(self.nodes) - seen)
+            missing = sorted(set(self.nodes) - seen.keys())
             raise TopologyError(f"graph is disconnected; unreachable nodes {missing}")
 
     def hop_counts(self):
@@ -101,20 +92,25 @@ class Topology:
         )
 
 
+def _hops_from(neighbors, s):
+    """Minimum hop count from `s` to every node it reaches, in BFS order."""
+    dist = {s: 0}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for v in neighbors[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 def all_pairs_hop_counts(topology):
     """Minimum hop count for every ordered node pair, via BFS per source."""
     hops = {}
     for s in topology.nodes:
-        hops[(s, s)] = 0
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in topology.neighbors[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    hops[(s, v)] = dist[v]
-                    queue.append(v)
+        for v, d in _hops_from(topology.neighbors, s).items():
+            hops[(s, v)] = d
     return hops
 
 
