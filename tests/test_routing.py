@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obs_gprm
-from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable
+from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable, cold_start_prior
 from obs_gprm.routing import (
     LazyRoutingTable,
     build_table,
@@ -143,6 +143,41 @@ def test_lazy_roll_before_update_keeps_boundary_semantics():
     t.sp_update(1, e, Outcome.FAILURE)  # 0.81, still best
     assert lazy.lookup(e, set(), now=1.1) == 1
     assert lazy.lookup(e, set(), now=2.1) == 1
+
+
+NEIGHBORS = (1, 2, 3)
+TINY = (1, 2, 1, 2)  # four evidence vectors, so rows are often reused
+# (operation, neighbor, evidence, success?, excluded next hops, time step);
+# steps of 0.3 and 1.0 against a period of 1.0 cross boundaries often
+LAZY_OPS = st.lists(st.tuples(
+    st.sampled_from(["sp_update", "maybe_roll", "lookup"]), st.sampled_from(NEIGHBORS),
+    st.tuples(*(st.integers(0, c - 1) for c in TINY)), st.booleans(),
+    st.frozensets(st.sampled_from(NEIGHBORS), max_size=2),
+    st.sampled_from([0.0, 0.3, 1.0])), min_size=10, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LAZY_OPS, st.booleans(), st.booleans())
+def test_lazy_table_matches_build_table_frozen_at_epoch_start(ops, nb_fallback, prior):
+    initial = cold_start_prior(0.5, dest_neighbor_sp=0.9) if prior else 0.5
+    t = SuccessTable(0, NEIGHBORS, alpha=0.7, initial_sp=initial, state_counts=TINY,
+                     nb_fallback=nb_fallback)
+    lazy = LazyRoutingTable(t, NEIGHBORS, refresh_period=1.0)
+    # the full table built from the state as it stood when the period began
+    frozen, epoch, now = build_table(t, NEIGHBORS), 0, 0.0
+    for op, k, e, success, excluded, step in ops:
+        now += step
+        e = EvidenceVector(*e)
+        if op == "sp_update":
+            t.sp_update(k, e, Outcome.SUCCESS if success else Outcome.FAILURE)
+            continue
+        if int(now) != epoch:  # this call is the first of a new period
+            epoch = int(now)
+            frozen = build_table(t, NEIGHBORS)
+        if op == "maybe_roll":
+            lazy.maybe_roll(now)
+        else:
+            assert lazy.lookup(e, excluded, now) == frozen.lookup(e, excluded), (op, e, now)
 
 
 def triangle():
