@@ -16,6 +16,8 @@ from obs_gprm.gprm import (
     extract_evidence,
     warm_start_prior,
 )
+from conftest import path_topology
+from obs_gprm.signaling import SimConfig, Simulator
 
 EV = EvidenceVector(3, 0, 3, 2)
 STATE_COUNTS = (16, 3, 16, 8)
@@ -104,6 +106,14 @@ def test_classifier_monotone(a, b):
     c = BlrClassifier()
     lo, hi = min(a, b), max(a, b)
     assert c.classify(lo) <= c.classify(hi)
+
+
+def test_classifier_rejects_bad_thresholds():
+    # the thresholds are checked once, by the config the classifier is built from
+    cfg = SimConfig(blr_low=0.5, blr_high=0.1)
+    assert any(p.startswith("blr thresholds") for p in cfg.problems())
+    with pytest.raises(ValueError, match="blr thresholds"):
+        Simulator(path_topology(2), [], policy="gprm", config=cfg)
 
 
 def hop_table():
@@ -247,3 +257,13 @@ def test_loss_rate_window():
     assert w.ratio(0.5) == pytest.approx(0.5)
     # entries expire
     assert w.ratio(1.5) == 0.0
+
+
+def test_update_params_validation():
+    # alpha and initial_sp are checked once, before any SuccessTable is built
+    for bad, field in (({"alpha": 1.2}, "alpha"), ({"initial_sp": -0.1}, "initial_sp")):
+        cfg = SimConfig(**bad)
+        assert any(p.startswith(field + ":") for p in cfg.problems())
+        with pytest.raises(ValueError, match=field):
+            Simulator(path_topology(2), [], policy="gprm", config=cfg)
+    assert SimConfig(alpha=1.0, initial_sp=0.0).problems() == []
