@@ -3,24 +3,18 @@
 Every node keeps one SuccessTable: for each neighbor k and each observed
 evidence vector (offset class, loss-rate class, hop-count class, destination)
 it stores the learned probability that forwarding via k succeeds. ACK/NACK
-notifications drive an exponential-smoothing update; a naive-Bayes estimator
-over the same observation counts generalizes to evidence combinations that
-were never hit directly.
+notifications drive an exponential-smoothing update. On a cold start, a
+naive-Bayes estimator over the observation counts generalizes to evidence
+combinations that were never hit directly; a warm start scores them with the
+hop-count prior and keeps no counts.
 """
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import NamedTuple
 
 OFFSET_CLASSES = 16  # offset classes 0..15, measured in per-hop processing units
 HOP_CLASSES = 16     # hop-count classes 0..15
-
-
-class BlrClass(IntEnum):
-    LOW = 0
-    MEDIUM = 1
-    HIGH = 2
 
 
 class Outcome(Enum):
@@ -30,7 +24,7 @@ class Outcome(Enum):
 
 class EvidenceVector(NamedTuple):
     offset_class: int   # 0..15
-    blr_class: int      # BlrClass value
+    blr_class: int      # 0 low, 1 medium, 2 high local loss ratio
     hop_class: int      # 0..15
     dest: int           # destination node id
 
@@ -41,24 +35,6 @@ class UnknownNeighborError(KeyError):
 
 class NoObservationsError(ValueError):
     """Naive-Bayes estimate requested for a neighbor with no recorded outcomes."""
-
-
-@dataclass
-class BlrClassifier:
-    """Maps an observed loss ratio onto the three-state traffic class.
-
-    The thresholds are checked once, by `SimConfig.problems()`.
-    """
-
-    low_threshold: float = 0.01
-    high_threshold: float = 0.05
-
-    def classify(self, observed_blr):
-        if observed_blr < self.low_threshold:
-            return BlrClass.LOW
-        if observed_blr < self.high_threshold:
-            return BlrClass.MEDIUM
-        return BlrClass.HIGH
 
 
 class LossRateWindow:
@@ -91,19 +67,19 @@ class LossRateWindow:
         return min(1.0, len(fl) / len(fw))
 
 
-def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, classifier,
+def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_low, blr_high,
                      per_hop_processing):
     """Build the evidence vector a node sees for one burst.
 
     The offset class counts how many per-hop processing budgets remain; the
-    small epsilon keeps exact multiples from flooring down a class.
+    small epsilon keeps exact multiples from flooring down a class. The loss
+    class is 0 below `blr_low`, 1 below `blr_high` and 2 from there on; the
+    thresholds are checked once, by `SimConfig.problems()`.
     """
     o = int(remaining_offset / per_hop_processing + 1e-9)
     if o >= OFFSET_CLASSES:
         o = OFFSET_CLASSES - 1
-    # BlrClassifier.classify without the BlrClass round-trip
-    b = (0 if local_blr < classifier.low_threshold
-         else 1 if local_blr < classifier.high_threshold else 2)
+    b = 0 if local_blr < blr_low else 1 if local_blr < blr_high else 2
     nb = hop_counts[(node, dest)]
     if nb >= HOP_CLASSES:
         nb = HOP_CLASSES - 1
@@ -154,9 +130,11 @@ class SuccessTable:
     the success probability of an unseen pair, may be a float (uniform
     default) or a callable ``(neighbor, evidence) -> float`` for informed
     warm starts. Both are checked once, by `SimConfig.problems()`. With
-    ``nb_fallback`` enabled, evidence vectors never observed for a neighbor
-    are scored by the naive-Bayes estimator instead of the blind default as
-    soon as that neighbor has any recorded outcome.
+    ``nb_fallback`` enabled (cold starts), the table counts outcomes per
+    evidence field, and evidence vectors never observed for a neighbor are
+    scored by the naive-Bayes estimator instead of the blind default as soon
+    as that neighbor has any recorded outcome. Without it (warm starts) no
+    counts are kept and unseen vectors always get the initial default.
 
     ``begin_epoch`` freezes the externally visible state for routing-table
     refresh periods: ``epoch_success_prob`` answers from the values as of the
@@ -186,7 +164,7 @@ class SuccessTable:
         self._journal = {}
         self._epoch_totals = self._totals
         self._epoch_factors = self._factor_counts
-        self._nb_dirty = True  # first begin_epoch snapshots independent copies
+        self._nb_dirty = nb_fallback  # first begin_epoch snapshots independent copies
 
     def _check_neighbor(self, k):
         if k not in self._neighbor_set:
@@ -210,10 +188,10 @@ class SuccessTable:
         """Exponential-smoothing update on a notification; returns the new SP.
 
         SP' = alpha * SP + (1 - alpha) * A with A = 1 on success, 0 on failure.
-        Also feeds the naive-Bayes observation counts. The first update of a
-        row starts from the same estimate routing was already using for it:
-        the naive-Bayes generalization when enabled and available, else the
-        initial default.
+        With ``nb_fallback`` on, also feeds the naive-Bayes observation
+        counts. The first update of a row starts from the same estimate
+        routing was already using for it: the naive-Bayes generalization when
+        enabled and available, else the initial default.
         """
         if k not in self._neighbor_set:
             raise UnknownNeighborError(f"{k} is not a neighbor of node {self.owner}")
@@ -228,15 +206,16 @@ class SuccessTable:
         success = outcome is Outcome.SUCCESS
         new = alpha * base + (1.0 - alpha) * (1.0 if success else 0.0)
         values[key] = new
-        idx = 0 if success else 1
-        self._totals[k][idx] += 1
-        c_o, c_b, c_nb, c_d = self._factor_counts[k][idx]
-        o, b, nb, d = e
-        c_o[o] += 1
-        c_b[b] += 1
-        c_nb[nb] += 1
-        c_d[d] += 1
-        self._nb_dirty = True
+        if self.nb_fallback:
+            idx = 0 if success else 1
+            self._totals[k][idx] += 1
+            c_o, c_b, c_nb, c_d = self._factor_counts[k][idx]
+            o, b, nb, d = e
+            c_o[o] += 1
+            c_b[b] += 1
+            c_nb[nb] += 1
+            c_d[d] += 1
+            self._nb_dirty = True
         return new
 
     def _nb_scores(self, k, e, totals, factors):
@@ -280,7 +259,7 @@ class SuccessTable:
     def begin_epoch(self):
         """Freeze the current state as the routing view for the next period."""
         self._journal = {}
-        if self._nb_dirty and self.nb_fallback:  # snapshot only what rows can read
+        if self._nb_dirty:  # counts changed since the last snapshot
             self._epoch_totals = {k: list(v) for k, v in self._totals.items()}
             self._epoch_factors = {
                 k: tuple([c.copy() for c in side] for side in sides)

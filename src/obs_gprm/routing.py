@@ -30,10 +30,9 @@ class RouteEntry(NamedTuple):
 class RoutingTable:
     """Fully materialized table over every evidence permutation."""
 
-    def __init__(self, owner, rows, built_at=0.0):
+    def __init__(self, owner, rows):
         self.owner = owner
         self.rows = rows
-        self.built_at = built_at
 
     def lookup(self, e, excluded=frozenset()):
         """Lowest-cost next hop not excluded, or None if all are."""
@@ -49,7 +48,7 @@ class RoutingTable:
             fh.write(f"{e[0]} {e[1]} {e[2]} {e[3]} | {cells}\n")
 
 
-def build_table(success_table, neighbors, state_counts=None, now=0.0):
+def build_table(success_table, neighbors, state_counts=None):
     """Materialize every evidence permutation into a RoutingTable.
 
     Intended for small state spaces (tests, debugging); the simulator uses
@@ -65,7 +64,7 @@ def build_table(success_table, neighbors, state_counts=None, now=0.0):
         e = EvidenceVector(*combo)
         row = [RouteEntry(k, 1.0 - prob(k, e)) for k in neighbors]
         rows[e] = sorted(row, key=lambda r: (r.cost, r.next_hop))
-    return RoutingTable(success_table.owner, rows, built_at=now)
+    return RoutingTable(success_table.owner, rows)
 
 
 class LazyRoutingTable:
@@ -75,11 +74,11 @@ class LazyRoutingTable:
     frozen; rows consulted during the period are built once from that frozen
     view and cached. `maybe_roll` must be called before any lookup or any
     learning update so the freeze happens exactly at the boundary state.
+    The candidate next hops are the success table's neighbors.
     """
 
-    def __init__(self, success_table, neighbors, refresh_period):
+    def __init__(self, success_table, refresh_period):
         self.success_table = success_table
-        self.neighbors = tuple(sorted(neighbors))
         self.refresh_period = refresh_period
         self.built_at = 0.0
         self._epoch = 0
@@ -99,10 +98,11 @@ class LazyRoutingTable:
             self.maybe_roll(now)
         row = self._rows.get(e)
         if row is None:
-            prob = self.success_table.epoch_success_prob
-            cost = {k: 1.0 - prob(k, e) for k in self.neighbors}
+            table = self.success_table
+            prob = table.epoch_success_prob
+            cost = {k: 1.0 - prob(k, e) for k in table.neighbors}
             # a stable sort keeps equal costs in the ascending id order of neighbors
-            row = self._rows[e] = tuple(sorted(self.neighbors, key=cost.__getitem__))
+            row = self._rows[e] = tuple(sorted(table.neighbors, key=cost.__getitem__))
         for k in row:
             if k not in excluded:
                 return k

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .gprm import (
-    BlrClassifier,
     HOP_CLASSES,
     LossRateWindow,
     OFFSET_CLASSES,
@@ -49,16 +48,17 @@ class Bhp:
     `remaining_offset` is the gap between this packet and its burst at the
     node currently processing it; each forwarding decision consumes one
     per-hop processing budget. `path_log` records, per forwarding node, the
-    evidence used, the chosen next hop and the reserved interval start.
+    evidence used, the chosen next hop and the reserved interval start; its
+    nodes are the ones a GPRM hop may not send the burst back to.
     `wavelength` stays None until the source hop reserves one, and until then
     `duration` holds the burst size in bits, which that hop divides by its
     link's rate. `outcome` is set when the notification is sent.
     """
 
     __slots__ = ("burst_id", "dest", "wavelength", "duration", "remaining_offset",
-                 "created_at", "path_log", "visited", "outcome")
+                 "created_at", "path_log", "outcome")
 
-    def __init__(self, burst_id, source, dest, size, offset, created_at):
+    def __init__(self, burst_id, dest, size, offset, created_at):
         self.burst_id = burst_id
         self.dest = dest
         self.wavelength = None
@@ -66,7 +66,6 @@ class Bhp:
         self.remaining_offset = offset
         self.created_at = created_at
         self.path_log = []
-        self.visited = {source}
         self.outcome = None
 
 
@@ -214,7 +213,6 @@ class Simulator:
         self.trace = trace  # callable(time, kind, node, burst_id, detail) or None
         self.hop_counts = topology.hop_counts()
         self.schedule = ChannelSchedule()
-        self.classifier = BlrClassifier(cfg.blr_low, cfg.blr_high)
         self._gprm = policy == "gprm"
         self._php = php = cfg.per_hop_processing
         self._warmup = cfg.warmup
@@ -245,8 +243,7 @@ class Simulator:
                 success = SuccessTable(n, topology.neighbors[n], alpha=cfg.alpha,
                                        initial_sp=initial, nb_fallback=fallback,
                                        state_counts=(OFFSET_CLASSES, 3, HOP_CLASSES, n_dest))
-                router = LazyRoutingTable(success, topology.neighbors[n],
-                                          cfg.refresh_period)
+                router = LazyRoutingTable(success, cfg.refresh_period)
                 window = LossRateWindow(cfg.blr_window)  # only GPRM evidence reads it
             self.nodes[n] = _NodeState(success, router, window)
         self.counters = RunCounters()        # steady-state cohort
@@ -300,7 +297,7 @@ class Simulator:
             self.counters.bursts_sent += 1
         self.series.add_sent(now)
         self._burst_ids += 1
-        bhp = Bhp(self._burst_ids, source, conn.dst, size, offset, now)
+        bhp = Bhp(self._burst_ids, conn.dst, size, offset, now)
         if self.trace is not None:
             self.trace(now, "BURST_ARRIVAL", source, bhp.burst_id,
                        f"dest {conn.dst} size {size:.0f}")
@@ -321,13 +318,15 @@ class Simulator:
         php = self._php
         offset = bhp.remaining_offset
         # Neither the noroute nor the offset drop can fire at the source: its
-        # visited set is just {source}, so every neighbour is a candidate, and
-        # its offset holds at least one hop budget.
+        # path log is empty, so every neighbour is a candidate, and its offset
+        # holds at least one hop budget.
         if self._gprm:
             state = self.nodes[node]
+            cfg = self.config
             evidence = extract_evidence(node, bhp.dest, offset, state.loss_window.ratio(now),
-                                        self.hop_counts, self.classifier, php)
-            next_hop = state.router.lookup(evidence, bhp.visited, now)
+                                        self.hop_counts, cfg.blr_low, cfg.blr_high, php)
+            # the nodes already passed; `node` is not among them, nor its own neighbour
+            next_hop = state.router.lookup(evidence, {hop[0] for hop in bhp.path_log}, now)
             if next_hop is None:
                 self._drop(now, bhp, "noroute", node)
                 return
@@ -357,7 +356,6 @@ class Simulator:
             return
         bhp.remaining_offset = remaining
         bhp.path_log.append((node, evidence, next_hop, start))
-        bhp.visited.add(next_hop)
         if self._gprm:
             state.loss_window.record_forward(now)
         if self._util_all:

@@ -249,7 +249,8 @@ def _props_nb_exhaustive():
     counts = (2, 2, 2, 2)
     rng = random.Random(3)
     for _ in range(10):
-        t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts)
+        t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts,
+                         nb_fallback=True)
         for _ in range(rng.randrange(1, 25)):
             e = EvidenceVector(rng.randrange(2), rng.randrange(2), rng.randrange(2),
                                rng.randrange(2))

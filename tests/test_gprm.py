@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obs_gprm.gprm import (
-    BlrClass,
-    BlrClassifier,
     EvidenceVector,
     LossRateWindow,
     NoObservationsError,
@@ -94,22 +92,28 @@ def test_alternating_stream_settles_in_band():
             assert 0.45 <= v <= 0.55
 
 
+def blr_class(local_blr):
+    """Loss class `extract_evidence` gives at the default thresholds."""
+    cfg = SimConfig()
+    return extract_evidence(0, 3, 3e-4, local_blr, hop_table(), cfg.blr_low, cfg.blr_high,
+                            1e-4).blr_class
+
+
 def test_classifier_boundaries():
-    c = BlrClassifier(low_threshold=0.01, high_threshold=0.05)
-    assert c.classify(0.0) is BlrClass.LOW
-    assert c.classify(0.01) is BlrClass.MEDIUM  # half-open boundary
-    assert c.classify(1.0) is BlrClass.HIGH
+    assert blr_class(0.0) == 0
+    assert blr_class(0.01) == 1  # half-open boundary
+    assert blr_class(0.05) == 2
+    assert blr_class(1.0) == 2
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_classifier_monotone(a, b):
-    c = BlrClassifier()
     lo, hi = min(a, b), max(a, b)
-    assert c.classify(lo) <= c.classify(hi)
+    assert blr_class(lo) <= blr_class(hi)
 
 
 def test_classifier_rejects_bad_thresholds():
-    # the thresholds are checked once, by the config the classifier is built from
+    # the thresholds are checked once, by the config they are read from
     cfg = SimConfig(blr_low=0.5, blr_high=0.1)
     assert any(p.startswith("blr thresholds") for p in cfg.problems())
     with pytest.raises(ValueError, match="blr thresholds"):
@@ -126,24 +130,27 @@ def hop_table():
 
 
 def test_extract_evidence_exact_multiples():
-    c = BlrClassifier()
-    e = extract_evidence(0, 3, remaining_offset=3e-4, local_blr=0.0,
-                         hop_counts=hop_table(), classifier=c, per_hop_processing=1e-4)
-    assert e == EvidenceVector(3, BlrClass.LOW, 3, 3)
+    e = extract_evidence(0, 3, remaining_offset=3e-4, local_blr=0.0, hop_counts=hop_table(),
+                         blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
+    assert e == EvidenceVector(3, 0, 3, 3)
 
 
 def test_extract_evidence_clamps():
-    c = BlrClassifier()
-    e = extract_evidence(0, 3, remaining_offset=40e-4, local_blr=0.0,
-                         hop_counts=hop_table(), classifier=c, per_hop_processing=1e-4)
+    e = extract_evidence(0, 3, remaining_offset=40e-4, local_blr=0.0, hop_counts=hop_table(),
+                         blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
     assert e.offset_class == 15
 
 
 def test_extract_evidence_cold_start_low():
-    c = BlrClassifier()
-    e = extract_evidence(1, 3, remaining_offset=2e-4, local_blr=0.0,
-                         hop_counts=hop_table(), classifier=c, per_hop_processing=1e-4)
-    assert e.blr_class == BlrClass.LOW
+    e = extract_evidence(1, 3, remaining_offset=2e-4, local_blr=0.0, hop_counts=hop_table(),
+                         blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
+    assert e.blr_class == 0
+
+
+def blr_class_oracle(local_blr, low=0.01, high=0.05):
+    if local_blr < low:
+        return 0
+    return 1 if local_blr < high else 2
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.floats(0, 2e-3),
@@ -151,10 +158,9 @@ def test_extract_evidence_cold_start_low():
 def test_extract_evidence_ranges(node, dest, rem, blr_value):
     if node == dest:
         return
-    c = BlrClassifier()
-    e = extract_evidence(node, dest, rem, blr_value, hop_table(), c, 1e-4)
+    e = extract_evidence(node, dest, rem, blr_value, hop_table(), 0.01, 0.05, 1e-4)
     assert 0 <= e.offset_class <= 15
-    assert e.blr_class == c.classify(blr_value)  # the thresholds, compared inline
+    assert e.blr_class == blr_class_oracle(blr_value)
     assert 0 <= e.hop_class <= 15
     assert e.dest == dest
 
@@ -174,7 +180,7 @@ def nb_oracle(table, k, e, state_counts):
 
 
 def test_nb_map_unanimous_success():
-    t = fresh_table()
+    t = fresh_table(nb_fallback=True)
     for _ in range(5):
         t.sp_update(1, EV, Outcome.SUCCESS)
     outcome, score = t.naive_bayes_map(1, EV)
@@ -183,7 +189,7 @@ def test_nb_map_unanimous_success():
 
 
 def test_nb_map_tie_resolves_to_success():
-    t = fresh_table()
+    t = fresh_table(nb_fallback=True)
     t.sp_update(1, EV, Outcome.SUCCESS)
     t.sp_update(1, EV, Outcome.FAILURE)
     outcome, _ = t.naive_bayes_map(1, EV)
@@ -191,7 +197,15 @@ def test_nb_map_tie_resolves_to_success():
 
 
 def test_nb_map_requires_observations():
-    t = fresh_table()
+    t = fresh_table(nb_fallback=True)
+    with pytest.raises(NoObservationsError):
+        t.naive_bayes_map(1, EV)
+
+
+def test_warm_table_keeps_no_naive_bayes_counts():
+    t = fresh_table()  # nb_fallback off, as on every warm start
+    t.sp_update(1, EV, Outcome.SUCCESS)
+    t.sp_update(1, EvidenceVector(0, 1, 2, 3), Outcome.FAILURE)
     with pytest.raises(NoObservationsError):
         t.naive_bayes_map(1, EV)
 
@@ -202,7 +216,8 @@ def test_nb_map_requires_observations():
                 min_size=1, max_size=25))
 def test_nb_map_matches_bruteforce_oracle(history):
     counts = (3, 3, 3, 3)
-    t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts)
+    t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts,
+                     nb_fallback=True)
     for o, b, nb, d, ok in history:
         t.sp_update(1, EvidenceVector(o, b, nb, d),
                     Outcome.SUCCESS if ok else Outcome.FAILURE)

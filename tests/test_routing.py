@@ -123,7 +123,7 @@ def test_build_table_pure_function_of_state():
 def test_lazy_table_matches_full_build_and_freezes():
     e = EvidenceVector(0, 0, 0, 0)
     t = table_with({(1, *e): 0.9, (2, *e): 0.4})
-    lazy = LazyRoutingTable(t, (1, 2), refresh_period=1.0)
+    lazy = LazyRoutingTable(t, refresh_period=1.0)
     assert lazy.lookup(e, set(), now=0.1) == 1
     # updates inside the period do not change the frozen view...
     for _ in range(10):
@@ -137,7 +137,7 @@ def test_lazy_table_matches_full_build_and_freezes():
 def test_lazy_roll_before_update_keeps_boundary_semantics():
     e = EvidenceVector(0, 0, 0, 0)
     t = table_with({(1, *e): 0.9, (2, *e): 0.4})
-    lazy = LazyRoutingTable(t, (1, 2), refresh_period=1.0)
+    lazy = LazyRoutingTable(t, refresh_period=1.0)
     assert lazy.lookup(e, set(), now=0.1) == 1
     lazy.maybe_roll(1.05)  # boundary passed before this update arrives
     t.sp_update(1, e, Outcome.FAILURE)  # 0.81, still best
@@ -162,7 +162,7 @@ def test_lazy_table_matches_build_table_frozen_at_epoch_start(ops, nb_fallback, 
     initial = cold_start_prior(0.5, dest_neighbor_sp=0.9) if prior else 0.5
     t = SuccessTable(0, NEIGHBORS, alpha=0.7, initial_sp=initial, state_counts=TINY,
                      nb_fallback=nb_fallback)
-    lazy = LazyRoutingTable(t, NEIGHBORS, refresh_period=1.0)
+    lazy = LazyRoutingTable(t, refresh_period=1.0)
     # the full table built from the state as it stood when the period began
     frozen, epoch, now = build_table(t, NEIGHBORS), 0, 0.0
     for op, k, e, success, excluded, step in ops:
