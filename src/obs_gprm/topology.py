@@ -48,7 +48,11 @@ class Topology:
 
     def __init__(self, nodes, links, signal_speed=SIGNAL_SPEED, names=None):
         self.nodes = sorted(nodes)
-        self.links = {(l.src, l.dst): l for l in links}
+        self.links = {}
+        for l in links:
+            if (l.src, l.dst) in self.links:
+                raise TopologyError(f"link {l.src}->{l.dst} is declared twice")
+            self.links[(l.src, l.dst)] = l
         self.signal_speed = signal_speed
         self.names = dict(names) if names else {}
         self._hop_counts = None
@@ -120,11 +124,13 @@ def load_topology(path, signal_speed=SIGNAL_SPEED):
     Format, one record per line, `#` starts a comment:
         node <id> <name>
         link <src> <dst> <km> <ctrl_channels> <data_channels> <bit_rate>
-    Each `link` line declares one bidirectional fiber (two directed links).
+    Each `link` line declares one bidirectional fiber (two directed links);
+    declaring a fiber twice, in either direction, raises `TopologyError`.
     """
     nodes = []
     names = {}
     links = []
+    link_lines = {}  # directed link -> line number of its declaration
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -141,6 +147,10 @@ def load_topology(path, signal_speed=SIGNAL_SPEED):
                     km = float(parts[3])
                     ctrl, data = int(parts[4]), int(parts[5])
                     rate = float(parts[6])
+                    if (src, dst) in link_lines:  # a line declares both directions
+                        raise TopologyError(f"{path}:{lineno}: link {src}->{dst} is already "
+                                            f"declared on line {link_lines[(src, dst)]}")
+                    link_lines[(src, dst)] = link_lines[(dst, src)] = lineno
                     links.append(Link(src, dst, km, ctrl, data, rate))
                     links.append(Link(dst, src, km, ctrl, data, rate))
                 else:

@@ -62,7 +62,7 @@ class TrafficMatrix:
 
 def load_matrix(path, connections_per_pair=1):
     """Parse a matrix file: lines `src dst weight`, `#` comments; missing
-    pairs default to weight 0."""
+    pairs default to weight 0, and a pair listed twice raises ValueError."""
     weights = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -71,9 +71,12 @@ def load_matrix(path, connections_per_pair=1):
                 continue
             try:
                 s, d, w = line.split()
-                weights[(int(s), int(d))] = float(w)
+                pair, weight = (int(s), int(d)), float(w)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed matrix line {line!r}") from exc
+            if pair in weights:
+                raise ValueError(f"{path}:{lineno}: pair {s} {d} is listed twice")
+            weights[pair] = weight
     return TrafficMatrix(weights, connections_per_pair)
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -90,6 +91,17 @@ def test_malformed_line_rejected(tmp_path):
     path = tmp_path / "bad.topo"
     path.write_text("node 0 a\nnode 1 b\nlink 0 1 oops 2 4 1e9\n")
     with pytest.raises(TopologyError, match="malformed"):
+        load_topology(str(path))
+
+
+def test_duplicate_link_rejected(tmp_path):
+    # a repeated directed link used to keep its last declaration silently
+    with pytest.raises(TopologyError, match="link 0->1 is declared twice"):
+        Topology([0, 1], bidir(0, 1) + bidir(0, 1, km=500.0, data=1))
+    path = tmp_path / "dup.topo"
+    path.write_text("node 0 a\nnode 1 b\nlink 0 1 100 2 4 1e9\nlink 1 0 500 2 1 1e9\n")
+    with pytest.raises(TopologyError,
+                       match=re.escape(f"{path}:4: link 1->0 is already declared on line 3")):
         load_topology(str(path))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -134,4 +135,12 @@ def test_load_matrix_rejects_garbage(tmp_path):
     path = tmp_path / "m.matrix"
     path.write_text("0 1 huh\n")
     with pytest.raises(ValueError):
+        load_matrix(str(path))
+
+
+def test_load_matrix_rejects_duplicate_pair(tmp_path):
+    # a repeated pair used to keep its last weight silently
+    path = tmp_path / "m.matrix"
+    path.write_text("0 1 1.0\n1 0 1.0\n0 1 5.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: pair 0 1 is listed twice")):
         load_matrix(str(path))
