@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 from multiprocessing import Pool
 from typing import get_args, get_origin
 
-from .metrics import blr_gain, blr_gain_terms, u_gain, u_gain_terms
+from .metrics import blr_gain_terms, u_gain_terms
 from .signaling import SimConfig, Simulator
 from .topology import load_topology
 from .traffic import LoadSpec, load_matrix, scale_to_load
@@ -213,10 +213,10 @@ def _gains_rows(rows, loads, seeds):
         out.append([_fmt(float(v)) for v in
                     (l, blr_sp[i], blr_gp[i], blr_terms[i],
                      d_sp[i], d_gp[i], u_sp[i], u_gp[i], u_terms[i])])
-    out.append(["sum", "", "", _fmt(blr_gain(blr_sp, blr_gp)),
-                "", "", "", "", _fmt(u_gain(u_sp, u_gp))])
-    out.append(["mean", "", "", _fmt(blr_gain(blr_sp, blr_gp) / len(loads)),
-                "", "", "", "", _fmt(u_gain(u_sp, u_gp) / len(loads))])
+    blr_sum, u_sum = sum(blr_terms), sum(u_terms)
+    out.append(["sum", "", "", _fmt(blr_sum), "", "", "", "", _fmt(u_sum)])
+    out.append(["mean", "", "", _fmt(blr_sum / len(loads)),
+                "", "", "", "", _fmt(u_sum / len(loads))])
     return out
 
 

@@ -33,10 +33,6 @@ class UnknownNeighborError(KeyError):
     """Query or update for a node that is not a neighbor of the table owner."""
 
 
-class NoObservationsError(ValueError):
-    """Naive-Bayes estimate requested for a neighbor with no recorded outcomes."""
-
-
 class LossRateWindow:
     """Sliding-window loss ratio seen by one node as a forwarder.
 
@@ -166,10 +162,6 @@ class SuccessTable:
         self._epoch_factors = self._factor_counts
         self._nb_dirty = nb_fallback  # first begin_epoch snapshots independent copies
 
-    def _check_neighbor(self, k):
-        if k not in self._neighbor_set:
-            raise UnknownNeighborError(f"{k} is not a neighbor of node {self.owner}")
-
     def _unseen_prob(self, k, e, totals, factors):
         """Estimate for a (k, e) with no stored value: the naive-Bayes
         generalization when enabled and k has history, else the initial default."""
@@ -177,12 +169,6 @@ class SuccessTable:
             s_succ, s_fail = self._nb_scores(k, e, totals, factors)
             return s_succ / (s_succ + s_fail)
         return self._default(k, e)
-
-    def sp_query(self, k, e):
-        """Stored success probability for (k, e), or the initial default."""
-        self._check_neighbor(k)
-        v = self.values.get((k, *e))
-        return self._default(k, e) if v is None else v
 
     def sp_update(self, k, e, outcome):
         """Exponential-smoothing update on a notification; returns the new SP.
@@ -221,8 +207,6 @@ class SuccessTable:
     def _nb_scores(self, k, e, totals, factors):
         n_succ, n_fail = totals[k]
         n = n_succ + n_fail
-        if n == 0:
-            raise NoObservationsError(f"no outcomes recorded for neighbor {k}")
         scores = []
         for idx, n_phi in ((0, n_succ), (1, n_fail)):
             score = (n_phi + 1.0) / (n + 2.0)
@@ -231,21 +215,6 @@ class SuccessTable:
                 score *= (counters[f][e[f]] + 1.0) / (n_phi + self.state_counts[f])
             scores.append(score)
         return scores  # [success, failure]
-
-    def naive_bayes_map(self, k, e):
-        """Most probable outcome for (k, e) under the independent-evidence
-        approximation, with its unnormalized score. Ties resolve to success."""
-        self._check_neighbor(k)
-        s_succ, s_fail = self._nb_scores(k, e, self._totals, self._factor_counts)
-        if s_succ >= s_fail:
-            return Outcome.SUCCESS, s_succ
-        return Outcome.FAILURE, s_fail
-
-    def nb_success_prob(self, k, e):
-        """Normalized naive-Bayes success probability for (k, e)."""
-        self._check_neighbor(k)
-        s_succ, s_fail = self._nb_scores(k, e, self._totals, self._factor_counts)
-        return s_succ / (s_succ + s_fail)
 
     def routing_success_prob(self, k, e):
         """Success estimate used for route costs: the stored value when (k, e)

@@ -1,6 +1,6 @@
-"""Run counters and the derived comparison quantities: loss ratio, mean
-end-to-end delay, utilization, and the per-point gain sums used to compare
-the adaptive policy against the min-hop baseline."""
+"""Run counters, the metrics of a run (loss ratio, mean end-to-end delay,
+utilization), and the per-point gain terms used to compare the adaptive
+policy against the min-hop baseline."""
 
 from dataclasses import dataclass, field
 
@@ -42,29 +42,6 @@ class RunCounters:
         self.busy_time[key] = self.busy_time.get(key, 0.0) + seconds
 
 
-def blr(counters):
-    """Burst loss ratio: dropped / sent."""
-    if counters.bursts_sent == 0:
-        raise UndefinedMetricError("BLR undefined: no bursts sent")
-    return counters.bursts_dropped / counters.bursts_sent
-
-
-def mean_e2e_delay(counters):
-    """Mean end-to-end delay of delivered bursts (offset + propagation +
-    transmission)."""
-    if counters.bursts_delivered == 0:
-        raise UndefinedMetricError("delay undefined: no bursts delivered")
-    return counters.delay_sum / counters.bursts_delivered
-
-
-def utilization(counters, topology, elapsed):
-    """Fraction of total data-channel capacity occupied during `elapsed`."""
-    if elapsed <= 0:
-        raise UndefinedMetricError("utilization undefined: elapsed must be > 0")
-    total_busy = sum(counters.busy_time.values())
-    return total_busy / (elapsed * topology.total_data_channels())
-
-
 def _gain_terms(baseline, candidate, sign):
     if len(baseline) != len(candidate):
         raise ValueError(f"length mismatch: {len(baseline)} vs {len(candidate)}")
@@ -81,19 +58,9 @@ def blr_gain_terms(sp_blrs, gprm_blrs):
     return _gain_terms(sp_blrs, gprm_blrs, 1.0)
 
 
-def blr_gain(sp_blrs, gprm_blrs):
-    """Summed relative BLR reduction over simulation points."""
-    return sum(blr_gain_terms(sp_blrs, gprm_blrs))
-
-
 def u_gain_terms(sp_us, gprm_us):
     """Per-point relative utilization improvement of the adaptive policy."""
     return _gain_terms(sp_us, gprm_us, -1.0)
-
-
-def u_gain(sp_us, gprm_us):
-    """Summed relative utilization improvement over simulation points."""
-    return sum(u_gain_terms(sp_us, gprm_us))
 
 
 class TimeSeries:
@@ -116,14 +83,6 @@ class TimeSeries:
     def add_drop(self, t):
         i = self._idx(t)
         self._dropped[i] = self._dropped.get(i, 0) + 1
-
-    @property
-    def total_sent(self):
-        return sum(self._sent.values())
-
-    @property
-    def total_dropped(self):
-        return sum(self._dropped.values())
 
     def arrays(self):
         """(bucket start times, sent, dropped) as dense numpy arrays."""
@@ -178,10 +137,24 @@ class RunResult:
         return self.duration - self.warmup
 
     def blr(self):
-        return blr(self.counters)
+        """Burst loss ratio: dropped / sent."""
+        c = self.counters
+        if c.bursts_sent == 0:
+            raise UndefinedMetricError("BLR undefined: no bursts sent")
+        return c.bursts_dropped / c.bursts_sent
 
     def mean_delay(self):
-        return mean_e2e_delay(self.counters)
+        """Mean end-to-end delay of delivered bursts (offset + propagation +
+        transmission)."""
+        c = self.counters
+        if c.bursts_delivered == 0:
+            raise UndefinedMetricError("delay undefined: no bursts delivered")
+        return c.delay_sum / c.bursts_delivered
 
     def utilization(self, topology):
-        return utilization(self.counters, topology, self.elapsed)
+        """Fraction of total data-channel capacity occupied after warm-up."""
+        elapsed = self.elapsed
+        if elapsed <= 0:
+            raise UndefinedMetricError("utilization undefined: elapsed must be > 0")
+        total_busy = sum(self.counters.busy_time.values())
+        return total_busy / (elapsed * topology.total_data_channels())

@@ -1,70 +1,12 @@
-"""Routing tables: compiled cost lookups for GPRM and the min-hop baseline.
+"""Next-hop selection: the lazy GPRM cost table and the min-hop baseline.
 
-A GPRM routing table row maps one evidence permutation to all candidate next
-hops, each costed 1 - success_probability and sorted ascending (ties by node
-id). Rows are rebuilt from the learning state every refresh period; the lazy
-table materializes a row only when it is first consulted in a period, which
-is observationally identical to a full periodic rebuild, and keeps only the
-row's next hops in cost order.
+For one evidence vector, a GPRM row lists the node's neighbors by cost
+1 - success probability, ascending, ties by node id; a lookup returns the
+first one not excluded. The learning state is frozen at the start of every
+refresh period, and a row is built from that frozen view the first time it
+is consulted in the period. The baseline maps (node, destination) to the
+smallest-id neighbor on a minimum-hop path.
 """
-
-from itertools import product
-from typing import NamedTuple
-
-from .gprm import EvidenceVector
-
-
-def permutation_count(state_counts):
-    """Number of evidence permutations for the given per-field state counts."""
-    g, d, h, t = state_counts
-    if min(state_counts) < 1:
-        raise ValueError(f"state counts must be >= 1, got {state_counts}")
-    return g * d * h * t
-
-
-class RouteEntry(NamedTuple):
-    next_hop: int
-    cost: float
-
-
-class RoutingTable:
-    """Fully materialized table over every evidence permutation."""
-
-    def __init__(self, owner, rows):
-        self.owner = owner
-        self.rows = rows
-
-    def lookup(self, e, excluded=frozenset()):
-        """Lowest-cost next hop not excluded, or None if all are."""
-        return next((r.next_hop for r in self.rows[e] if r.next_hop not in excluded), None)
-
-    def total_entries(self):
-        return sum(len(row) for row in self.rows.values())
-
-    def dump(self, fh):
-        """Debug dump: `o b nb d | next_hop cost | ...` per row."""
-        for e in sorted(self.rows):
-            cells = " | ".join(f"{r.next_hop} {r.cost:.6g}" for r in self.rows[e])
-            fh.write(f"{e[0]} {e[1]} {e[2]} {e[3]} | {cells}\n")
-
-
-def build_table(success_table, neighbors, state_counts=None):
-    """Materialize every evidence permutation into a RoutingTable.
-
-    Intended for small state spaces (tests, debugging); the simulator uses
-    LazyRoutingTable instead.
-    """
-    neighbors = sorted(neighbors)
-    if not neighbors:
-        raise ValueError("neighbors must be nonempty")
-    counts = state_counts or success_table.state_counts
-    prob = success_table.routing_success_prob
-    rows = {}
-    for combo in product(*(range(c) for c in counts)):
-        e = EvidenceVector(*combo)
-        row = [RouteEntry(k, 1.0 - prob(k, e)) for k in neighbors]
-        rows[e] = sorted(row, key=lambda r: (r.cost, r.next_hop))
-    return RoutingTable(success_table.owner, rows)
 
 
 class LazyRoutingTable:
@@ -80,7 +22,6 @@ class LazyRoutingTable:
     def __init__(self, success_table, refresh_period):
         self.success_table = success_table
         self.refresh_period = refresh_period
-        self.built_at = 0.0
         self._epoch = 0
         self._rows = {}
         success_table.begin_epoch()
@@ -89,7 +30,6 @@ class LazyRoutingTable:
         epoch = int(now / self.refresh_period)
         if epoch != self._epoch:
             self._epoch = epoch
-            self.built_at = epoch * self.refresh_period
             self._rows = {}
             self.success_table.begin_epoch()
 

@@ -24,3 +24,12 @@ def star_into_chain(data=1, km=0.2):
     links = bidir(0, 1, km=km, data=data) + bidir(3, 1, km=km, data=data) \
         + bidir(1, 2, km=km, data=data)
     return Topology([0, 1, 2, 3], links)
+
+
+def walk_row(router, e, now=0.0):
+    """The next hops of one routing row in lookup order: each lookup excludes
+    the hops already returned, until none is left."""
+    hops = []
+    while (k := router.lookup(e, hops, now)) is not None:
+        hops.append(k)
+    return hops

@@ -15,10 +15,11 @@ from multiprocessing import Pool
 import pytest
 
 import obs_gprm
+from conftest import walk_row
 from obs_gprm.experiment import parse_scenario, run_single, worker_count
 from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable
 from obs_gprm.metrics import u_gain_terms
-from obs_gprm.routing import build_table, permutation_count
+from obs_gprm.routing import LazyRoutingTable
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import Link, Topology, load_topology
 from obs_gprm.traffic import (
@@ -186,15 +187,18 @@ def _props_sort_and_rows():
                                rng.randrange(5))
             t.sp_update(rng.choice((1, 2, 3)), e,
                         rng.choice((Outcome.SUCCESS, Outcome.FAILURE)))
-        rt = build_table(t, (1, 2, 3))
-        if len(rt.rows) != permutation_count(counts):
-            return False
-        if rt.total_entries() != permutation_count(counts) * 3:
-            return False
-        for row in rt.rows.values():
-            if any(a.cost > b.cost for a, b in zip(row, row[1:])):
+        lazy = LazyRoutingTable(t, refresh_period=1.0)
+        rows = 0
+        for combo in product(*(range(c) for c in counts)):
+            e = EvidenceVector(*combo)
+            # every neighbor once, by non-decreasing cost, equal costs by ascending id
+            row = [(1.0 - t.routing_success_prob(k, e), k) for k in walk_row(lazy, e)]
+            if len(row) != 3 or row != sorted(row):
                 return False
-    return permutation_count((16, 3, 16, 14)) == 10752
+            rows += 1
+        if rows != 120:
+            return False
+    return math.prod((16, 3, 16, 14)) == 10752
 
 
 def _props_conservation_and_loops():
@@ -259,18 +263,18 @@ def _props_nb_exhaustive():
         n = n_succ + n_fail
         for combo in product(range(2), repeat=4):
             e = EvidenceVector(*combo)
-            scores = {}
-            for outcome, n_phi, idx in ((Outcome.SUCCESS, n_succ, 0),
-                                        (Outcome.FAILURE, n_fail, 1)):
+            scores = []  # [success, failure]
+            for n_phi, idx in ((n_succ, 0), (n_fail, 1)):
                 p = (n_phi + 1) / (n + 2)
                 for f in range(4):
                     p *= (t._factor_counts[1][idx][f][e[f]] + 1) / (n_phi + counts[f])
-                scores[outcome] = p
-            expect = (Outcome.SUCCESS
-                      if scores[Outcome.SUCCESS] >= scores[Outcome.FAILURE]
-                      else Outcome.FAILURE)
-            got, score = t.naive_bayes_map(1, e)
-            if got is not expect or abs(score - scores[expect]) > 1e-12:
+                scores.append(p)
+            got = t._nb_scores(1, e, t._totals, t._factor_counts)
+            if any(abs(g - s) > 1e-12 for g, s in zip(got, scores)):
+                return False
+            # routing scores unseen evidence by the normalized naive-Bayes estimate
+            if ((1, *e) not in t.values and abs(t.routing_success_prob(1, e)
+                                                 - scores[0] / sum(scores)) > 1e-12):
                 return False
     return True
 

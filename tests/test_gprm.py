@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from obs_gprm.gprm import (
     EvidenceVector,
     LossRateWindow,
-    NoObservationsError,
     Outcome,
     SuccessTable,
     UnknownNeighborError,
@@ -28,13 +27,13 @@ def fresh_table(alpha=0.9, initial=0.5, neighbors=(1, 2), **kw):
 
 def test_cold_query_returns_default():
     t = fresh_table()
-    assert t.sp_query(1, EV) == 0.5
+    assert t.routing_success_prob(1, EV) == 0.5
 
 
 def test_update_ack_from_half(tmp_path):
     t = fresh_table(alpha=0.9)
     assert t.sp_update(1, EV, Outcome.SUCCESS) == pytest.approx(0.55)
-    assert t.sp_query(1, EV) == pytest.approx(0.55)
+    assert t.routing_success_prob(1, EV) == pytest.approx(0.55)
     t.sp_update(1, EvidenceVector(0, 0, 0, 2), Outcome.FAILURE)
     path = tmp_path / "table.txt"
     t.dump(str(path))  # observed entries only, as sorted `k o b nb d sp` lines
@@ -54,8 +53,6 @@ def test_alpha_one_freezes():
 
 def test_unknown_neighbor_raises():
     t = fresh_table()
-    with pytest.raises(UnknownNeighborError):
-        t.sp_query(9, EV)
     with pytest.raises(UnknownNeighborError):
         t.sp_update(9, EV, Outcome.SUCCESS)
 
@@ -166,48 +163,53 @@ def test_extract_evidence_ranges(node, dest, rem, blr_value):
 
 
 def nb_oracle(table, k, e, state_counts):
-    """Brute-force evaluation of the smoothed independence product."""
+    """Brute-force evaluation of the smoothed independence product:
+    [success score, failure score]."""
     n_succ, n_fail = table._totals[k]
     n = n_succ + n_fail
-    scores = {}
-    for outcome, n_phi, idx in ((Outcome.SUCCESS, n_succ, 0), (Outcome.FAILURE, n_fail, 1)):
+    scores = []
+    for n_phi, idx in ((n_succ, 0), (n_fail, 1)):
         p = (n_phi + 1) / (n + 2)
         for f in range(4):
             c = table._factor_counts[k][idx][f][e[f]]
             p *= (c + 1) / (n_phi + state_counts[f])
-        scores[outcome] = p
+        scores.append(p)
     return scores
+
+
+def nb_scores(table, k, e):
+    return table._nb_scores(k, e, table._totals, table._factor_counts)
 
 
 def test_nb_map_unanimous_success():
     t = fresh_table(nb_fallback=True)
     for _ in range(5):
         t.sp_update(1, EV, Outcome.SUCCESS)
-    outcome, score = t.naive_bayes_map(1, EV)
-    assert outcome is Outcome.SUCCESS
-    assert score > 0
-
-
-def test_nb_map_tie_resolves_to_success():
-    t = fresh_table(nb_fallback=True)
-    t.sp_update(1, EV, Outcome.SUCCESS)
-    t.sp_update(1, EV, Outcome.FAILURE)
-    outcome, _ = t.naive_bayes_map(1, EV)
-    assert outcome is Outcome.SUCCESS
+    s_succ, s_fail = nb_scores(t, 1, EV)
+    assert s_succ > s_fail > 0
+    # one field away from EV is unseen evidence, which routing scores by naive Bayes
+    e = EV._replace(blr_class=1)
+    s_succ, s_fail = nb_scores(t, 1, e)
+    assert t.routing_success_prob(1, e) == pytest.approx(s_succ / (s_succ + s_fail))
+    assert t.routing_success_prob(1, e) > 0.5
 
 
 def test_nb_map_requires_observations():
+    # naive Bayes scores a neighbor only once that neighbor has an outcome
     t = fresh_table(nb_fallback=True)
-    with pytest.raises(NoObservationsError):
-        t.naive_bayes_map(1, EV)
+    assert t.routing_success_prob(1, EV) == 0.5
+    t.sp_update(2, EV, Outcome.FAILURE)
+    assert t.routing_success_prob(1, EV) == 0.5
+    assert t.routing_success_prob(2, EV._replace(blr_class=1)) != 0.5
 
 
 def test_warm_table_keeps_no_naive_bayes_counts():
     t = fresh_table()  # nb_fallback off, as on every warm start
     t.sp_update(1, EV, Outcome.SUCCESS)
     t.sp_update(1, EvidenceVector(0, 1, 2, 3), Outcome.FAILURE)
-    with pytest.raises(NoObservationsError):
-        t.naive_bayes_map(1, EV)
+    assert t._totals[1] == [0, 0]
+    # unseen evidence still scores the prior
+    assert t.routing_success_prob(1, EV._replace(blr_class=1)) == 0.5
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,14 +226,11 @@ def test_nb_map_matches_bruteforce_oracle(history):
     for o in range(3):
         for b in range(3):
             e = EvidenceVector(o, b, 1, 2)
-            outcome, score = t.naive_bayes_map(1, e)
-            oracle = nb_oracle(t, 1, e, counts)
-            expect = (Outcome.SUCCESS if oracle[Outcome.SUCCESS] >= oracle[Outcome.FAILURE]
-                      else Outcome.FAILURE)
-            assert outcome is expect
-            assert score == pytest.approx(oracle[expect])
-            assert t.nb_success_prob(1, e) == pytest.approx(
-                oracle[Outcome.SUCCESS] / (oracle[Outcome.SUCCESS] + oracle[Outcome.FAILURE]))
+            s_succ, s_fail = oracle = nb_oracle(t, 1, e, counts)
+            assert nb_scores(t, 1, e) == pytest.approx(oracle)
+            if (1, *e) not in t.values:
+                assert t.routing_success_prob(1, e) == pytest.approx(
+                    s_succ / (s_succ + s_fail))
 
 
 def test_warm_start_prior_prefers_min_hop():
@@ -250,7 +249,7 @@ def test_epoch_freeze_and_journal():
     t.begin_epoch()
     t.sp_update(1, EV, Outcome.SUCCESS)        # live 0.875
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.75)
-    assert t.sp_query(1, EV) == pytest.approx(0.875)
+    assert t.routing_success_prob(1, EV) == pytest.approx(0.875)
     t.begin_epoch()
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.875)
 

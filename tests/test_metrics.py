@@ -3,15 +3,11 @@ import pytest
 from conftest import bidir, path_topology
 from obs_gprm.metrics import (
     RunCounters,
+    RunResult,
     TimeSeries,
     UndefinedMetricError,
-    blr,
-    blr_gain,
     blr_gain_terms,
-    mean_e2e_delay,
-    u_gain,
     u_gain_terms,
-    utilization,
 )
 from obs_gprm.topology import Topology
 
@@ -23,17 +19,22 @@ def counters(sent=0, delivered=0, **drops):
     return c
 
 
+def result(c, elapsed=1.0):
+    """A run whose steady-state cohort is `c`, measured over `elapsed` s."""
+    return RunResult(c, c, TimeSeries(0.01), duration=elapsed, warmup=0.0)
+
+
 def test_blr_simple():
-    assert blr(counters(sent=1000, contention=50)) == pytest.approx(0.05)
+    assert result(counters(sent=1000, contention=50)).blr() == pytest.approx(0.05)
 
 
 def test_blr_lossless():
-    assert blr(counters(sent=10, delivered=10)) == 0.0
+    assert result(counters(sent=10, delivered=10)).blr() == 0.0
 
 
 def test_blr_undefined_on_zero_sent():
     with pytest.raises(UndefinedMetricError):
-        blr(counters())
+        result(counters()).blr()
 
 
 def test_drop_causes_sum():
@@ -45,9 +46,9 @@ def test_drop_causes_sum():
 def test_mean_delay():
     c = counters(sent=1, delivered=1)
     c.delay_sum = 5.5e-3
-    assert mean_e2e_delay(c) == pytest.approx(5.5e-3)
+    assert result(c).mean_delay() == pytest.approx(5.5e-3)
     with pytest.raises(UndefinedMetricError):
-        mean_e2e_delay(counters(sent=1))
+        result(counters(sent=1)).mean_delay()
 
 
 def test_utilization_single_burst():
@@ -55,38 +56,41 @@ def test_utilization_single_burst():
     topo = Topology([0, 1], bidir(0, 1, data=2))
     c = RunCounters()
     c.add_busy((0, 1, 0), 3.2e-3)
-    assert utilization(c, topo, elapsed=1.0) == pytest.approx(8e-4)
+    assert result(c, elapsed=1.0).utilization(topo) == pytest.approx(8e-4)
 
 
 def test_utilization_bounds():
     topo = path_topology(2, data=4)  # 8 channels
     c = RunCounters()
-    assert utilization(c, topo, 1.0) == 0.0
+    assert result(c).utilization(topo) == 0.0
     for w in range(4):
         c.add_busy((0, 1, w), 1.0)
         c.add_busy((1, 0, w), 1.0)
-    assert utilization(c, topo, 1.0) == pytest.approx(1.0)
+    assert result(c).utilization(topo) == pytest.approx(1.0)
+    with pytest.raises(UndefinedMetricError):
+        result(c, elapsed=0.0).utilization(topo)
 
 
 def test_blr_gain_values():
-    assert blr_gain([0.10], [0.05]) == pytest.approx(0.5)
-    assert blr_gain([0.1, 0.2], [0.1, 0.2]) == 0.0
-    assert blr_gain([0.1, 0.2], [0.05, 0.1]) == pytest.approx(1.0)
+    # gains.csv sums the per-point terms
+    assert sum(blr_gain_terms([0.10], [0.05])) == pytest.approx(0.5)
+    assert sum(blr_gain_terms([0.1, 0.2], [0.1, 0.2])) == 0.0
+    assert sum(blr_gain_terms([0.1, 0.2], [0.05, 0.1])) == pytest.approx(1.0)
 
 
 def test_u_gain_values():
-    assert u_gain([0.5], [0.6]) == pytest.approx(0.2)
-    assert u_gain([0.4, 0.5], [0.4, 0.5]) == 0.0
-    assert u_gain([0.4, 0.5], [0.44, 0.55]) == pytest.approx(0.2)
+    assert sum(u_gain_terms([0.5], [0.6])) == pytest.approx(0.2)
+    assert sum(u_gain_terms([0.4, 0.5], [0.4, 0.5])) == 0.0
+    assert sum(u_gain_terms([0.4, 0.5], [0.44, 0.55])) == pytest.approx(0.2)
 
 
 def test_gain_errors():
     with pytest.raises(ValueError):
-        blr_gain([0.1], [0.1, 0.2])
+        blr_gain_terms([0.1], [0.1, 0.2])
     with pytest.raises(ValueError):
-        blr_gain([0.0], [0.1])
+        blr_gain_terms([0.0], [0.1])
     with pytest.raises(ValueError):
-        u_gain([0.0], [0.1])
+        u_gain_terms([0.0], [0.1])
 
 
 def test_gain_terms_recompute_directly():
@@ -106,8 +110,8 @@ def test_time_series_buckets_and_conservation():
     ts.add_drop(0.013)
     ts.add_drop(0.027)
     times, sent, dropped = ts.arrays()
-    assert sent.sum() == ts.total_sent == 5
-    assert dropped.sum() == ts.total_dropped == 2
+    assert sent.sum() == 5
+    assert dropped.sum() == 2
     assert list(sent) == [2, 1, 2]
     assert list(dropped) == [0, 1, 1]
 

@@ -1,15 +1,14 @@
-import random
+import copy
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import obs_gprm
+from conftest import walk_row
 from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable, cold_start_prior
 from obs_gprm.routing import (
     LazyRoutingTable,
-    build_table,
-    permutation_count,
     shortest_path_next_hop,
     shortest_path_table,
 )
@@ -26,54 +25,43 @@ def table_with(values, neighbors=(1, 2), state_counts=SMALL, initial=0.5):
     return t
 
 
-def test_permutation_count_paper_states():
-    assert permutation_count((16, 3, 16, 14)) == 10752
+def cost(t, k, e):
+    return 1.0 - t.routing_success_prob(k, e)
 
 
-def test_permutation_count_degenerate():
-    assert permutation_count((1, 1, 1, 1)) == 1
-    assert permutation_count((2, 3, 4, 5)) == 120
-
-
-def test_permutation_count_rejects_zero():
-    with pytest.raises(ValueError):
-        permutation_count((0, 3, 4, 5))
-
-
-def test_build_table_costs_and_order():
+def test_lazy_row_costs_and_order():
     e = EvidenceVector(0, 0, 0, 0)
     t = table_with({(1, *e): 0.6, (2, *e): 0.8})
-    rt = build_table(t, (1, 2))
-    row = rt.rows[e]
-    assert row[0].next_hop == 2 and row[0].cost == pytest.approx(0.2)
-    assert row[1].next_hop == 1 and row[1].cost == pytest.approx(0.4)
+    assert walk_row(LazyRoutingTable(t, refresh_period=1.0), e) == [2, 1]
+    assert cost(t, 2, e) == pytest.approx(0.2)
+    assert cost(t, 1, e) == pytest.approx(0.4)
 
 
-def test_build_table_id_tie_break():
+def test_lazy_row_id_tie_break():
     t = SuccessTable(0, (3, 7), alpha=0.9, initial_sp=0.5, state_counts=SMALL)
-    rt = build_table(t, (3, 7))
-    row = rt.rows[EvidenceVector(1, 2, 3, 4)]
-    assert [r.next_hop for r in row] == [3, 7]
-    assert row[0].cost == pytest.approx(0.5)
+    e = EvidenceVector(1, 2, 3, 4)
+    assert walk_row(LazyRoutingTable(t, refresh_period=1.0), e) == [3, 7]
+    assert cost(t, 3, e) == cost(t, 7, e) == pytest.approx(0.5)
 
 
 def test_row_count_identity_small_space():
     t = SuccessTable(0, (1, 2), alpha=0.9, initial_sp=0.5, state_counts=SMALL)
-    rt = build_table(t, (1, 2))
-    ep = permutation_count(SMALL)
-    assert ep == 120
-    assert len(rt.rows) == ep
+    lazy = LazyRoutingTable(t, refresh_period=1.0)
+    rows = [walk_row(lazy, EvidenceVector(*combo))
+            for combo in product(*(range(c) for c in SMALL))]
+    assert len(rows) == 120
     # beta_i = 2 candidates for every permutation
-    assert rt.total_entries() == sum(2 for _ in range(ep)) == 240
+    assert sum(len(row) for row in rows) == 240
+    assert all(sorted(row) == [1, 2] for row in rows)
 
 
 def test_lookup_picks_first_then_skips_excluded():
     e = EvidenceVector(0, 0, 0, 0)
     t = table_with({(3, *e): 0.8, (7, *e): 0.6}, neighbors=(3, 7))
-    rt = build_table(t, (3, 7))
-    assert rt.lookup(e) == 3
-    assert rt.lookup(e, {3}) == 7
-    assert rt.lookup(e, {3, 7}) is None
+    lazy = LazyRoutingTable(t, refresh_period=1.0)
+    assert lazy.lookup(e, set(), 0.0) == 3
+    assert lazy.lookup(e, {3}, 0.0) == 7
+    assert lazy.lookup(e, {3, 7}, 0.0) is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -85,12 +73,13 @@ def test_sort_invariant_random_tables(entries):
     for o, b, nb, d, k, sp in entries:
         values[(k, o, b, nb, d)] = sp
     t = table_with(values, neighbors=(1, 2, 3))
-    rt = build_table(t, (1, 2, 3))
-    for row in rt.rows.values():
-        for a, b_ in zip(row, row[1:]):
-            assert a.cost <= b_.cost
-        # the head of the row is the argmin by (cost, id)
-        assert row[0] == min(row, key=lambda r: (r.cost, r.next_hop))
+    lazy = LazyRoutingTable(t, refresh_period=1.0)
+    for combo in product(range(2), range(3), range(4), range(5)):
+        e = EvidenceVector(*combo)
+        row = [(cost(t, k, e), k) for k in walk_row(lazy, e)]
+        assert len(row) == 3
+        # non-decreasing cost, equal costs in ascending id
+        assert row == sorted(row)
 
 
 @settings(max_examples=30, deadline=None)
@@ -100,24 +89,11 @@ def test_sort_invariant_random_tables(entries):
 def test_lookup_equals_exhaustive_min(raw):
     values = {(k, o, b, nb, d): sp for (k, o, b, nb, d), sp in raw.items()}
     t = table_with(values, neighbors=(1, 2, 3))
-    rt = build_table(t, (1, 2, 3))
+    lazy = LazyRoutingTable(t, refresh_period=1.0)
     for combo in product(range(2), range(3), range(4), range(5)):
         e = EvidenceVector(*combo)
-        best = min((1.0 - t.routing_success_prob(k, e), k) for k in (1, 2, 3))
-        assert rt.lookup(e) == best[1]
-
-
-def test_build_table_pure_function_of_state():
-    rng = random.Random(5)
-    t = SuccessTable(0, (1, 2), alpha=0.9, initial_sp=0.5, state_counts=SMALL)
-    for _ in range(60):
-        e = EvidenceVector(rng.randrange(2), rng.randrange(3), rng.randrange(4),
-                           rng.randrange(5))
-        t.sp_update(rng.choice((1, 2)), e,
-                    rng.choice((Outcome.SUCCESS, Outcome.FAILURE)))
-    a = build_table(t, (1, 2))
-    b = build_table(t, (1, 2))
-    assert a.rows == b.rows
+        best = min((cost(t, k, e), k) for k in (1, 2, 3))
+        assert lazy.lookup(e, set(), 0.0) == best[1]
 
 
 def test_lazy_table_matches_full_build_and_freezes():
@@ -131,7 +107,6 @@ def test_lazy_table_matches_full_build_and_freezes():
     assert lazy.lookup(e, set(), now=0.5) == 1
     # ...but the next period sees them
     assert lazy.lookup(e, set(), now=1.2) == 2
-    assert lazy.built_at == pytest.approx(1.0)
 
 
 def test_lazy_roll_before_update_keeps_boundary_semantics():
@@ -158,13 +133,13 @@ LAZY_OPS = st.lists(st.tuples(
 
 @settings(max_examples=200, deadline=None)
 @given(LAZY_OPS, st.booleans(), st.booleans())
-def test_lazy_table_matches_build_table_frozen_at_epoch_start(ops, nb_fallback, prior):
+def test_lazy_table_matches_snapshot_argmin(ops, nb_fallback, prior):
     initial = cold_start_prior(0.5, dest_neighbor_sp=0.9) if prior else 0.5
     t = SuccessTable(0, NEIGHBORS, alpha=0.7, initial_sp=initial, state_counts=TINY,
                      nb_fallback=nb_fallback)
     lazy = LazyRoutingTable(t, refresh_period=1.0)
-    # the full table built from the state as it stood when the period began
-    frozen, epoch, now = build_table(t, NEIGHBORS), 0, 0.0
+    # a copy of the learning state as it stood when the period began
+    frozen, epoch, now = copy.deepcopy(t), 0, 0.0
     for op, k, e, success, excluded, step in ops:
         now += step
         e = EvidenceVector(*e)
@@ -173,11 +148,13 @@ def test_lazy_table_matches_build_table_frozen_at_epoch_start(ops, nb_fallback, 
             continue
         if int(now) != epoch:  # this call is the first of a new period
             epoch = int(now)
-            frozen = build_table(t, NEIGHBORS)
+            frozen = copy.deepcopy(t)
         if op == "maybe_roll":
             lazy.maybe_roll(now)
-        else:
-            assert lazy.lookup(e, excluded, now) == frozen.lookup(e, excluded), (op, e, now)
+            continue
+        left = [(cost(frozen, k, e), k) for k in NEIGHBORS if k not in excluded]
+        expect = min(left)[1] if left else None
+        assert lazy.lookup(e, excluded, now) == expect, (op, e, now)
 
 
 def triangle():
@@ -247,13 +224,3 @@ def test_sp_paths_are_loop_free_and_minimal():
                 seen.add(node)
             assert steps == hops[(src, dst)]
 
-
-def test_dump_format(tmp_path):
-    e = EvidenceVector(0, 0, 0, 0)
-    t = table_with({(1, *e): 0.75}, state_counts=(1, 1, 1, 1))
-    rt = build_table(t, (1, 2))
-    path = tmp_path / "rt.txt"
-    with open(path, "w") as fh:
-        rt.dump(fh)
-    line = path.read_text().strip()
-    assert line == "0 0 0 0 | 1 0.25 | 2 0.5"

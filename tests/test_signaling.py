@@ -209,9 +209,9 @@ def test_contention_drop_nack_and_update(arrivals):
     assert [l[2] for l in nacks] == [3]  # only the loser's source hears the NACK
     # Algorithm-3 arithmetic at the updated node: 0.9 * 0.5 + 0.1 * 0 = 0.45
     e = EvidenceVector(2, 0, 2, 2)
-    assert sim.nodes[3].success.sp_query(1, e) == pytest.approx(0.45)
+    assert sim.nodes[3].success.routing_success_prob(1, e) == pytest.approx(0.45)
     # and the winner's path learned success: 0.9 * 0.5 + 0.1 * 1 = 0.55
-    assert sim.nodes[0].success.sp_query(1, e) == pytest.approx(0.55)
+    assert sim.nodes[0].success.routing_success_prob(1, e) == pytest.approx(0.55)
 
 
 def test_dead_end_drop_noroute_nack(arrivals):
@@ -229,8 +229,8 @@ def test_dead_end_drop_noroute_nack(arrivals):
     # NACK walked back through both forwarding nodes
     e_at_1 = EvidenceVector(11, 0, 1, 0)
     e_at_3 = EvidenceVector(12, 0, 2, 0)
-    assert sim.nodes[1].success.sp_query(2, e_at_1) == pytest.approx(0.9 * 0.99)
-    assert sim.nodes[3].success.sp_query(1, e_at_3) == pytest.approx(0.45)
+    assert sim.nodes[1].success.routing_success_prob(2, e_at_1) == pytest.approx(0.9 * 0.99)
+    assert sim.nodes[3].success.routing_success_prob(1, e_at_3) == pytest.approx(0.45)
 
 
 def test_ingress_drop_when_first_hop_full(arrivals):
@@ -265,7 +265,7 @@ def test_insufficient_offset_detour_drop(arrivals):
     assert c.drops_offset == 1
     assert c.bursts_delivered == 0
     # the luring entry was punished by the NACK
-    assert sim.nodes[0].success.sp_query(4, e) == pytest.approx(0.9 * 0.99)
+    assert sim.nodes[0].success.routing_success_prob(4, e) == pytest.approx(0.9 * 0.99)
 
 
 def test_wavelength_continuity_on_delivery(arrivals):
@@ -370,8 +370,9 @@ def test_trace_calls_are_events_plus_ingress_drops(policy, monkeypatch):
 
 def test_series_buckets_match_counters():
     res, _ = run_nsfnet("sp", seed=5, duration=4.0)
-    assert res.series.total_sent == res.counters_total.bursts_sent
-    assert res.series.total_dropped == res.counters_total.bursts_dropped
+    _, sent, dropped = res.series.arrays()
+    assert sent.sum() == res.counters_total.bursts_sent
+    assert dropped.sum() == res.counters_total.bursts_dropped
 
 
 def test_busy_time_bounded_by_elapsed():
