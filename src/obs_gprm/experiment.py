@@ -7,6 +7,7 @@ gain summary when both policies were run.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from multiprocessing import Pool
@@ -104,8 +105,8 @@ def validate(scenario):
         errors.append("policies: must not be empty")
     if not scenario.loads:
         errors.append("loads: must not be empty")
-    if any(l <= 0 for l in scenario.loads):
-        errors.append("loads: every load must be > 0")
+    if not all(0 < l < math.inf for l in scenario.loads):
+        errors.append("loads: every load must be finite and > 0")
     if not scenario.seeds:
         errors.append("seeds: must not be empty")
     if scenario.duration <= scenario.warmup:

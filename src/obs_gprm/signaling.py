@@ -16,7 +16,8 @@ event queue, so identical inputs replay bit-identically.
 """
 
 import bisect
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 
 from .gprm import (
@@ -159,8 +160,14 @@ class SimConfig:
     warmup: float = 1.0
 
     def problems(self):
-        """Every invalid field, as a list of `field: reason` strings."""
-        errors = []
+        """Every invalid field, as a list of `field: reason` strings.
+
+        Non-finite float fields are reported alone: NaN passes every `x <= 0`
+        check below, and a range check would report the same field again."""
+        errors = [f"{f.name}: must be a finite number" for f in fields(self)
+                  if f.type is float and not math.isfinite(getattr(self, f.name))]
+        if errors:
+            return errors
         if self.warmup < 0:
             errors.append("warmup: must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:

@@ -148,13 +148,15 @@ def load_topology(path, signal_speed=SIGNAL_SPEED):
                     ctrl, data = int(parts[4]), int(parts[5])
                     rate = float(parts[6])
                     if (src, dst) in link_lines:  # a line declares both directions
-                        raise TopologyError(f"{path}:{lineno}: link {src}->{dst} is already "
-                                            f"declared on line {link_lines[(src, dst)]}")
+                        raise TopologyError(f"link {src}->{dst} is already declared on "
+                                            f"line {link_lines[(src, dst)]}")
                     link_lines[(src, dst)] = link_lines[(dst, src)] = lineno
                     links.append(Link(src, dst, km, ctrl, data, rate))
                     links.append(Link(dst, src, km, ctrl, data, rate))
                 else:
-                    raise TopologyError(f"{path}:{lineno}: unknown record '{parts[0]}'")
+                    raise TopologyError(f"unknown record '{parts[0]}'")
             except (IndexError, ValueError) as exc:
                 raise TopologyError(f"{path}:{lineno}: malformed line: {line!r}") from exc
+            except TopologyError as exc:  # a bad record, or a `Link` field out of range
+                raise TopologyError(f"{path}:{lineno}: {exc}") from exc
     return Topology(nodes, links, signal_speed=signal_speed, names=names)

@@ -252,6 +252,22 @@ def test_cli_validate_bad(tmp_path):
     assert main(["validate", "--scenario", str(path)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("refresh_period", "nan"), ("per_hop_processing", "nan"), ("warmup", "nan"),
+    ("blr_window", "nan"), ("bucket_width", "nan"), ("offset_guard", "nan"),
+    ("duration", "inf"), ("duration", "nan"), ("mean_burst_size", "nan"),
+    ("signal_speed", "inf"), ("loads", "nan"), ("loads", "0.3, inf"),
+])
+def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
+    # NaN compares false with every bound, so `x <= 0` checks let it through
+    path = write_scn(tmp_path, f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
+                               f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
+                               f"loads = 0.3\n{key} = {value}\n")
+    assert main(["validate", "--scenario", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
+
+
 def test_cli_run_small(tmp_path):
     scn = tmp_path / "mini.scn"
     scn.write_text(

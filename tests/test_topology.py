@@ -105,6 +105,19 @@ def test_duplicate_link_rejected(tmp_path):
         load_topology(str(path))
 
 
+@pytest.mark.parametrize("record, reason", [
+    ("link 0 0 100 2 4 1e9", "self-loop link at node 0"),
+    ("link 0 2 -5 2 4 1e9", "link 0->2: length must be > 0"),
+    ("link 1 0 500 2 1 1e9", "link 1->0 is already declared on line 4"),
+])
+def test_bad_link_record_names_its_line(tmp_path, record, reason):
+    path = tmp_path / "bad.topo"
+    path.write_text(f"node 0 a\nnode 1 b\nnode 2 c\nlink 0 1 100 2 4 1e9\n{record}\n")
+    with pytest.raises(TopologyError) as exc:
+        load_topology(str(path))
+    assert str(exc.value) == f"{path}:5: {reason}"
+
+
 def test_link_invariants():
     with pytest.raises(TopologyError):
         Link(0, 0, 10, 2, 4, 1e9)
