@@ -15,7 +15,7 @@ from typing import get_args, get_origin
 
 from .metrics import blr_gain_terms, u_gain_terms
 from .signaling import SimConfig, Simulator
-from .topology import load_topology
+from .topology import TopologyError, load_topology
 from .traffic import LoadSpec, load_matrix, scale_to_load
 
 RESULT_COLUMNS = ("policy", "seed", "load", "blr", "mean_delay_s", "utilization",
@@ -87,17 +87,33 @@ def parse_scenario(path):
     return scenario
 
 
+def _load(errors, key, path, loader):
+    """Parse one input file of a scenario; on failure add a `key:` error
+    (with the loader's `path:line` where it has one) and return None."""
+    if not path:
+        errors.append(f"{key}: missing")
+        return None
+    try:
+        return loader(path)
+    except FileNotFoundError:
+        errors.append(f"{key}: file not found: {path}")
+    except (OSError, ValueError, TopologyError) as exc:
+        errors.append(f"{key}: {exc}")
+    return None
+
+
 def validate(scenario):
-    """All scenario invariants; returns a list of `field: reason` strings."""
+    """All scenario invariants; returns a list of `field: reason` strings.
+
+    Parses the topology and matrix files, as each run will, so that a bad
+    record or a matrix node the topology lacks is reported here."""
     errors = scenario.problems()
-    if not scenario.topology:
-        errors.append("topology: missing")
-    elif not os.path.exists(scenario.topology):
-        errors.append(f"topology: file not found: {scenario.topology}")
-    if not scenario.matrix:
-        errors.append("matrix: missing")
-    elif not os.path.exists(scenario.matrix):
-        errors.append(f"matrix: file not found: {scenario.matrix}")
+    topology = _load(errors, "topology", scenario.topology, load_topology)
+    matrix = _load(errors, "matrix", scenario.matrix, load_matrix)
+    if topology is not None and matrix is not None:
+        missing = sorted({n for pair in matrix.weights for n in pair} - set(topology.nodes))
+        if missing:
+            errors.append(f"matrix: nodes {missing} are not in the topology")
     for p in scenario.policies:
         if p not in ("sp", "gprm"):
             errors.append(f"policies: unknown policy {p!r}")
@@ -167,13 +183,10 @@ def _learning_name(policy, load, seed):
 
 
 def _write_csv(path, header, rows):
-    """Write through a temporary file, so `path` never holds a partial table."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    os.replace(tmp, path)
 
 
 def _write_results_csv(path, rows):
@@ -239,10 +252,10 @@ def run_experiment(scenario, out_dir=".", trace=False, policy=None,
                    seed_override=None, util_mode=None, threads=None, log=None):
     """Run the full sweep and write results.csv, learning CSVs, and gains.csv.
 
-    Result files appear only after every run has completed and the gains
-    are computed; a failed run or gain aborts the whole experiment with no
-    result file written. With `trace`, each run writes its trace under a
-    `.tmp` name, moved into place with the CSVs or removed on failure.
+    Every output file, CSV or trace, is written under a `.tmp` name, and
+    all of them are renamed into place only after every run, the gains and
+    every write have succeeded. Any failure removes every staged file, so
+    a failed sweep leaves no result file.
     """
     if policy and policy != "both":
         scenario = replace(scenario, policies=[policy])
@@ -261,7 +274,12 @@ def run_experiment(scenario, out_dir=".", trace=False, policy=None,
                 name = f"trace_{pol}_load{load:g}_seed{seed}.log.tmp"
                 trace_path = os.path.join(out_dir, name) if trace else None
                 specs.append((scenario, pol, load, seed, trace_path))
-    traces = [spec[4] for spec in specs if trace]
+    staged = [spec[4] for spec in specs if trace]  # every output so far, by .tmp name
+
+    def stage(name, write, data):
+        staged.append(os.path.join(out_dir, name + ".tmp"))
+        write(staged[-1], data)
+
     workers = worker_count(len(specs), threads)
     if log:
         log(f"running {len(specs)} simulations on {workers} worker(s)")
@@ -275,23 +293,22 @@ def run_experiment(scenario, out_dir=".", trace=False, policy=None,
         gains = None
         if {"sp", "gprm"} <= set(scenario.policies):
             gains = _gains_rows(rows, scenario.loads, scenario.seeds)
+        stage("results.csv", _write_results_csv, rows)
+        for row, arrays in outcomes:
+            stage(_learning_name(row["policy"], row["load"], row["seed"]),
+                  _write_learning_csv, arrays)
+        if gains is not None:
+            stage("gains.csv", _write_gains_csv, gains)
     except BaseException:
-        for tmp in traces:
+        for tmp in staged:
             if os.path.exists(tmp):
                 os.remove(tmp)
         raise
-    results_path = os.path.join(out_dir, "results.csv")
-    _write_results_csv(results_path, rows)
-    for row, arrays in outcomes:
-        _write_learning_csv(os.path.join(
-            out_dir, _learning_name(row["policy"], row["load"], row["seed"])), arrays)
-    written = {"results": results_path}
-    if gains is not None:
-        gains_path = os.path.join(out_dir, "gains.csv")
-        _write_gains_csv(gains_path, gains)
-        written["gains"] = gains_path
-    for tmp in traces:
+    for tmp in staged:
         os.replace(tmp, tmp[:-len(".tmp")])
+    written = {"results": os.path.join(out_dir, "results.csv")}
+    if gains is not None:
+        written["gains"] = os.path.join(out_dir, "gains.csv")
     if log:
-        log(f"wrote {results_path}")
+        log(f"wrote {written['results']}")
     return written

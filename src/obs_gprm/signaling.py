@@ -92,54 +92,37 @@ def _reserve(lane, start, duration, now):
 class ChannelSchedule:
     """Reserved half-open intervals per directed link and wavelength.
 
-    Each link (u, v) holds one `(starts, ends)` pair of lists per wavelength.
+    Built from `{(u, v): data_channels}`: each link (u, v) holds one
+    `(starts, ends)` pair of lists per wavelength it has, made up front.
     Intervals on one wavelength never overlap, so both lists stay sorted.
     """
 
-    def __init__(self):
-        self._res = {}
-
-    def _lanes(self, u, v, n_channels):
-        """The lanes of link (u, v), grown to at least `n_channels`."""
-        lanes = self._res.setdefault((u, v), [])
-        while len(lanes) < n_channels:
-            lanes.append(([], []))
-        return lanes
+    def __init__(self, channels):
+        self._res = {uv: [([], []) for _ in range(n)] for uv, n in channels.items()}
 
     def try_reserve(self, u, v, wavelength, start, duration, now=0.0):
-        """Insert [start, start+duration) if it overlaps nothing; report success."""
-        lanes = self._res.get((u, v))
-        if lanes is None or len(lanes) <= wavelength:
-            lanes = self._lanes(u, v, wavelength + 1)
-        return _reserve(lanes[wavelength], start, duration, now)
+        """Insert [start, start+duration) if the link has this wavelength free; report success."""
+        lanes = self._res[(u, v)]
+        return wavelength < len(lanes) and _reserve(lanes[wavelength], start, duration, now)
 
-    def first_fit(self, u, v, n_channels, start, duration, now=0.0):
+    def first_fit(self, u, v, start, duration, now=0.0):
         """Reserve on the lowest-index free wavelength; None if all conflict."""
-        lanes = self._res.get((u, v))
-        if lanes is None or len(lanes) < n_channels:
-            lanes = self._lanes(u, v, n_channels)
-        for w in range(n_channels):
-            if _reserve(lanes[w], start, duration, now):
+        for w, lane in enumerate(self._res[(u, v)]):
+            if _reserve(lane, start, duration, now):
                 return w
         return None
 
     def release(self, u, v, wavelength, start):
         """Remove a reservation by its start time; missing entries are ignored
         (the interval may already lie in the past and have been pruned)."""
-        lanes = self._res.get((u, v))
-        if lanes is None or wavelength >= len(lanes):
-            return
-        starts, ends = lanes[wavelength]
+        starts, ends = self._res[(u, v)][wavelength]
         i = bisect.bisect_left(starts, start)
         if i < len(starts) and starts[i] == start:
             del starts[i]
             del ends[i]
 
     def intervals(self, u, v, wavelength):
-        lanes = self._res.get((u, v), ())
-        if wavelength >= len(lanes):
-            return []
-        starts, ends = lanes[wavelength]
+        starts, ends = self._res[(u, v)][wavelength]
         return list(zip(starts, ends))
 
 
@@ -219,27 +202,27 @@ class Simulator:
             raise ValueError("invalid SimConfig: " + "; ".join(problems))
         self.trace = trace  # callable(time, kind, node, burst_id, detail) or None
         self.hop_counts = topology.hop_counts()
-        self.schedule = ChannelSchedule()
+        # only the schedule holds each link's wavelength count
+        self.schedule = ChannelSchedule({uv: l.data_channels for uv, l in topology.links.items()})
         self._gprm = policy == "gprm"
         self._php = php = cfg.per_hop_processing
         self._warmup = cfg.warmup
         self._util_all = cfg.util_mode == "all"
-        # directed link -> (data channels, channel rate, propagation, processing +
-        # propagation): a BHP hop adds the two delays to the clock in turn and a
-        # notification hop adds their sum; the golden outputs fix that float order
+        # directed link -> (channel rate, propagation, processing + propagation):
+        # a BHP hop adds the two delays to the clock in turn and a notification
+        # hop adds their sum; the golden outputs fix that float order
         self._links = {}
         for uv, link in topology.links.items():
             prop = propagation_delay(link, topology.signal_speed)
-            self._links[uv] = (link.data_channels, link.channel_rate, prop, php + prop)
+            self._links[uv] = (link.channel_rate, prop, php + prop)
         self._heap = []
         self._seq = 0
         self._burst_ids = 0
         self._sp_next = None if self._gprm else shortest_path_table(topology)
-        self.nodes = {}
-        n_dest = len(topology.nodes)
-        for n in topology.nodes:
-            success = router = window = None
-            if self._gprm:
+        self.nodes = {}  # per-node learning state, which min-hop routing has none of
+        if self._gprm:
+            n_dest = len(topology.nodes)
+            for n in topology.nodes:
                 if cfg.initial_mode == "warm":
                     initial = warm_start_prior(self.hop_counts, n,
                                                detour_base=cfg.detour_penalty)
@@ -251,8 +234,7 @@ class Simulator:
                                        initial_sp=initial, nb_fallback=fallback,
                                        state_counts=(OFFSET_CLASSES, 3, HOP_CLASSES, n_dest))
                 router = LazyRoutingTable(success, cfg.refresh_period)
-                window = LossRateWindow(cfg.blr_window)  # only GPRM evidence reads it
-            self.nodes[n] = _NodeState(success, router, window)
+                self.nodes[n] = _NodeState(success, router, LossRateWindow(cfg.blr_window))
         self.counters = RunCounters()        # steady-state cohort
         self.counters_total = RunCounters()  # every burst
         self.series = TimeSeries(cfg.bucket_width)
@@ -273,7 +255,7 @@ class Simulator:
         idx = len(path_log) - 1
         bhp.outcome = outcome
         self._seq += 1
-        heappush(self._heap, (now + self._links[(path_log[idx][0], node)][3], self._seq,
+        heappush(self._heap, (now + self._links[(path_log[idx][0], node)][2], self._seq,
                               NOTIFICATION_ARRIVE, idx, bhp))
 
     def _drop(self, now, bhp, cause, node, kind="BHP_ARRIVE"):
@@ -345,20 +327,19 @@ class Simulator:
             self._drop(now, bhp, "offset", node)
             return
         start = now + offset  # burst reaches this node then
-        channels, rate, prop, _ = self._links[(node, next_hop)]
+        rate, prop, _ = self._links[(node, next_hop)]
         wavelength = bhp.wavelength
         at_source = wavelength is None
         if at_source:  # the lowest free wavelength; none is an ingress drop
             bhp.duration /= rate  # size -> transmission time on this link
-            wavelength = self.schedule.first_fit(node, next_hop, channels, start,
-                                                 bhp.duration, now)
+            wavelength = self.schedule.first_fit(node, next_hop, start, bhp.duration, now)
             if wavelength is None:
                 self._drop(now, bhp, "ingress", node, "BURST_ARRIVAL")
                 return
             bhp.wavelength = wavelength
         # no conversion: the ingress wavelength must exist and be free here
-        elif wavelength >= channels or not self.schedule.try_reserve(
-                node, next_hop, wavelength, start, bhp.duration, now):
+        elif not self.schedule.try_reserve(node, next_hop, wavelength, start,
+                                           bhp.duration, now):
             self._drop(now, bhp, "contention", node)
             return
         bhp.remaining_offset = remaining
@@ -408,7 +389,7 @@ class Simulator:
         if idx > 0:
             prev_node = path_log[idx - 1][0]
             self._seq += 1
-            heappush(self._heap, (now + self._links[(prev_node, node)][3], self._seq,
+            heappush(self._heap, (now + self._links[(prev_node, node)][2], self._seq,
                                   NOTIFICATION_ARRIVE, idx - 1, bhp))
 
     # -- main loop ---------------------------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 import obs_gprm
+from obs_gprm import experiment
 from obs_gprm.cli import main
 from obs_gprm.experiment import (
     Scenario,
@@ -224,6 +225,27 @@ def test_failed_traced_sweep_leaves_no_trace(tmp_path):
     assert os.listdir(out) == []
 
 
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    # the second learning CSV cannot be written: nothing may stay behind,
+    # neither the CSVs already written nor the traces
+    out = tmp_path / "out"
+    calls = []
+    write_learning = experiment._write_learning_csv
+
+    def failing_second(path, arrays):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_learning(path, arrays)
+
+    monkeypatch.setattr(experiment, "_write_learning_csv", failing_second)
+    s = small_scenario(tmp_path, duration=1.0, warmup=0.2)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(s, out_dir=str(out), trace=True, threads=1)
+    assert len(calls) == 2
+    assert os.listdir(out) == []
+
+
 def test_bad_thread_count_is_a_scenario_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("OBS_SIM_THREADS", "two")
     with pytest.raises(ScenarioError) as exc:
@@ -266,6 +288,26 @@ def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
     assert main(["validate", "--scenario", path]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
+
+
+@pytest.mark.parametrize("topo_line, matrix_line, expected", [
+    ("link 0 1 100 2 4 abc", "", "topology: {topo}:3: malformed line"),
+    ("", "0 1 x", "matrix: {matrix}:2: malformed matrix line"),
+    ("", "0 99 1.0", "matrix: nodes [99] are not in the topology"),
+], ids=["bad-link-record", "bad-matrix-line", "matrix-node-not-in-topology"])
+def test_cli_validate_parses_topology_and_matrix(tmp_path, capsys, topo_line, matrix_line,
+                                                 expected):
+    topo, matrix = tmp_path / "net.topo", tmp_path / "m.matrix"
+    topo.write_text(f"node 0 a\nnode 1 b\n{topo_line or 'link 0 1 100 2 4 1e9'}\n")
+    matrix.write_text(f"1 0 1.0\n{matrix_line}\n")
+    path = write_scn(tmp_path, "topology = net.topo\nmatrix = m.matrix\nloads = 0.3\n")
+    expected = expected.format(topo=topo, matrix=matrix)
+    for argv in (["validate", "--scenario", path],
+                 ["run", "--scenario", path, "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {expected}"), lines
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_small(tmp_path):

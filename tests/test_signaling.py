@@ -8,57 +8,62 @@ from hypothesis import strategies as st
 
 import obs_gprm
 import obs_gprm.signaling as signaling
-from conftest import path_topology, ring_topology, star_into_chain
+from conftest import bidir, path_topology, ring_topology, star_into_chain
 from obs_gprm.gprm import EvidenceVector
 from obs_gprm.metrics import UndefinedMetricError
 from obs_gprm.signaling import ChannelSchedule, SimConfig, Simulator
-from obs_gprm.topology import load_topology
+from obs_gprm.topology import Topology, load_topology
 from obs_gprm.traffic import ConnectionSpec, LoadSpec, load_matrix, scale_to_load
 
 MS = 1e-3
 
 
+def two_way():
+    """A schedule for both directions of one fiber with 4 wavelengths."""
+    return ChannelSchedule({(0, 1): 4, (1, 0): 4})
+
+
 class TestChannelSchedule:
     def test_reserve_on_empty(self):
-        s = ChannelSchedule()
+        s = two_way()
         assert s.try_reserve(0, 1, 0, 10 * MS, 3.2 * MS)
 
     def test_overlap_conflicts_and_leaves_schedule_unchanged(self):
-        s = ChannelSchedule()
+        s = two_way()
         assert s.try_reserve(0, 1, 0, 10 * MS, 3.2 * MS)
         before = s.intervals(0, 1, 0)
         assert not s.try_reserve(0, 1, 0, 12 * MS, 3 * MS)
         assert s.intervals(0, 1, 0) == before
 
     def test_half_open_adjacency_fits(self):
-        s = ChannelSchedule()
+        s = two_way()
         assert s.try_reserve(0, 1, 0, 10 * MS, 3.2 * MS)
         assert s.try_reserve(0, 1, 0, 13.2 * MS, 2.8 * MS)
         assert s.try_reserve(0, 1, 0, 5 * MS, 5 * MS)
 
     def test_other_wavelength_and_link_independent(self):
-        s = ChannelSchedule()
+        s = two_way()
         assert s.try_reserve(0, 1, 0, 10 * MS, 3 * MS)
         assert s.try_reserve(0, 1, 1, 10 * MS, 3 * MS)
         assert s.try_reserve(1, 0, 0, 10 * MS, 3 * MS)
 
     def test_first_fit_skips_busy(self):
-        s = ChannelSchedule()
-        assert s.first_fit(0, 1, 4, 10 * MS, 3 * MS) == 0
-        assert s.first_fit(0, 1, 4, 11 * MS, 3 * MS) == 1
-        assert s.first_fit(0, 1, 4, 12 * MS, 3 * MS) == 2
-        assert s.first_fit(0, 1, 4, 12.5 * MS, 3 * MS) == 3
-        assert s.first_fit(0, 1, 4, 12.7 * MS, 3 * MS) is None
+        s = two_way()
+        assert s.first_fit(0, 1, 10 * MS, 3 * MS) == 0
+        assert s.first_fit(0, 1, 11 * MS, 3 * MS) == 1
+        assert s.first_fit(0, 1, 12 * MS, 3 * MS) == 2
+        assert s.first_fit(0, 1, 12.5 * MS, 3 * MS) == 3
+        assert s.first_fit(0, 1, 12.7 * MS, 3 * MS) is None
 
     def test_release(self):
-        s = ChannelSchedule()
+        s = two_way()
         s.try_reserve(0, 1, 0, 10 * MS, 3 * MS)
         s.release(0, 1, 0, 10 * MS)
         assert s.try_reserve(0, 1, 0, 11 * MS, 3 * MS)
         s.release(0, 1, 0, 99.0)  # missing start is a no-op
 
     def test_expired_intervals_pruned(self):
-        s = ChannelSchedule()
+        s = two_way()
         s.try_reserve(0, 1, 0, 1 * MS, 1 * MS)
         s.try_reserve(0, 1, 0, 100 * MS, 1 * MS, now=50 * MS)
         assert s.intervals(0, 1, 0) == [(100 * MS, 101 * MS)]
@@ -68,10 +73,13 @@ class NaiveSchedule:
     """Oracle for ChannelSchedule: one unsorted interval list per (link,
     wavelength), every pair checked for overlap."""
 
-    def __init__(self):
+    def __init__(self, channels):
+        self.channels = channels
         self.lanes = defaultdict(list)
 
     def try_reserve(self, u, v, w, start, duration, now):
+        if w >= self.channels[(u, v)]:  # no such wavelength on this link
+            return False
         # expired intervals go when their lane is next touched, as in ChannelSchedule
         lane = self.lanes[(u, v, w)] = [iv for iv in self.lanes[(u, v, w)] if iv[1] > now]
         end = start + duration
@@ -80,8 +88,8 @@ class NaiveSchedule:
         lane.append((start, end))
         return True
 
-    def first_fit(self, u, v, n_channels, start, duration, now):
-        for w in range(n_channels):
+    def first_fit(self, u, v, start, duration, now):
+        for w in range(self.channels[(u, v)]):
             if self.try_reserve(u, v, w, start, duration, now):
                 return w
         return None
@@ -93,34 +101,34 @@ class NaiveSchedule:
         return sorted(self.lanes[(u, v, w)])
 
 
-LINKS = ((0, 1), (1, 0), (2, 1))
-CHANNELS = 4
-# (operation, link, wavelength or channel count - 1, start - now, duration, now step);
+LINKS = {(0, 1): 4, (1, 0): 2, (2, 1): 1}  # directed link -> wavelength count
+MAX_CHANNELS = max(LINKS.values())
+# (operation, link, wavelength, start - now, duration, now step); a try_reserve
+# may ask for a wavelength the link lacks, a release only for one it has;
 # small integers make touching and identical intervals common
 SCHEDULE_OPS = st.lists(st.tuples(
     st.sampled_from(["try_reserve", "first_fit", "release"]),
-    st.integers(0, len(LINKS) - 1), st.integers(0, CHANNELS - 1),
+    st.sampled_from(sorted(LINKS)), st.integers(0, MAX_CHANNELS - 1),
     st.integers(0, 12), st.integers(1, 6), st.integers(0, 3)), max_size=80)
 
 
 @settings(max_examples=300, deadline=None)
 @given(SCHEDULE_OPS)
 def test_schedule_matches_naive_oracle(ops):
-    real, naive = ChannelSchedule(), NaiveSchedule()
+    real, naive = ChannelSchedule(LINKS), NaiveSchedule(LINKS)
     now = 0.0
-    for op, link, w, ahead, duration, step in ops:
+    for op, (u, v), w, ahead, duration, step in ops:
         now += step
-        u, v = LINKS[link]
         start = now + ahead
         if op == "try_reserve":
             args = (u, v, w, start, float(duration), now)
         elif op == "first_fit":
-            args = (u, v, w + 1, start, float(duration), now)
+            args = (u, v, start, float(duration), now)
         else:
-            args = (u, v, w, start)
+            args = (u, v, w % LINKS[(u, v)], start)
         assert getattr(real, op)(*args) == getattr(naive, op)(*args), (op, args)
-        for u, v in LINKS:
-            for w in range(CHANNELS):
+        for (u, v), channels in LINKS.items():
+            for w in range(channels):
                 got = real.intervals(u, v, w)
                 assert got == naive.intervals(u, v, w)
                 assert all(a[1] <= b[0] for a, b in zip(got, got[1:]))
@@ -252,6 +260,24 @@ def test_ingress_drop_when_first_hop_full(arrivals):
     assert not [l for l in trace.lines if l[2] == 0 and l[4].startswith("forward")]
 
 
+def test_wavelength_missing_downstream_is_contention(arrivals):
+    # 4 wavelengths on 0-1 but 1 on 1-2: the second of two overlapping bursts
+    # takes wavelength 1 at the source, which link (1, 2) does not have
+    topo = Topology([0, 1, 2], bidir(0, 1, data=4) + bidir(1, 2, data=1))
+    arrivals({(0, 2): [(1 * MS, 1e6), (0.05 * MS, 1e6)]})
+    trace = TraceLog()
+    sim = Simulator(topo, [conn(0, 2)], policy="sp", config=SimConfig(warmup=0.0),
+                    trace=trace)
+    res = sim.run(1.0)
+    c = res.counters
+    assert (c.bursts_sent, c.bursts_delivered, c.drops_contention) == (2, 1, 1)
+    assert [l[1:] for l in trace.lines if l[3] == 2 and l[4].startswith(("drop", "NACK"))] == [
+        ("BHP_ARRIVE", 1, 2, "drop contention"), ("NOTIFICATION_ARRIVE", 0, 2, "NACK")]
+    # the NACK released the loser's 0->1 reservation; the winner keeps its own
+    assert sim.schedule.intervals(0, 1, 1) == []
+    assert len(sim.schedule.intervals(0, 1, 0)) == 1
+
+
 def test_insufficient_offset_detour_drop(arrivals):
     # ring of 5; forcing the long way around exhausts the offset budget
     topo = ring_topology(5)
@@ -285,6 +311,7 @@ def test_wavelength_continuity_on_delivery(arrivals):
 def test_zero_traffic_run():
     topo = path_topology(2)
     sim = Simulator(topo, [], policy="sp", config=SimConfig(warmup=0.0))
+    assert sim.nodes == {}  # min-hop routing keeps no learning state
     res = sim.run(0.5)
     assert res.counters.bursts_sent == 0
     with pytest.raises(UndefinedMetricError):
