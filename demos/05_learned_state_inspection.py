@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Peek inside a node's learned state after a short adaptive run.
 
-Dumps part of one node's success table (the text format also used for
-warm-start injection) and the corresponding sorted routing rows for a hot
-destination, showing how notification feedback separated the candidates.
+Dumps part of one node's success table in its text format and the routing
+costs of its neighbors for a hot destination, showing how notification
+feedback separated the candidates.
 """
 
 import io

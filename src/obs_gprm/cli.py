@@ -11,6 +11,7 @@ worker pool.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .experiment import ScenarioError, parse_scenario, run_experiment, validate
 
@@ -58,10 +59,14 @@ def main(argv=None):
             return 2
         _log("scenario ok")
         return 0
+    if args.policy and args.policy != "both":
+        scenario = replace(scenario, policies=[args.policy])
+    if args.seed_override is not None:
+        scenario = replace(scenario, seeds=[args.seed_override])
+    if args.util_mode:
+        scenario = replace(scenario, util_mode=args.util_mode)
     try:
-        run_experiment(scenario, out_dir=args.out_dir, trace=args.trace,
-                       policy=args.policy, seed_override=args.seed_override,
-                       util_mode=args.util_mode, log=_log)
+        run_experiment(scenario, out_dir=args.out_dir, trace=args.trace, log=_log)
     except ScenarioError as exc:
         for err in exc.errors:
             _log(f"error: {err}")

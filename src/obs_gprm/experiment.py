@@ -9,17 +9,18 @@ gain summary when both policies were run.
 import csv
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+import tempfile
+from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 from typing import get_args, get_origin
 
-from .metrics import blr_gain_terms, u_gain_terms
+from .metrics import DROP_CAUSES
 from .signaling import SimConfig, Simulator
 from .topology import TopologyError, load_topology
 from .traffic import LoadSpec, load_matrix, scale_to_load
 
 RESULT_COLUMNS = ("policy", "seed", "load", "blr", "mean_delay_s", "utilization",
-                  "drops_contention", "drops_offset", "drops_noroute", "drops_ingress")
+                  *(f"drops_{cause}" for cause in DROP_CAUSES))
 LEARNING_COLUMNS = ("t_bucket", "sent", "dropped", "rolling_blr")
 GAINS_COLUMNS = ("load", "blr_sp", "blr_gprm", "blr_gain_point", "delay_sp_s", "delay_gprm_s",
                  "util_sp", "util_gprm", "util_gain_point")
@@ -164,10 +165,7 @@ def run_single(scenario, policy, load, seed, trace_path=None):
         "blr": result.blr() if counters.bursts_sent else float("nan"),
         "mean_delay_s": result.mean_delay() if counters.bursts_delivered else float("nan"),
         "utilization": result.utilization(topology),
-        "drops_contention": counters.drops_contention,
-        "drops_offset": counters.drops_offset,
-        "drops_noroute": counters.drops_noroute,
-        "drops_ingress": counters.drops_ingress,
+        **{f"drops_{cause}": getattr(counters, f"drops_{cause}") for cause in DROP_CAUSES},
     }
     times, sent, dropped = result.series.arrays()
     _, rolling = result.series.rolling_blr(ROLLING_WINDOW_BUCKETS)
@@ -206,28 +204,29 @@ def _fmt(v):
 
 
 def _gains_rows(rows, loads, seeds):
-    """Per-load gains from seed-averaged BLR and utilization (both policies),
-    as the rows of gains.csv; raises ValueError on a zero baseline."""
+    """Per-load seed means of both policies and the relative gains of `gprm`
+    over `sp` (BLR reduction, utilization increase), as the rows of
+    gains.csv; raises ValueError on a zero baseline."""
     by_key = {(r["policy"], r["load"], r["seed"]): r for r in rows}
 
-    def seed_mean(policy, load, column):
-        vals = [by_key[(policy, load, s)][column] for s in seeds]
-        return sum(vals) / len(vals)
+    def seed_means(load, column):
+        """The (sp, gprm) means of `column` over the seeds."""
+        return [sum(by_key[(p, load, s)][column] for s in seeds) / len(seeds)
+                for p in ("sp", "gprm")]
 
-    blr_sp = [seed_mean("sp", l, "blr") for l in loads]
-    blr_gp = [seed_mean("gprm", l, "blr") for l in loads]
-    u_sp = [seed_mean("sp", l, "utilization") for l in loads]
-    u_gp = [seed_mean("gprm", l, "utilization") for l in loads]
-    d_sp = [seed_mean("sp", l, "mean_delay_s") for l in loads]
-    d_gp = [seed_mean("gprm", l, "mean_delay_s") for l in loads]
-    blr_terms = blr_gain_terms(blr_sp, blr_gp)
-    u_terms = u_gain_terms(u_sp, u_gp)
-    out = []
-    for i, l in enumerate(loads):
+    out, blr_gains, u_gains = [], [], []
+    for l in loads:
+        b_sp, b_gp = seed_means(l, "blr")
+        d_sp, d_gp = seed_means(l, "mean_delay_s")
+        u_sp, u_gp = seed_means(l, "utilization")
+        # one value at a time: a NaN baseline must not hide a zero one
+        if b_sp <= 0 or u_sp <= 0:
+            raise ValueError("baseline values must be > 0")
+        blr_gains.append((b_sp - b_gp) / b_sp)
+        u_gains.append((u_gp - u_sp) / u_sp)
         out.append([_fmt(float(v)) for v in
-                    (l, blr_sp[i], blr_gp[i], blr_terms[i],
-                     d_sp[i], d_gp[i], u_sp[i], u_gp[i], u_terms[i])])
-    blr_sum, u_sum = sum(blr_terms), sum(u_terms)
+                    (l, b_sp, b_gp, blr_gains[-1], d_sp, d_gp, u_sp, u_gp, u_gains[-1])])
+    blr_sum, u_sum = sum(blr_gains), sum(u_gains)
     out.append(["sum", "", "", _fmt(blr_sum), "", "", "", "", _fmt(u_sum)])
     out.append(["mean", "", "", _fmt(blr_sum / len(loads)),
                 "", "", "", "", _fmt(u_sum / len(loads))])
@@ -248,66 +247,45 @@ def worker_count(n_runs, threads=None):
     return max(1, min(threads, n_runs))
 
 
-def run_experiment(scenario, out_dir=".", trace=False, policy=None,
-                   seed_override=None, util_mode=None, threads=None, log=None):
+def run_experiment(scenario, out_dir=".", trace=False, threads=None, log=None):
     """Run the full sweep and write results.csv, learning CSVs, and gains.csv.
 
-    Every output file, CSV or trace, is written under a `.tmp` name, and
-    all of them are renamed into place only after every run, the gains and
-    every write have succeeded. Any failure removes every staged file, so
-    a failed sweep leaves no result file.
+    Every output file, CSV or trace, is written into a staging directory
+    inside `out_dir` and moved into `out_dir` only after every run, the
+    gains and every write have succeeded. On any failure the staging
+    directory removes itself, so a failed sweep leaves no result file.
     """
-    if policy and policy != "both":
-        scenario = replace(scenario, policies=[policy])
-    if seed_override is not None:
-        scenario = replace(scenario, seeds=[seed_override])
-    if util_mode:
-        scenario = replace(scenario, util_mode=util_mode)
     errors = validate(scenario)
     if errors:
         raise ScenarioError(errors)
     os.makedirs(out_dir, exist_ok=True)
-    specs = []
-    for pol in scenario.policies:
-        for load in scenario.loads:
-            for seed in scenario.seeds:
-                name = f"trace_{pol}_load{load:g}_seed{seed}.log.tmp"
-                trace_path = os.path.join(out_dir, name) if trace else None
-                specs.append((scenario, pol, load, seed, trace_path))
-    staged = [spec[4] for spec in specs if trace]  # every output so far, by .tmp name
-
-    def stage(name, write, data):
-        staged.append(os.path.join(out_dir, name + ".tmp"))
-        write(staged[-1], data)
-
-    workers = worker_count(len(specs), threads)
-    if log:
-        log(f"running {len(specs)} simulations on {workers} worker(s)")
-    try:
+    with tempfile.TemporaryDirectory(dir=out_dir) as stage:
+        specs = [(scenario, pol, load, seed,
+                  os.path.join(stage, f"trace_{pol}_load{load:g}_seed{seed}.log")
+                  if trace else None)
+                 for pol in scenario.policies for load in scenario.loads
+                 for seed in scenario.seeds]
+        workers = worker_count(len(specs), threads)
+        if log:
+            log(f"running {len(specs)} simulations on {workers} worker(s)")
         if workers > 1:
             with Pool(workers) as pool:
                 outcomes = pool.map(_pool_worker, specs)
         else:
             outcomes = [run_single(*spec) for spec in specs]
         rows = [row for row, _ in outcomes]
-        gains = None
-        if {"sp", "gprm"} <= set(scenario.policies):
-            gains = _gains_rows(rows, scenario.loads, scenario.seeds)
-        stage("results.csv", _write_results_csv, rows)
+        _write_results_csv(os.path.join(stage, "results.csv"), rows)
         for row, arrays in outcomes:
-            stage(_learning_name(row["policy"], row["load"], row["seed"]),
-                  _write_learning_csv, arrays)
-        if gains is not None:
-            stage("gains.csv", _write_gains_csv, gains)
-    except BaseException:
-        for tmp in staged:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        raise
-    for tmp in staged:
-        os.replace(tmp, tmp[:-len(".tmp")])
+            name = _learning_name(row["policy"], row["load"], row["seed"])
+            _write_learning_csv(os.path.join(stage, name), arrays)
+        both = {"sp", "gprm"} <= set(scenario.policies)
+        if both:
+            _write_gains_csv(os.path.join(stage, "gains.csv"),
+                             _gains_rows(rows, scenario.loads, scenario.seeds))
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
     written = {"results": os.path.join(out_dir, "results.csv")}
-    if gains is not None:
+    if both:
         written["gains"] = os.path.join(out_dir, "gains.csv")
     if log:
         log(f"wrote {written['results']}")

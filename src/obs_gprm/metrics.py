@@ -1,11 +1,13 @@
-"""Run counters, the metrics of a run (loss ratio, mean end-to-end delay,
-utilization), and the per-point gain terms used to compare the adaptive
-policy against the min-hop baseline."""
+"""Run counters (one drop counter per cause in `DROP_CAUSES`), the
+per-bucket learning series, and the metrics of a run: loss ratio, mean
+end-to-end delay and utilization."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# every cause a burst can be dropped for; RunCounters has a `drops_<cause>`
+# field for each, and results.csv a column, in this order
 DROP_CAUSES = ("contention", "offset", "noroute", "ingress")
 
 
@@ -28,8 +30,7 @@ class RunCounters:
 
     @property
     def bursts_dropped(self):
-        return (self.drops_contention + self.drops_offset
-                + self.drops_noroute + self.drops_ingress)
+        return sum(getattr(self, "drops_" + cause) for cause in DROP_CAUSES)
 
     @property
     def in_flight(self):
@@ -40,27 +41,6 @@ class RunCounters:
 
     def add_busy(self, key, seconds):
         self.busy_time[key] = self.busy_time.get(key, 0.0) + seconds
-
-
-def _gain_terms(baseline, candidate, sign):
-    if len(baseline) != len(candidate):
-        raise ValueError(f"length mismatch: {len(baseline)} vs {len(candidate)}")
-    terms = []
-    for b, c in zip(baseline, candidate):
-        if b <= 0:
-            raise ValueError("baseline values must be > 0")
-        terms.append(sign * (b - c) / b)
-    return terms
-
-
-def blr_gain_terms(sp_blrs, gprm_blrs):
-    """Per-point relative BLR reduction of the adaptive policy."""
-    return _gain_terms(sp_blrs, gprm_blrs, 1.0)
-
-
-def u_gain_terms(sp_us, gprm_us):
-    """Per-point relative utilization improvement of the adaptive policy."""
-    return _gain_terms(sp_us, gprm_us, -1.0)
 
 
 class TimeSeries:

@@ -49,23 +49,10 @@ class LazyRoutingTable:
         return None
 
 
-def shortest_path_next_hop(topology, frm, dest):
-    """Deterministic min-hop next hop: smallest-id neighbor on a shortest path."""
-    if frm == dest:
-        raise ValueError("no next hop needed: already at destination")
-    hops = topology.hop_counts()
-    want = hops[(frm, dest)] - 1
-    for k in topology.neighbors[frm]:  # neighbors sorted, so first hit is min id
-        if hops[(k, dest)] == want:
-            return k
-    raise AssertionError("connected topology must always yield a next hop")
-
-
 def shortest_path_table(topology):
-    """Precomputed (node, dest) -> next hop map for the baseline policy."""
-    return {
-        (n, d): shortest_path_next_hop(topology, n, d)
-        for n in topology.nodes
-        for d in topology.nodes
-        if n != d
-    }
+    """(node, dest) -> next hop of the baseline policy: the smallest-id
+    neighbor on a minimum-hop path."""
+    hops = topology.hop_counts()
+    # neighbors are sorted, so the first one a hop closer has the smallest id
+    return {(n, d): next(k for k in topology.neighbors[n] if hops[(k, d)] == hops[(n, d)] - 1)
+            for n in topology.nodes for d in topology.nodes if n != d}

@@ -2,6 +2,7 @@
 offered-load accounting used to scale a traffic matrix to a target load.
 """
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -46,10 +47,7 @@ class TrafficMatrix:
     def __init__(self, weights, connections_per_pair=1):
         self.weights = {}
         for (i, j), w in weights.items():
-            if w < 0:
-                raise ValueError(f"negative weight for pair {(i, j)}")
-            if i == j and w != 0:
-                raise ValueError(f"self-traffic weight at node {i}")
+            _check_weight(i, j, w)
             if w > 0:
                 self.weights[(i, j)] = float(w)
         if not self.weights:
@@ -58,6 +56,16 @@ class TrafficMatrix:
 
     def pairs(self):
         return sorted(self.weights)
+
+
+def _check_weight(i, j, w, where=""):
+    """Raise ValueError, prefixed by `where`, if `w` is no weight for (i, j)."""
+    if not math.isfinite(w):
+        raise ValueError(f"{where}non-finite weight for pair {(i, j)}")
+    if w < 0:
+        raise ValueError(f"{where}negative weight for pair {(i, j)}")
+    if i == j and w != 0:
+        raise ValueError(f"{where}self-traffic weight at node {i}")
 
 
 def load_matrix(path, connections_per_pair=1):
@@ -76,6 +84,7 @@ def load_matrix(path, connections_per_pair=1):
                 raise ValueError(f"{path}:{lineno}: malformed matrix line {line!r}") from exc
             if pair in weights:
                 raise ValueError(f"{path}:{lineno}: pair {s} {d} is listed twice")
+            _check_weight(*pair, weight, where=f"{path}:{lineno}: ")
             weights[pair] = weight
     return TrafficMatrix(weights, connections_per_pair)
 

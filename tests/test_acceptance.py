@@ -1,24 +1,24 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run with `pytest -s tests/test_acceptance.py` to see one line per criterion.
-The heavy policy-comparison sweep (criteria 2-4) runs once and is shared.
+The heavy policy-comparison sweep (criteria 2-4) runs once, through
+`run_experiment`, and the criteria read the `gains.csv` it writes.
 """
 
+import csv
 import math
 import random
 import time
 from collections import defaultdict
 from dataclasses import replace
 from itertools import product
-from multiprocessing import Pool
 
 import pytest
 
 import obs_gprm
 from conftest import walk_row
-from obs_gprm.experiment import parse_scenario, run_single, worker_count
+from obs_gprm.experiment import parse_scenario, run_experiment
 from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable
-from obs_gprm.metrics import u_gain_terms
 from obs_gprm.routing import LazyRoutingTable
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import Link, Topology, load_topology
@@ -69,61 +69,45 @@ def test_criterion_1_erlang_b():
 
 # -- criteria 2-4: policy comparison sweep on shipped NSFnet + gravity -------
 
-def _sweep_run(args):
-    scenario, policy, load, seed = args
-    row, _ = run_single(scenario, policy, load, seed)
-    return (policy, load, seed), row
-
-
 @pytest.fixture(scope="module")
-def sweep():
+def sweep(tmp_path_factory):
+    """gains.csv of the shipped scenario cut down to LOADS x SEEDS, keyed by
+    load (and "sum", "mean"), and the wall time of the sweep."""
     scenario = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
     scenario = replace(scenario, loads=list(LOADS), seeds=list(SEEDS))
-    specs = [(scenario, pol, load, seed)
-             for pol in ("sp", "gprm") for load in LOADS for seed in SEEDS]
     start = time.time()
-    with Pool(worker_count(len(specs))) as pool:
-        results = dict(pool.map(_sweep_run, specs))
+    written = run_experiment(scenario, out_dir=str(tmp_path_factory.mktemp("sweep")))
     wall = time.time() - start
-
-    def seed_mean(policy, load, column):
-        return sum(results[(policy, load, s)][column] for s in SEEDS) / len(SEEDS)
-
-    means = {(p, l): {c: seed_mean(p, l, c)
-                      for c in ("blr", "mean_delay_s", "utilization")}
-             for p in ("sp", "gprm") for l in LOADS}
-    return means, wall
+    with open(written["gains"], newline="") as fh:
+        gains = {(r["load"] if r["load"] in ("sum", "mean") else float(r["load"])):
+                 {k: float(v) for k, v in r.items() if k != "load" and v}
+                 for r in csv.DictReader(fh)}
+    return gains, wall
 
 
 def test_criterion_2_blr_reduction(sweep):
-    means, wall = sweep
-    reductions = []
-    every_load_ok = True
-    for load in LOADS:
-        sp, gprm = means[("sp", load)]["blr"], means[("gprm", load)]["blr"]
-        every_load_ok &= gprm <= sp
-        reductions.append((sp - gprm) / sp)
-    mean_red = sum(reductions) / len(reductions)
+    gains, wall = sweep
+    reductions = [gains[load]["blr_gain_point"] for load in LOADS]
+    every_load_ok = all(gains[load]["blr_gprm"] <= gains[load]["blr_sp"] for load in LOADS)
+    mean_red = gains["mean"]["blr_gain_point"]
     detail = (f"per-load reductions {[f'{r:.1%}' for r in reductions]}, "
               f"mean {mean_red:.1%} (need >=20%), sweep wall {wall:.0f}s (target <300s)")
     _report(2, every_load_ok and mean_red >= 0.20 and wall < 300.0, detail)
 
 
 def test_criterion_3_delay_penalty(sweep):
-    means, _ = sweep
-    excess = {l: means[("gprm", l)]["mean_delay_s"] - means[("sp", l)]["mean_delay_s"]
-              for l in LOADS}
-    worst = max(excess.values())
+    gains, _ = sweep
+    worst = max(gains[load]["delay_gprm_s"] - gains[load]["delay_sp_s"] for load in LOADS)
     _report(3, worst <= 2e-3,
             f"worst adaptive-policy delay excess {worst * 1e3:+.3f} ms (limit +2 ms)")
 
 
 def test_criterion_4_utilization(sweep):
-    means, _ = sweep
+    gains, _ = sweep
     check_loads = (0.3, 0.4, 0.5)
-    sp_u = [means[("sp", l)]["utilization"] for l in check_loads]
-    gp_u = [means[("gprm", l)]["utilization"] for l in check_loads]
-    per_point = u_gain_terms(sp_u, gp_u)
+    sp_u = [gains[load]["util_sp"] for load in check_loads]
+    gp_u = [gains[load]["util_gprm"] for load in check_loads]
+    per_point = [gains[load]["util_gain_point"] for load in check_loads]
     ok = all(g >= s for g, s in zip(gp_u, sp_u)) and sum(per_point) / 3 > 0
     _report(4, ok, f"utilization sp={[f'{u:.4f}' for u in sp_u]} "
                    f"gprm={[f'{u:.4f}' for u in gp_u]}, "

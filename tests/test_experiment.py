@@ -181,12 +181,19 @@ def test_learning_csv_columns(tmp_path):
 
 
 def test_seed_and_policy_overrides(tmp_path):
+    scn = tmp_path / "mini.scn"
+    scn.write_text(
+        f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
+        f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
+        "loads = 0.3\nseeds = 1, 2\nduration = 1.0\nwarmup = 0.2\noffset_guard = 3e-4\n"
+    )
     out = tmp_path / "out"
-    s = small_scenario(tmp_path, seeds=[1, 2], duration=1.0, warmup=0.2)
-    run_experiment(s, out_dir=str(out), policy="sp", seed_override=7, threads=1)
+    assert main(["run", "--scenario", str(scn), "--out-dir", str(out),
+                 "--policy", "sp", "--seed-override", "7"]) == 0
     with open(out / "results.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["policy"], int(r["seed"])) for r in rows] == [("sp", 7)]
+    assert sorted(os.listdir(out)) == ["learning_sp_load0.3_seed7.csv", "results.csv"]
 
 
 def test_trace_flag_writes_stable_trace(tmp_path):
@@ -294,7 +301,13 @@ def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
     ("link 0 1 100 2 4 abc", "", "topology: {topo}:3: malformed line"),
     ("", "0 1 x", "matrix: {matrix}:2: malformed matrix line"),
     ("", "0 99 1.0", "matrix: nodes [99] are not in the topology"),
-], ids=["bad-link-record", "bad-matrix-line", "matrix-node-not-in-topology"])
+    ("", "0 1 -1", "matrix: {matrix}:2: negative weight for pair (0, 1)"),
+    ("", "0 0 2.0", "matrix: {matrix}:2: self-traffic weight at node 0"),
+    ("", "0 1 nan", "matrix: {matrix}:2: non-finite weight for pair (0, 1)"),
+    ("", "0 1 inf", "matrix: {matrix}:2: non-finite weight for pair (0, 1)"),
+], ids=["bad-link-record", "bad-matrix-line", "matrix-node-not-in-topology",
+        "negative-matrix-weight", "self-traffic-weight", "nan-matrix-weight",
+        "inf-matrix-weight"])
 def test_cli_validate_parses_topology_and_matrix(tmp_path, capsys, topo_line, matrix_line,
                                                  expected):
     topo, matrix = tmp_path / "net.topo", tmp_path / "m.matrix"

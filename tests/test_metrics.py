@@ -1,13 +1,12 @@
 import pytest
 
 from conftest import bidir, path_topology
+from obs_gprm.experiment import _gains_rows
 from obs_gprm.metrics import (
     RunCounters,
     RunResult,
     TimeSeries,
     UndefinedMetricError,
-    blr_gain_terms,
-    u_gain_terms,
 )
 from obs_gprm.topology import Topology
 
@@ -71,36 +70,48 @@ def test_utilization_bounds():
         result(c, elapsed=0.0).utilization(topo)
 
 
+def gains(column, sp, gprm):
+    """gains.csv rows for one seed per load, `column` (blr or utilization)
+    taking the given per-load values and the other metrics fixed."""
+    other = "utilization" if column == "blr" else "blr"
+    rows = [{"policy": p, "load": i, "seed": 1, column: v, other: 0.5, "mean_delay_s": 1e-3}
+            for p, vals in (("sp", sp), ("gprm", gprm)) for i, v in enumerate(vals)]
+    out = _gains_rows(rows, list(range(len(sp))), [1])
+    return [[float(v) for v in row[1:] if v != ""] for row in out]
+
+
 def test_blr_gain_values():
     # gains.csv sums the per-point terms
-    assert sum(blr_gain_terms([0.10], [0.05])) == pytest.approx(0.5)
-    assert sum(blr_gain_terms([0.1, 0.2], [0.1, 0.2])) == 0.0
-    assert sum(blr_gain_terms([0.1, 0.2], [0.05, 0.1])) == pytest.approx(1.0)
+    assert gains("blr", [0.10], [0.05])[-2] == [pytest.approx(0.5), 0.0]
+    assert gains("blr", [0.1, 0.2], [0.1, 0.2])[-2] == [0.0, 0.0]
+    assert gains("blr", [0.1, 0.2], [0.05, 0.1])[-2] == [pytest.approx(1.0), 0.0]
 
 
 def test_u_gain_values():
-    assert sum(u_gain_terms([0.5], [0.6])) == pytest.approx(0.2)
-    assert sum(u_gain_terms([0.4, 0.5], [0.4, 0.5])) == 0.0
-    assert sum(u_gain_terms([0.4, 0.5], [0.44, 0.55])) == pytest.approx(0.2)
+    assert gains("utilization", [0.5], [0.6])[-2] == [0.0, pytest.approx(0.2)]
+    assert gains("utilization", [0.4, 0.5], [0.4, 0.5])[-2] == [0.0, 0.0]
+    assert gains("utilization", [0.4, 0.5], [0.44, 0.55])[-2] == [0.0, pytest.approx(0.2)]
 
 
 def test_gain_errors():
-    with pytest.raises(ValueError):
-        blr_gain_terms([0.1], [0.1, 0.2])
-    with pytest.raises(ValueError):
-        blr_gain_terms([0.0], [0.1])
-    with pytest.raises(ValueError):
-        u_gain_terms([0.0], [0.1])
+    with pytest.raises(ValueError, match="baseline values must be > 0"):
+        gains("blr", [0.0], [0.1])
+    with pytest.raises(ValueError, match="baseline values must be > 0"):
+        gains("utilization", [0.0], [0.1])
+    # a NaN baseline before the zero one must not hide it
+    with pytest.raises(ValueError, match="baseline values must be > 0"):
+        gains("blr", [float("nan"), 0.0], [0.1, 0.1])
 
 
 def test_gain_terms_recompute_directly():
     sp, gp = [0.08, 0.12, 0.2], [0.05, 0.1, 0.25]
-    terms = blr_gain_terms(sp, gp)
-    for t, s, g in zip(terms, sp, gp):
-        assert t == pytest.approx((s - g) / s)
-    uterms = u_gain_terms(sp, gp)
-    for t, s, g in zip(uterms, sp, gp):
-        assert t == pytest.approx((g - s) / s)
+    rows = gains("blr", sp, gp)
+    for (b_sp, b_gp, term, *_), s, g in zip(rows, sp, gp):
+        assert (b_sp, b_gp, term) == (s, g, pytest.approx((s - g) / s))
+    rows = gains("utilization", sp, gp)
+    for (*_, u_sp, u_gp, term), s, g in zip(rows, sp, gp):
+        assert (u_sp, u_gp, term) == (s, g, pytest.approx((g - s) / s))
+    assert rows[-1][-1] == pytest.approx(sum((g - s) / s for s, g in zip(sp, gp)) / 3)
 
 
 def test_time_series_buckets_and_conservation():

@@ -7,11 +7,7 @@ from hypothesis import given, settings, strategies as st
 import obs_gprm
 from conftest import walk_row
 from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable, cold_start_prior
-from obs_gprm.routing import (
-    LazyRoutingTable,
-    shortest_path_next_hop,
-    shortest_path_table,
-)
+from obs_gprm.routing import LazyRoutingTable, shortest_path_table
 from obs_gprm.topology import Link, Topology, load_topology
 
 SMALL = (2, 3, 4, 5)
@@ -164,7 +160,7 @@ def triangle():
 
 
 def test_sp_next_hop_adjacent():
-    assert shortest_path_next_hop(triangle(), 0, 1) == 1
+    assert shortest_path_table(triangle())[(0, 1)] == 1
 
 
 def test_sp_next_hop_tie_break():
@@ -172,7 +168,7 @@ def test_sp_next_hop_tie_break():
     def bidir(u, v):
         return [Link(u, v, 100.0, 2, 4, 1e9), Link(v, u, 100.0, 2, 4, 1e9)]
     t = Topology([0, 1, 2, 3], bidir(0, 1) + bidir(0, 2) + bidir(1, 3) + bidir(2, 3))
-    assert shortest_path_next_hop(t, 0, 3) == 1  # min id among {1, 2}
+    assert shortest_path_table(t)[(0, 3)] == 1  # min id among {1, 2}
 
 
 def enumerate_paths(topology, src, dst, limit):
@@ -198,6 +194,7 @@ def enumerate_paths(topology, src, dst, limit):
 def test_sp_next_hop_matches_path_enumeration_oracle():
     t = load_topology(obs_gprm.data_path("nsfnet.topo"))
     hops = t.hop_counts()
+    table = shortest_path_table(t)
     for src in (0, 5, 11):
         for dst in t.nodes:
             if src == dst:
@@ -205,7 +202,7 @@ def test_sp_next_hop_matches_path_enumeration_oracle():
             paths = enumerate_paths(t, src, dst, hops[(src, dst)])
             shortest = [p for p in paths if len(p) - 1 == hops[(src, dst)]]
             expect = min(p[1] for p in shortest)
-            assert shortest_path_next_hop(t, src, dst) == expect
+            assert table[(src, dst)] == expect
 
 
 def test_sp_paths_are_loop_free_and_minimal():
