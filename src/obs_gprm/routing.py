@@ -53,6 +53,14 @@ def shortest_path_table(topology):
     """(node, dest) -> next hop of the baseline policy: the smallest-id
     neighbor on a minimum-hop path."""
     hops = topology.hop_counts()
-    # neighbors are sorted, so the first one a hop closer has the smallest id
-    return {(n, d): next(k for k in topology.neighbors[n] if hops[(k, d)] == hops[(n, d)] - 1)
-            for n in topology.nodes for d in topology.nodes if n != d}
+    table = {}
+    for n in topology.nodes:
+        for d in topology.nodes:
+            if n == d:
+                continue
+            want = hops[(n, d)] - 1
+            for k in topology.neighbors[n]:  # sorted, so the first hit has the smallest id
+                if hops[(k, d)] == want:
+                    table[(n, d)] = k
+                    break
+    return table

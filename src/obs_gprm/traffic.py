@@ -47,7 +47,8 @@ class TrafficMatrix:
     def __init__(self, weights, connections_per_pair=1):
         self.weights = {}
         for (i, j), w in weights.items():
-            _check_weight(i, j, w)
+            if not 0 <= w < math.inf or (w and i == j):  # the first test fails for NaN
+                raise _WeightError((i, j), w)
             if w > 0:
                 self.weights[(i, j)] = float(w)
         if not self.weights:
@@ -58,20 +59,23 @@ class TrafficMatrix:
         return sorted(self.weights)
 
 
-def _check_weight(i, j, w, where=""):
-    """Raise ValueError, prefixed by `where`, if `w` is no weight for (i, j)."""
-    if not math.isfinite(w):
-        raise ValueError(f"{where}non-finite weight for pair {(i, j)}")
-    if w < 0:
-        raise ValueError(f"{where}negative weight for pair {(i, j)}")
-    if i == j and w != 0:
-        raise ValueError(f"{where}self-traffic weight at node {i}")
+class _WeightError(ValueError):
+    """A negative, non-finite or self-traffic weight; `pair` lets
+    `load_matrix` name the file line it came from."""
+
+    def __init__(self, pair, w):
+        if 0 <= w < math.inf:
+            msg = f"self-traffic weight at node {pair[0]}"
+        else:
+            msg = f"{'negative' if w < 0 else 'non-finite'} weight for pair {pair}"
+        super().__init__(msg)
+        self.pair = pair
 
 
 def load_matrix(path, connections_per_pair=1):
     """Parse a matrix file: lines `src dst weight`, `#` comments; missing
     pairs default to weight 0, and a pair listed twice raises ValueError."""
-    weights = {}
+    weights, linenos = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -84,9 +88,11 @@ def load_matrix(path, connections_per_pair=1):
                 raise ValueError(f"{path}:{lineno}: malformed matrix line {line!r}") from exc
             if pair in weights:
                 raise ValueError(f"{path}:{lineno}: pair {s} {d} is listed twice")
-            _check_weight(*pair, weight, where=f"{path}:{lineno}: ")
-            weights[pair] = weight
-    return TrafficMatrix(weights, connections_per_pair)
+            weights[pair], linenos[pair] = weight, lineno
+    try:
+        return TrafficMatrix(weights, connections_per_pair)
+    except _WeightError as exc:
+        raise ValueError(f"{path}:{linenos[exc.pair]}: {exc}") from None
 
 
 def next_arrival(conn, rng):
