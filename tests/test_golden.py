@@ -16,6 +16,9 @@ import pytest
 
 import obs_gprm
 from obs_gprm.experiment import parse_scenario, run_experiment
+from obs_gprm.signaling import Simulator
+from obs_gprm.topology import load_topology
+from obs_gprm.traffic import LoadSpec, load_matrix, scale_to_load
 
 GOLDEN = {
     "warm": {
@@ -85,3 +88,35 @@ def test_small_paper_sweep_matches_golden_digests(request, tmp_path, initial_mod
                        util_mode=util_mode)
     run_experiment(scenario, out_dir=str(tmp_path), trace=True, threads=2)
     assert output_digests(tmp_path) == GOLDEN[request.node.callspec.id]
+
+
+# the learned success values of every node after one short adaptive run, as
+# `node key repr(value)` lines: what the routing rows are built from
+LEARNED_GOLDEN = {
+    "warm": "a974ba580f95f04525a8db13cb0af0b2"
+        "db77fc4cca2b84cc008298c8b85e7893",
+    "cold": "2044f5a0919c4083054cdd4ee26fad90"
+        "12d18adc9737400e3b6162666e2f132f",
+}
+
+
+def learned_state_digest(sim):
+    h = hashlib.sha256()
+    for n in sorted(sim.nodes):
+        values = sim.nodes[n].success.values
+        for key in sorted(values):
+            h.update(f"{n} {key} {values[key]!r}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("initial_mode", ["warm", "cold"])
+def test_learned_state_matches_golden_digest(initial_mode):
+    scenario = replace(parse_scenario(obs_gprm.data_path("nsfnet_paper.scn")),
+                       duration=1.5, warmup=0.3, initial_mode=initial_mode)
+    topology = load_topology(scenario.topology)
+    capacities = {n: topology.egress_capacity(n) for n in topology.nodes}
+    connections = scale_to_load(load_matrix(scenario.matrix), LoadSpec(0.4, capacities),
+                                scenario.mean_burst_size, master_seed=1)
+    sim = Simulator(topology, connections, policy="gprm", config=scenario)
+    sim.run(scenario.duration)
+    assert learned_state_digest(sim) == LEARNED_GOLDEN[initial_mode]
