@@ -41,7 +41,7 @@ def main():
     e = EvidenceVector(hops[(NODE, DEST)] + 3, 0, hops[(NODE, DEST)], DEST)
     print(f"\nrouting row for evidence {tuple(e)} (cost = 1 - success):")
     for k in topo.neighbors[NODE]:
-        sp = table.routing_success_prob(k, e)
+        sp = table.epoch_success_prob(k, e)
         print(f"  via {topo.names[k]:>12}: cost {1 - sp:.4f}")
 
 

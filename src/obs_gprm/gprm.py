@@ -3,10 +3,11 @@
 Every node keeps one SuccessTable: for each neighbor k and each observed
 evidence vector (offset class, loss-rate class, hop-count class, destination)
 it stores the learned probability that forwarding via k succeeds. ACK/NACK
-notifications drive an exponential-smoothing update. On a cold start, a
-naive-Bayes estimator over the observation counts generalizes to evidence
-combinations that were never hit directly; a warm start scores them with the
-hop-count prior and keeps no counts.
+notifications drive an exponential-smoothing update; updates take effect at
+the next routing refresh. On a cold start, a naive-Bayes estimator over the
+observation counts generalizes to evidence combinations that were never hit
+directly; a warm start scores them with the hop-count prior and keeps no
+counts.
 """
 
 from collections import defaultdict, deque
@@ -15,6 +16,8 @@ from typing import NamedTuple
 
 OFFSET_CLASSES = 16  # offset classes 0..15, measured in per-hop processing units
 HOP_CLASSES = 16     # hop-count classes 0..15
+DEST_NEIGHBOR_SP = 0.95  # cold prior of handing a burst straight to its destination
+INFEASIBLE_SP = 0.02     # warm prior of a neighbor too far for the remaining offset
 
 
 class Outcome(Enum):
@@ -82,7 +85,7 @@ def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_lo
     return EvidenceVector(o, b, nb, dest)
 
 
-def cold_start_prior(initial_sp=0.5, dest_neighbor_sp=0.95):
+def cold_start_prior(initial_sp=0.5):
     """Initial success probability for learning with no routing information.
 
     Uniform over neighbors, except that a neighbor which *is* the burst's
@@ -91,12 +94,12 @@ def cold_start_prior(initial_sp=0.5, dest_neighbor_sp=0.95):
     """
 
     def prior(k, e):
-        return dest_neighbor_sp if k == e[3] else initial_sp
+        return DEST_NEIGHBOR_SP if k == e[3] else initial_sp
 
     return prior
 
 
-def warm_start_prior(hop_counts, owner, detour_base=0.8, infeasible_sp=0.02):
+def warm_start_prior(hop_counts, owner, detour_base=0.8):
     """Initial success probability favoring minimum-hop neighbors.
 
     A neighbor on a shortest path gets 1.0 and every extra hop a detour would
@@ -112,7 +115,7 @@ def warm_start_prior(hop_counts, owner, detour_base=0.8, infeasible_sp=0.02):
     def prior(k, e):  # e[0] is the offset class, e[3] the destination
         k_hops = hop_counts[(k, e[3])]
         if k_hops + 1 > e[0]:
-            return infeasible_sp
+            return INFEASIBLE_SP
         extra = k_hops + 1 - hop_counts[(owner, e[3])]
         return detour_base ** extra
 
@@ -132,9 +135,9 @@ class SuccessTable:
     as that neighbor has any recorded outcome. Without it (warm starts) no
     counts are kept and unseen vectors always get the initial default.
 
-    ``begin_epoch`` freezes the externally visible state for routing-table
-    refresh periods: ``epoch_success_prob`` answers from the values as of the
-    last epoch start while live updates keep accumulating underneath.
+    The learned state is the routing view of the current refresh period:
+    ``sp_update`` queues a notification, and updates take effect at the next
+    refresh, when ``begin_epoch`` applies the queue in arrival order.
     """
 
     def __init__(self, owner, neighbors, alpha=0.9, initial_sp=0.5, state_counts=None,
@@ -157,93 +160,71 @@ class SuccessTable:
                 [defaultdict(int), defaultdict(int), defaultdict(int), defaultdict(int)])
             for k in self.neighbors
         }
-        self._journal = {}
-        self._epoch_totals = self._totals
-        self._epoch_factors = self._factor_counts
-        self._nb_dirty = nb_fallback  # first begin_epoch snapshots independent copies
+        self._pending = []  # (k, e, success) of this period, in arrival order
 
-    def _unseen_prob(self, k, e, totals, factors):
+    def _unseen_prob(self, k, e):
         """Estimate for a (k, e) with no stored value: the naive-Bayes
         generalization when enabled and k has history, else the initial default."""
-        if self.nb_fallback and sum(totals[k]) > 0:
-            s_succ, s_fail = self._nb_scores(k, e, totals, factors)
+        if self.nb_fallback and sum(self._totals[k]) > 0:
+            s_succ, s_fail = self._nb_scores(k, e)
             return s_succ / (s_succ + s_fail)
         return self._default(k, e)
 
     def sp_update(self, k, e, outcome):
-        """Exponential-smoothing update on a notification; returns the new SP.
-
-        SP' = alpha * SP + (1 - alpha) * A with A = 1 on success, 0 on failure.
-        With ``nb_fallback`` on, also feeds the naive-Bayes observation
-        counts. The first update of a row starts from the same estimate
-        routing was already using for it: the naive-Bayes generalization when
-        enabled and available, else the initial default.
-        """
+        """Queue the notification of one forwarding outcome via `k` under `e`;
+        ``begin_epoch`` applies it."""
         if k not in self._neighbor_set:
             raise UnknownNeighborError(f"{k} is not a neighbor of node {self.owner}")
-        key = (k, *e)
-        values = self.values
-        old = values.get(key)
-        if key not in self._journal:
-            self._journal[key] = old
-        base = (old if old is not None
-                else self._unseen_prob(k, e, self._totals, self._factor_counts))
-        alpha = self.alpha
-        success = outcome is Outcome.SUCCESS
-        new = alpha * base + (1.0 - alpha) * (1.0 if success else 0.0)
-        values[key] = new
-        if self.nb_fallback:
-            idx = 0 if success else 1
-            self._totals[k][idx] += 1
-            c_o, c_b, c_nb, c_d = self._factor_counts[k][idx]
-            o, b, nb, d = e
-            c_o[o] += 1
-            c_b[b] += 1
-            c_nb[nb] += 1
-            c_d[d] += 1
-            self._nb_dirty = True
-        return new
+        self._pending.append((k, e, outcome is Outcome.SUCCESS))
 
-    def _nb_scores(self, k, e, totals, factors):
-        n_succ, n_fail = totals[k]
+    def _nb_scores(self, k, e):
+        n_succ, n_fail = self._totals[k]
         n = n_succ + n_fail
         scores = []
         for idx, n_phi in ((0, n_succ), (1, n_fail)):
             score = (n_phi + 1.0) / (n + 2.0)
-            counters = factors[k][idx]
+            counters = self._factor_counts[k][idx]
             for f in range(4):
                 score *= (counters[f][e[f]] + 1.0) / (n_phi + self.state_counts[f])
             scores.append(score)
         return scores  # [success, failure]
 
-    def routing_success_prob(self, k, e):
-        """Success estimate used for route costs: the stored value when (k, e)
-        has been observed, else the naive-Bayes generalization when enabled
-        and k has history, else the initial default."""
+    def begin_epoch(self):
+        """Apply the queued notifications in arrival order; the result is the
+        routing view of the next period.
+
+        Each is an exponential-smoothing update, SP' = alpha * SP +
+        (1 - alpha) * A with A = 1 on success, 0 on failure, and with
+        ``nb_fallback`` on it also feeds the naive-Bayes observation counts.
+        The first update of a row starts from the same estimate routing was
+        already using for it: the naive-Bayes generalization when enabled and
+        available, else the initial default.
+        """
+        values = self.values
+        alpha = self.alpha
+        for k, e, success in self._pending:
+            key = (k, *e)
+            old = values.get(key)
+            base = old if old is not None else self._unseen_prob(k, e)
+            values[key] = alpha * base + (1.0 - alpha) * (1.0 if success else 0.0)
+            if self.nb_fallback:
+                idx = 0 if success else 1
+                self._totals[k][idx] += 1
+                c_o, c_b, c_nb, c_d = self._factor_counts[k][idx]
+                o, b, nb, d = e
+                c_o[o] += 1
+                c_b[b] += 1
+                c_nb[nb] += 1
+                c_d[d] += 1
+        self._pending = []
+
+    def epoch_success_prob(self, k, e):
+        """Success estimate used for route costs in this period: the stored
+        value when (k, e) has been observed, else `_unseen_prob`."""
         v = self.values.get((k, *e))
         if v is not None:
             return v
-        return self._unseen_prob(k, e, self._totals, self._factor_counts)
-
-    def begin_epoch(self):
-        """Freeze the current state as the routing view for the next period."""
-        self._journal = {}
-        if self._nb_dirty:  # counts changed since the last snapshot
-            self._epoch_totals = {k: list(v) for k, v in self._totals.items()}
-            self._epoch_factors = {
-                k: tuple([c.copy() for c in side] for side in sides)
-                for k, sides in self._factor_counts.items()
-            }
-            self._nb_dirty = False
-
-    def epoch_success_prob(self, k, e):
-        """Success estimate as of the last epoch start (used for route costs)."""
-        key = (k, *e)
-        journal = self._journal
-        v = journal[key] if key in journal else self.values.get(key)
-        if v is not None:
-            return v
-        return self._unseen_prob(k, e, self._epoch_totals, self._epoch_factors)
+        return self._unseen_prob(k, e)
 
     def dump(self, path_or_file):
         """Write observed entries as flat text: `k o b nb d sp` per line."""

@@ -2,20 +2,22 @@
 
 For one evidence vector, a GPRM row lists the node's neighbors by cost
 1 - success probability, ascending, ties by node id; a lookup returns the
-first one not excluded. The learning state is frozen at the start of every
-refresh period, and a row is built from that frozen view the first time it
-is consulted in the period. The baseline maps (node, destination) to the
-smallest-id neighbor on a minimum-hop path.
+first one not excluded. Learning updates take effect at the next refresh:
+the success table applies them at the start of a refresh period, and a row
+is built from that view the first time it is consulted in the period. The
+baseline maps (node, destination) to the smallest-id neighbor on a
+minimum-hop path.
 """
 
 
 class LazyRoutingTable:
     """Periodically refreshed table with on-demand row materialization.
 
-    At each refresh boundary (every `refresh_period`) the learning state is
-    frozen; rows consulted during the period are built once from that frozen
-    view and cached. `maybe_roll` must be called before any lookup or any
-    learning update so the freeze happens exactly at the boundary state.
+    At each refresh boundary (every `refresh_period`) the success table
+    applies the updates queued since the last one; rows consulted during the
+    period are built once from that view and cached. `maybe_roll` must be
+    called before any lookup or any learning update, so that an update which
+    arrives after a boundary takes effect at the next refresh, not this one.
     The candidate next hops are the success table's neighbors.
     """
 

@@ -9,7 +9,8 @@ triggers an ACK along the reverse path; any failure (no viable next hop,
 exhausted offset, reservation conflict) drops the burst and sends a NACK that
 also releases the upstream reservations it passes. The notification carries
 the BHP record itself. Under the adaptive policy every notification updates
-the learning state of each node on the path.
+the learning state of each node on the path, taking effect at that node's
+next routing refresh.
 
 One run is strictly single-threaded over a global (time, sequence) ordered
 event queue, so identical inputs replay bit-identically.
@@ -195,6 +196,11 @@ class Simulator:
             raise ValueError(f"unknown policy {policy!r}")
         self.topology = topology
         self.connections = list(connections)
+        for conn in self.connections:
+            if conn.src == conn.dst:
+                raise ValueError(f"{conn}: source and destination are the same node")
+            if conn.src not in topology.neighbors or conn.dst not in topology.neighbors:
+                raise ValueError(f"{conn}: endpoint not in the topology")
         self.policy = policy
         self.config = cfg = config or SimConfig()
         problems = cfg.problems()
@@ -401,6 +407,8 @@ class Simulator:
         """
         if self._duration is not None:
             raise RuntimeError("Simulator.run was already called; make a new Simulator")
+        if not math.isfinite(duration):
+            raise ValueError(f"duration must be finite, got {duration}")
         if duration <= self.config.warmup:
             raise ValueError("duration must exceed the warm-up interval")
         self._duration = duration
@@ -420,5 +428,7 @@ class Simulator:
         while heap:
             now, _, kind, a, b = heappop(heap)
             handlers[kind](now, a, b)
+        for state in self.nodes.values():  # the learned state holds every notification
+            state.success.begin_epoch()
         return RunResult(self.counters, self.counters_total, self.series,
                          duration, self.config.warmup)

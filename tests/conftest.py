@@ -33,3 +33,11 @@ def walk_row(router, e, now=0.0):
     while (k := router.lookup(e, hops, now)) is not None:
         hops.append(k)
     return hops
+
+
+def update_and_read(table, k, e, outcome):
+    """Apply one notification at once: queue it, start a refresh period, and
+    return the success value routing then sees for (k, e)."""
+    table.sp_update(k, e, outcome)
+    table.begin_epoch()
+    return table.epoch_success_prob(k, e)

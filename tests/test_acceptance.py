@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 
 import obs_gprm
-from conftest import walk_row
+from conftest import update_and_read, walk_row
 from obs_gprm.experiment import parse_scenario, run_experiment
 from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable
 from obs_gprm.routing import LazyRoutingTable
@@ -153,8 +153,8 @@ def _props_unit_interval():
     for _ in range(1_000_000):
         e = EvidenceVector(rng.randrange(16), rng.randrange(3), rng.randrange(16),
                            rng.randrange(14))
-        v = t.sp_update((1, 2, 3)[rng.randrange(3)], e,
-                        Outcome.SUCCESS if rng.random() < 0.5 else Outcome.FAILURE)
+        v = update_and_read(t, (1, 2, 3)[rng.randrange(3)], e,
+                            Outcome.SUCCESS if rng.random() < 0.5 else Outcome.FAILURE)
         if not 0.0 <= v <= 1.0:
             return False
     return True
@@ -169,14 +169,14 @@ def _props_sort_and_rows():
         for _ in range(rng.randrange(80)):
             e = EvidenceVector(rng.randrange(2), rng.randrange(3), rng.randrange(4),
                                rng.randrange(5))
-            t.sp_update(rng.choice((1, 2, 3)), e,
-                        rng.choice((Outcome.SUCCESS, Outcome.FAILURE)))
+            update_and_read(t, rng.choice((1, 2, 3)), e,
+                            rng.choice((Outcome.SUCCESS, Outcome.FAILURE)))
         lazy = LazyRoutingTable(t, refresh_period=1.0)
         rows = 0
         for combo in product(*(range(c) for c in counts)):
             e = EvidenceVector(*combo)
             # every neighbor once, by non-decreasing cost, equal costs by ascending id
-            row = [(1.0 - t.routing_success_prob(k, e), k) for k in walk_row(lazy, e)]
+            row = [(1.0 - t.epoch_success_prob(k, e), k) for k in walk_row(lazy, e)]
             if len(row) != 3 or row != sorted(row):
                 return False
             rows += 1
@@ -227,9 +227,9 @@ def _props_replay():
 def _props_algorithm3_spot():
     t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5)
     e = EvidenceVector(1, 0, 1, 1)
-    ok = abs(t.sp_update(1, e, Outcome.SUCCESS) - 0.55) < 1e-12
+    ok = abs(update_and_read(t, 1, e, Outcome.SUCCESS) - 0.55) < 1e-12
     t2 = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5)
-    ok &= abs(t2.sp_update(1, e, Outcome.FAILURE) - 0.45) < 1e-12
+    ok &= abs(update_and_read(t2, 1, e, Outcome.FAILURE) - 0.45) < 1e-12
     return ok
 
 
@@ -242,7 +242,7 @@ def _props_nb_exhaustive():
         for _ in range(rng.randrange(1, 25)):
             e = EvidenceVector(rng.randrange(2), rng.randrange(2), rng.randrange(2),
                                rng.randrange(2))
-            t.sp_update(1, e, rng.choice((Outcome.SUCCESS, Outcome.FAILURE)))
+            update_and_read(t, 1, e, rng.choice((Outcome.SUCCESS, Outcome.FAILURE)))
         n_succ, n_fail = t._totals[1]
         n = n_succ + n_fail
         for combo in product(range(2), repeat=4):
@@ -253,11 +253,11 @@ def _props_nb_exhaustive():
                 for f in range(4):
                     p *= (t._factor_counts[1][idx][f][e[f]] + 1) / (n_phi + counts[f])
                 scores.append(p)
-            got = t._nb_scores(1, e, t._totals, t._factor_counts)
+            got = t._nb_scores(1, e)
             if any(abs(g - s) > 1e-12 for g, s in zip(got, scores)):
                 return False
             # routing scores unseen evidence by the normalized naive-Bayes estimate
-            if ((1, *e) not in t.values and abs(t.routing_success_prob(1, e)
+            if ((1, *e) not in t.values and abs(t.epoch_success_prob(1, e)
                                                  - scores[0] / sum(scores)) > 1e-12):
                 return False
     return True

@@ -13,7 +13,7 @@ from obs_gprm.gprm import (
     extract_evidence,
     warm_start_prior,
 )
-from conftest import path_topology
+from conftest import path_topology, update_and_read
 from obs_gprm.signaling import SimConfig, Simulator
 
 EV = EvidenceVector(3, 0, 3, 2)
@@ -27,14 +27,14 @@ def fresh_table(alpha=0.9, initial=0.5, neighbors=(1, 2), **kw):
 
 def test_cold_query_returns_default():
     t = fresh_table()
-    assert t.routing_success_prob(1, EV) == 0.5
+    assert t.epoch_success_prob(1, EV) == 0.5
 
 
 def test_update_ack_from_half(tmp_path):
     t = fresh_table(alpha=0.9)
-    assert t.sp_update(1, EV, Outcome.SUCCESS) == pytest.approx(0.55)
-    assert t.routing_success_prob(1, EV) == pytest.approx(0.55)
-    t.sp_update(1, EvidenceVector(0, 0, 0, 2), Outcome.FAILURE)
+    assert update_and_read(t, 1, EV, Outcome.SUCCESS) == pytest.approx(0.55)
+    assert t.epoch_success_prob(1, EV) == pytest.approx(0.55)
+    update_and_read(t, 1, EvidenceVector(0, 0, 0, 2), Outcome.FAILURE)
     path = tmp_path / "table.txt"
     t.dump(str(path))  # observed entries only, as sorted `k o b nb d sp` lines
     assert path.read_text() == "# success table of node 0\n1 0 0 0 2 0.45\n1 3 0 3 2 0.55\n"
@@ -42,13 +42,13 @@ def test_update_ack_from_half(tmp_path):
 
 def test_update_nack_from_half():
     t = fresh_table(alpha=0.9)
-    assert t.sp_update(1, EV, Outcome.FAILURE) == pytest.approx(0.45)
+    assert update_and_read(t, 1, EV, Outcome.FAILURE) == pytest.approx(0.45)
 
 
 def test_alpha_one_freezes():
     t = fresh_table(alpha=1.0, initial=0.7)
-    assert t.sp_update(1, EV, Outcome.SUCCESS) == pytest.approx(0.7)
-    assert t.sp_update(1, EV, Outcome.FAILURE) == pytest.approx(0.7)
+    assert update_and_read(t, 1, EV, Outcome.SUCCESS) == pytest.approx(0.7)
+    assert update_and_read(t, 1, EV, Outcome.FAILURE) == pytest.approx(0.7)
 
 
 def test_unknown_neighbor_raises():
@@ -66,7 +66,7 @@ def test_values_stay_in_unit_interval_under_many_random_updates():
         e = EvidenceVector(rng.randrange(16), rng.randrange(3), rng.randrange(16),
                            rng.randrange(8))
         out = Outcome.SUCCESS if rng.random() < 0.5 else Outcome.FAILURE
-        v = t.sp_update(neighbors[rng.randrange(3)], e, out)
+        v = update_and_read(t, neighbors[rng.randrange(3)], e, out)
         assert 0.0 <= v <= 1.0
     assert all(0.0 <= v <= 1.0 for v in t.values.values())
 
@@ -75,7 +75,7 @@ def test_values_stay_in_unit_interval_under_many_random_updates():
 def test_update_closure_property(alpha, outcomes):
     t = fresh_table(alpha=alpha)
     for ok in outcomes:
-        v = t.sp_update(1, EV, Outcome.SUCCESS if ok else Outcome.FAILURE)
+        v = update_and_read(t, 1, EV, Outcome.SUCCESS if ok else Outcome.FAILURE)
         assert 0.0 <= v <= 1.0
 
 
@@ -84,7 +84,7 @@ def test_alternating_stream_settles_in_band():
     v = 0.5
     for i in range(400):
         out = Outcome.SUCCESS if i % 2 == 0 else Outcome.FAILURE
-        v = t.sp_update(1, EV, out)
+        v = update_and_read(t, 1, EV, out)
         if i >= 200:
             assert 0.45 <= v <= 0.55
 
@@ -178,38 +178,38 @@ def nb_oracle(table, k, e, state_counts):
 
 
 def nb_scores(table, k, e):
-    return table._nb_scores(k, e, table._totals, table._factor_counts)
+    return table._nb_scores(k, e)
 
 
 def test_nb_map_unanimous_success():
     t = fresh_table(nb_fallback=True)
     for _ in range(5):
-        t.sp_update(1, EV, Outcome.SUCCESS)
+        update_and_read(t, 1, EV, Outcome.SUCCESS)
     s_succ, s_fail = nb_scores(t, 1, EV)
     assert s_succ > s_fail > 0
     # one field away from EV is unseen evidence, which routing scores by naive Bayes
     e = EV._replace(blr_class=1)
     s_succ, s_fail = nb_scores(t, 1, e)
-    assert t.routing_success_prob(1, e) == pytest.approx(s_succ / (s_succ + s_fail))
-    assert t.routing_success_prob(1, e) > 0.5
+    assert t.epoch_success_prob(1, e) == pytest.approx(s_succ / (s_succ + s_fail))
+    assert t.epoch_success_prob(1, e) > 0.5
 
 
 def test_nb_map_requires_observations():
     # naive Bayes scores a neighbor only once that neighbor has an outcome
     t = fresh_table(nb_fallback=True)
-    assert t.routing_success_prob(1, EV) == 0.5
-    t.sp_update(2, EV, Outcome.FAILURE)
-    assert t.routing_success_prob(1, EV) == 0.5
-    assert t.routing_success_prob(2, EV._replace(blr_class=1)) != 0.5
+    assert t.epoch_success_prob(1, EV) == 0.5
+    update_and_read(t, 2, EV, Outcome.FAILURE)
+    assert t.epoch_success_prob(1, EV) == 0.5
+    assert t.epoch_success_prob(2, EV._replace(blr_class=1)) != 0.5
 
 
 def test_warm_table_keeps_no_naive_bayes_counts():
     t = fresh_table()  # nb_fallback off, as on every warm start
-    t.sp_update(1, EV, Outcome.SUCCESS)
-    t.sp_update(1, EvidenceVector(0, 1, 2, 3), Outcome.FAILURE)
+    update_and_read(t, 1, EV, Outcome.SUCCESS)
+    update_and_read(t, 1, EvidenceVector(0, 1, 2, 3), Outcome.FAILURE)
     assert t._totals[1] == [0, 0]
     # unseen evidence still scores the prior
-    assert t.routing_success_prob(1, EV._replace(blr_class=1)) == 0.5
+    assert t.epoch_success_prob(1, EV._replace(blr_class=1)) == 0.5
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,15 +221,15 @@ def test_nb_map_matches_bruteforce_oracle(history):
     t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts,
                      nb_fallback=True)
     for o, b, nb, d, ok in history:
-        t.sp_update(1, EvidenceVector(o, b, nb, d),
-                    Outcome.SUCCESS if ok else Outcome.FAILURE)
+        update_and_read(t, 1, EvidenceVector(o, b, nb, d),
+                        Outcome.SUCCESS if ok else Outcome.FAILURE)
     for o in range(3):
         for b in range(3):
             e = EvidenceVector(o, b, 1, 2)
             s_succ, s_fail = oracle = nb_oracle(t, 1, e, counts)
             assert nb_scores(t, 1, e) == pytest.approx(oracle)
             if (1, *e) not in t.values:
-                assert t.routing_success_prob(1, e) == pytest.approx(
+                assert t.epoch_success_prob(1, e) == pytest.approx(
                     s_succ / (s_succ + s_fail))
 
 
@@ -243,13 +243,13 @@ def test_warm_start_prior_prefers_min_hop():
     assert prior(2, e_tight) < 0.1
 
 
-def test_epoch_freeze_and_journal():
+def test_update_takes_effect_at_next_refresh():
     t = fresh_table(alpha=0.5)
-    t.sp_update(1, EV, Outcome.SUCCESS)        # 0.75
+    t.sp_update(1, EV, Outcome.SUCCESS)
     t.begin_epoch()
-    t.sp_update(1, EV, Outcome.SUCCESS)        # live 0.875
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.75)
-    assert t.routing_success_prob(1, EV) == pytest.approx(0.875)
+    t.sp_update(1, EV, Outcome.SUCCESS)        # queued: 0.875 from the next refresh
+    assert t.epoch_success_prob(1, EV) == pytest.approx(0.75)
     t.begin_epoch()
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.875)
 
@@ -258,8 +258,10 @@ def test_epoch_freeze_covers_unseen_keys():
     t = fresh_table(alpha=0.5)
     t.begin_epoch()
     t.sp_update(1, EV, Outcome.FAILURE)
-    # at epoch start (1, EV) was unseen, so the frozen view is the default
+    # at epoch start (1, EV) was unseen, so this period's view is the default
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.5)
+    t.begin_epoch()
+    assert t.epoch_success_prob(1, EV) == pytest.approx(0.25)
 
 
 def test_loss_rate_window():

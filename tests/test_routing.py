@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obs_gprm
-from conftest import walk_row
+from conftest import update_and_read, walk_row
 from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable, cold_start_prior
 from obs_gprm.routing import LazyRoutingTable, shortest_path_table
 from obs_gprm.topology import Link, Topology, load_topology
@@ -22,7 +22,7 @@ def table_with(values, neighbors=(1, 2), state_counts=SMALL, initial=0.5):
 
 
 def cost(t, k, e):
-    return 1.0 - t.routing_success_prob(k, e)
+    return 1.0 - t.epoch_success_prob(k, e)
 
 
 def test_lazy_row_costs_and_order():
@@ -130,21 +130,28 @@ LAZY_OPS = st.lists(st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(LAZY_OPS, st.booleans(), st.booleans())
 def test_lazy_table_matches_snapshot_argmin(ops, nb_fallback, prior):
-    initial = cold_start_prior(0.5, dest_neighbor_sp=0.9) if prior else 0.5
-    t = SuccessTable(0, NEIGHBORS, alpha=0.7, initial_sp=initial, state_counts=TINY,
-                     nb_fallback=nb_fallback)
+    initial = cold_start_prior(0.5) if prior else 0.5
+
+    def table():
+        return SuccessTable(0, NEIGHBORS, alpha=0.7, initial_sp=initial, state_counts=TINY,
+                            nb_fallback=nb_fallback)
+
+    t, reference = table(), table()
     lazy = LazyRoutingTable(t, refresh_period=1.0)
-    # a copy of the learning state as it stood when the period began
-    frozen, epoch, now = copy.deepcopy(t), 0, 0.0
+    # a copy of the reference, which applies each update at once, as it stood
+    # when the period began
+    frozen, epoch, now = copy.deepcopy(reference), 0, 0.0
     for op, k, e, success, excluded, step in ops:
         now += step
         e = EvidenceVector(*e)
         if op == "sp_update":
-            t.sp_update(k, e, Outcome.SUCCESS if success else Outcome.FAILURE)
+            outcome = Outcome.SUCCESS if success else Outcome.FAILURE
+            t.sp_update(k, e, outcome)
+            update_and_read(reference, k, e, outcome)
             continue
         if int(now) != epoch:  # this call is the first of a new period
             epoch = int(now)
-            frozen = copy.deepcopy(t)
+            frozen = copy.deepcopy(reference)
         if op == "maybe_roll":
             lazy.maybe_roll(now)
             continue

@@ -217,9 +217,9 @@ def test_contention_drop_nack_and_update(arrivals):
     assert [l[2] for l in nacks] == [3]  # only the loser's source hears the NACK
     # Algorithm-3 arithmetic at the updated node: 0.9 * 0.5 + 0.1 * 0 = 0.45
     e = EvidenceVector(2, 0, 2, 2)
-    assert sim.nodes[3].success.routing_success_prob(1, e) == pytest.approx(0.45)
+    assert sim.nodes[3].success.epoch_success_prob(1, e) == pytest.approx(0.45)
     # and the winner's path learned success: 0.9 * 0.5 + 0.1 * 1 = 0.55
-    assert sim.nodes[0].success.routing_success_prob(1, e) == pytest.approx(0.55)
+    assert sim.nodes[0].success.epoch_success_prob(1, e) == pytest.approx(0.55)
 
 
 def test_dead_end_drop_noroute_nack(arrivals):
@@ -237,8 +237,8 @@ def test_dead_end_drop_noroute_nack(arrivals):
     # NACK walked back through both forwarding nodes
     e_at_1 = EvidenceVector(11, 0, 1, 0)
     e_at_3 = EvidenceVector(12, 0, 2, 0)
-    assert sim.nodes[1].success.routing_success_prob(2, e_at_1) == pytest.approx(0.9 * 0.99)
-    assert sim.nodes[3].success.routing_success_prob(1, e_at_3) == pytest.approx(0.45)
+    assert sim.nodes[1].success.epoch_success_prob(2, e_at_1) == pytest.approx(0.9 * 0.99)
+    assert sim.nodes[3].success.epoch_success_prob(1, e_at_3) == pytest.approx(0.45)
 
 
 def test_ingress_drop_when_first_hop_full(arrivals):
@@ -291,7 +291,7 @@ def test_insufficient_offset_detour_drop(arrivals):
     assert c.drops_offset == 1
     assert c.bursts_delivered == 0
     # the luring entry was punished by the NACK
-    assert sim.nodes[0].success.routing_success_prob(4, e) == pytest.approx(0.9 * 0.99)
+    assert sim.nodes[0].success.epoch_success_prob(4, e) == pytest.approx(0.9 * 0.99)
 
 
 def test_wavelength_continuity_on_delivery(arrivals):
@@ -339,6 +339,23 @@ def test_second_run_raises_instead_of_accumulating(arrivals):
         sim.run(0.01)
     assert sim.counters_total.bursts_sent == sent
 
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_run_rejects_non_finite_duration(duration):
+    # NaN passes `duration <= warmup`, and an infinite run never ends
+    sim = Simulator(path_topology(3), [conn(0, 2)], policy="sp", config=SimConfig(warmup=0.0))
+    with pytest.raises(ValueError, match="duration must be finite"):
+        sim.run(duration)
+
+
+@pytest.mark.parametrize("policy", ["sp", "gprm"])
+@pytest.mark.parametrize("src, dst, error", [(1, 1, "same node"),
+                                             (1, 99, "not in the topology"),
+                                             (99, 1, "not in the topology")])
+def test_unroutable_connection_is_rejected(policy, src, dst, error):
+    with pytest.raises(ValueError, match=error) as exc:
+        Simulator(path_topology(3), [conn(0, 2), conn(src, dst)], policy=policy)
+    assert f"src={src}, dst={dst}," in str(exc.value)
 
 def run_nsfnet(policy, seed, duration=6.0, load=0.4, trace=None, initial_mode="warm"):
     topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
