@@ -1,12 +1,13 @@
 """Next-hop selection: the lazy GPRM cost table and the min-hop baseline.
 
-For one evidence vector, a GPRM row lists the node's neighbors by cost
-1 - success probability, ascending, ties by node id; a lookup returns the
-first one not excluded. Learning updates take effect at the next refresh:
-the success table applies them at the start of a refresh period, and a row
-is built from that view the first time it is consulted in the period. The
-baseline maps (node, destination) to the smallest-id neighbor on a
-minimum-hop path.
+Under GPRM each node's state is one `LazyRoutingTable`, whose `success` is
+that node's `SuccessTable`. For one evidence vector, a row lists the node's
+neighbors by cost 1 - success probability, ascending, ties by node id; a
+lookup returns the first one not excluded. Learning updates take effect at
+the next refresh: the success table applies them at the start of a refresh
+period, and a row is built from that view the first time it is consulted in
+the period. The baseline maps (node, destination) to the smallest-id
+neighbor on a minimum-hop path.
 """
 
 
@@ -14,33 +15,33 @@ class LazyRoutingTable:
     """Periodically refreshed table with on-demand row materialization.
 
     At each refresh boundary (every `refresh_period`) the success table
-    applies the updates queued since the last one; rows consulted during the
-    period are built once from that view and cached. `maybe_roll` must be
-    called before any lookup or any learning update, so that an update which
+    `success` applies the updates queued since the last one; rows consulted
+    during the period are built once from that view and cached. The first
+    period routes on the table as it is given. `maybe_roll` must be called
+    before any lookup or any learning update, so that an update which
     arrives after a boundary takes effect at the next refresh, not this one.
     The candidate next hops are the success table's neighbors.
     """
 
-    def __init__(self, success_table, refresh_period):
-        self.success_table = success_table
+    def __init__(self, success, refresh_period):
+        self.success = success
         self.refresh_period = refresh_period
         self._epoch = 0
         self._rows = {}
-        success_table.begin_epoch()
 
     def maybe_roll(self, now):
         epoch = int(now / self.refresh_period)
         if epoch != self._epoch:
             self._epoch = epoch
             self._rows = {}
-            self.success_table.begin_epoch()
+            self.success.begin_epoch()
 
     def lookup(self, e, excluded, now):
         if int(now / self.refresh_period) != self._epoch:
             self.maybe_roll(now)
         row = self._rows.get(e)
         if row is None:
-            table = self.success_table
+            table = self.success
             prob = table.epoch_success_prob
             cost = {k: 1.0 - prob(k, e) for k in table.neighbors}
             # a stable sort keeps equal costs in the ascending id order of neighbors

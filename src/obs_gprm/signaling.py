@@ -8,15 +8,18 @@ wavelength, later hops must reserve that same one. Reaching the destination
 triggers an ACK along the reverse path; any failure (no viable next hop,
 exhausted offset, reservation conflict) drops the burst and sends a NACK that
 also releases the upstream reservations it passes. The notification carries
-the BHP record itself. Under the adaptive policy every notification updates
-the learning state of each node on the path, taking effect at that node's
-next routing refresh.
+the BHP record itself and is sent one reverse hop at a time by
+`Simulator._notify`. Under the adaptive policy a node's state is its
+`LazyRoutingTable` in `Simulator.nodes`, which owns the node's success table,
+plus its loss window; every notification updates the learning state of each
+node on the path, taking effect at that node's next routing refresh.
 
 One run is strictly single-threaded over a global (time, sequence) ordered
 event queue, so identical inputs replay bit-identically.
 """
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
@@ -179,15 +182,6 @@ class SimConfig:
         return errors
 
 
-class _NodeState:
-    __slots__ = ("success", "router", "loss_window")
-
-    def __init__(self, success, router, loss_window):
-        self.success = success
-        self.router = router
-        self.loss_window = loss_window
-
-
 class Simulator:
     """One simulation run: a topology, a connection set, and one policy."""
 
@@ -222,25 +216,22 @@ class Simulator:
             prop = propagation_delay(link, topology.signal_speed)
             self._links[uv] = (link.channel_rate, prop, php + prop)
         self._heap = []
-        self._seq = 0
-        self._burst_ids = 0
+        self._seq = itertools.count(1)  # event tie-break, in push order
+        self._burst_ids = itertools.count(1)
         self._sp_next = None if self._gprm else shortest_path_table(topology)
-        self.nodes = {}  # per-node learning state, which min-hop routing has none of
+        self.nodes = {}  # GPRM node -> its router, which owns its success table
+        self._loss = {}  # GPRM node -> its loss window
         if self._gprm:
-            n_dest = len(topology.nodes)
+            cold = cfg.initial_mode == "cold"
+            state_counts = (OFFSET_CLASSES, 3, HOP_CLASSES, len(topology.nodes))
             for n in topology.nodes:
-                if cfg.initial_mode == "warm":
-                    initial = warm_start_prior(self.hop_counts, n,
-                                               detour_base=cfg.detour_penalty)
-                    fallback = False
-                else:
-                    initial = cold_start_prior(cfg.initial_sp)
-                    fallback = True
+                initial = (cold_start_prior(cfg.initial_sp) if cold else
+                           warm_start_prior(self.hop_counts, n, detour_base=cfg.detour_penalty))
                 success = SuccessTable(n, topology.neighbors[n], alpha=cfg.alpha,
-                                       initial_sp=initial, nb_fallback=fallback,
-                                       state_counts=(OFFSET_CLASSES, 3, HOP_CLASSES, n_dest))
-                router = LazyRoutingTable(success, cfg.refresh_period)
-                self.nodes[n] = _NodeState(success, router, LossRateWindow(cfg.blr_window))
+                                       initial_sp=initial, nb_fallback=cold,
+                                       state_counts=state_counts)
+                self.nodes[n] = LazyRoutingTable(success, cfg.refresh_period)
+                self._loss[n] = LossRateWindow(cfg.blr_window)
         self.counters = RunCounters()        # steady-state cohort
         self.counters_total = RunCounters()  # every burst
         self.series = TimeSeries(cfg.bucket_width)
@@ -255,26 +246,25 @@ class Simulator:
         if steady and hi > lo:
             self.counters.add_busy(key, hi - lo)
 
-    def _notify(self, now, node, bhp, outcome):
-        """Send an ACK or NACK from `node` back to the last forwarding node."""
-        path_log = bhp.path_log
-        idx = len(path_log) - 1
-        bhp.outcome = outcome
-        self._seq += 1
-        heappush(self._heap, (now + self._links[(path_log[idx][0], node)][2], self._seq,
-                              NOTIFICATION_ARRIVE, idx, bhp))
+    def _notify(self, now, node, bhp, idx):
+        """Send the ACK/NACK of `bhp` from `node` to the forwarding node at `path_log[idx]`."""
+        heappush(self._heap, (now + self._links[(bhp.path_log[idx][0], node)][2],
+                              next(self._seq), NOTIFICATION_ARRIVE, idx, bhp))
 
-    def _drop(self, now, bhp, cause, node, kind="BHP_ARRIVE"):
+    def _drop(self, now, bhp, cause, node):
+        """Drop `bhp` at `node`; a burst that left its source is NACKed back."""
         self.counters_total.add_drop(cause)
         if self._warmup <= bhp.created_at:
             self.counters.add_drop(cause)
         self.series.add_drop(now)
         if self._gprm:
-            self.nodes[node].loss_window.record_failure(now)
-        if self.trace is not None:
-            self.trace(now, kind, node, bhp.burst_id, f"drop {cause}")
+            self._loss[node].record_failure(now)
+        if self.trace is not None:  # an ingress drop is the source's, at burst arrival
+            self.trace(now, "BURST_ARRIVAL" if cause == "ingress" else "BHP_ARRIVE", node,
+                       bhp.burst_id, f"drop {cause}")
         if bhp.path_log:
-            self._notify(now, node, bhp, Outcome.FAILURE)
+            bhp.outcome = Outcome.FAILURE
+            self._notify(now, node, bhp, len(bhp.path_log) - 1)
 
     # -- handlers, one per event kind, each called as (now, a, b) ------------
 
@@ -284,15 +274,13 @@ class Simulator:
         dt, next_size = next_arrival(conn, rng)
         t_next = now + dt
         if t_next < self._duration:
-            self._seq += 1
-            heappush(self._heap, (t_next, self._seq, BURST_ARRIVAL, conn_idx, next_size))
+            heappush(self._heap, (t_next, next(self._seq), BURST_ARRIVAL, conn_idx, next_size))
         source = conn.src
         self.counters_total.bursts_sent += 1
         if self._warmup <= now:
             self.counters.bursts_sent += 1
         self.series.add_sent(now)
-        self._burst_ids += 1
-        bhp = Bhp(self._burst_ids, conn.dst, size, offset, now)
+        bhp = Bhp(next(self._burst_ids), conn.dst, size, offset, now)
         if self.trace is not None:
             self.trace(now, "BURST_ARRIVAL", source, bhp.burst_id,
                        f"dest {conn.dst} size {size:.0f}")
@@ -303,12 +291,12 @@ class Simulator:
         first hop, at its source, when it has no wavelength yet)."""
         if node == bhp.dest:
             # burst tail arrives one remaining offset plus one transmission later
-            self._seq += 1
-            heappush(self._heap, (now + bhp.remaining_offset + bhp.duration, self._seq,
+            heappush(self._heap, (now + bhp.remaining_offset + bhp.duration, next(self._seq),
                                   BURST_ARRIVE, node, bhp))
             if self.trace is not None:
                 self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, "at destination")
-            self._notify(now, node, bhp, Outcome.SUCCESS)
+            bhp.outcome = Outcome.SUCCESS
+            self._notify(now, node, bhp, len(bhp.path_log) - 1)
             return
         php = self._php
         offset = bhp.remaining_offset
@@ -316,12 +304,12 @@ class Simulator:
         # path log is empty, so every neighbour is a candidate, and its offset
         # holds at least one hop budget.
         if self._gprm:
-            state = self.nodes[node]
+            loss = self._loss[node]
             cfg = self.config
-            evidence = extract_evidence(node, bhp.dest, offset, state.loss_window.ratio(now),
+            evidence = extract_evidence(node, bhp.dest, offset, loss.ratio(now),
                                         self.hop_counts, cfg.blr_low, cfg.blr_high, php)
             # the nodes already passed; `node` is not among them, nor its own neighbour
-            next_hop = state.router.lookup(evidence, {hop[0] for hop in bhp.path_log}, now)
+            next_hop = self.nodes[node].lookup(evidence, {hop[0] for hop in bhp.path_log}, now)
             if next_hop is None:
                 self._drop(now, bhp, "noroute", node)
                 return
@@ -340,7 +328,7 @@ class Simulator:
             bhp.duration /= rate  # size -> transmission time on this link
             wavelength = self.schedule.first_fit(node, next_hop, start, bhp.duration, now)
             if wavelength is None:
-                self._drop(now, bhp, "ingress", node, "BURST_ARRIVAL")
+                self._drop(now, bhp, "ingress", node)
                 return
             bhp.wavelength = wavelength
         # no conversion: the ingress wavelength must exist and be free here
@@ -351,14 +339,13 @@ class Simulator:
         bhp.remaining_offset = remaining
         bhp.path_log.append((node, evidence, next_hop, start))
         if self._gprm:
-            state.loss_window.record_forward(now)
+            loss.record_forward(now)
         if self._util_all:
             self._add_busy((node, next_hop, wavelength), start, bhp.duration,
                            self._warmup <= bhp.created_at)
         if self.trace is not None and not at_source:
             self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, f"forward {next_hop}")
-        self._seq += 1
-        heappush(self._heap, (now + php + prop, self._seq, BHP_ARRIVE, next_hop, bhp))
+        heappush(self._heap, (now + php + prop, next(self._seq), BHP_ARRIVE, next_hop, bhp))
 
     def _on_burst_arrive(self, now, node, bhp):
         """A burst's tail reaches its destination."""
@@ -378,25 +365,21 @@ class Simulator:
 
     def _on_notification(self, now, idx, bhp):
         """The ACK/NACK of `bhp` reaches the forwarding node at `path_log[idx]`."""
-        path_log = bhp.path_log
-        node, evidence, next_hop, start = path_log[idx]
+        node, evidence, next_hop, start = bhp.path_log[idx]
         failed = bhp.outcome is Outcome.FAILURE
         if failed:
             self.schedule.release(node, next_hop, bhp.wavelength, start)
         if self._gprm:
-            state = self.nodes[node]
             if failed:
-                state.loss_window.record_failure(now)
-            state.router.maybe_roll(now)
-            state.success.sp_update(next_hop, evidence, bhp.outcome)
+                self._loss[node].record_failure(now)
+            router = self.nodes[node]
+            router.maybe_roll(now)
+            router.success.sp_update(next_hop, evidence, bhp.outcome)
         if self.trace is not None:
             self.trace(now, "NOTIFICATION_ARRIVE", node, bhp.burst_id,
                        "NACK" if failed else "ACK")
         if idx > 0:
-            prev_node = path_log[idx - 1][0]
-            self._seq += 1
-            heappush(self._heap, (now + self._links[(prev_node, node)][2], self._seq,
-                                  NOTIFICATION_ARRIVE, idx - 1, bhp))
+            self._notify(now, node, bhp, idx - 1)
 
     # -- main loop ---------------------------------------------------------
 
@@ -420,15 +403,14 @@ class Simulator:
         for idx, (conn, rng, _) in enumerate(self._streams):
             dt, size = next_arrival(conn, rng)
             if dt < duration:
-                self._seq += 1
-                heappush(self._heap, (dt, self._seq, BURST_ARRIVAL, idx, size))
+                heappush(self._heap, (dt, next(self._seq), BURST_ARRIVAL, idx, size))
         handlers = (self._on_burst_arrival, self._on_bhp, self._on_burst_arrive,
                     self._on_notification)  # indexed by event kind
         heap = self._heap
         while heap:
             now, _, kind, a, b = heappop(heap)
             handlers[kind](now, a, b)
-        for state in self.nodes.values():  # the learned state holds every notification
-            state.success.begin_epoch()
+        for router in self.nodes.values():  # the learned state holds every notification
+            router.success.begin_epoch()
         return RunResult(self.counters, self.counters_total, self.series,
                          duration, self.config.warmup)

@@ -4,6 +4,7 @@ Fibers are bidirectional but modeled as two directed links so that each
 direction has its own data channels and its own reservation schedule.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -26,12 +27,12 @@ class Link:
     def __post_init__(self):
         if self.src == self.dst:
             raise TopologyError(f"self-loop link at node {self.src}")
-        if self.length_km <= 0:
-            raise TopologyError(f"link {self.src}->{self.dst}: length must be > 0")
         if self.control_channels < 1 or self.data_channels < 1:
             raise TopologyError(f"link {self.src}->{self.dst}: needs >= 1 channel of each kind")
-        if self.channel_rate <= 0:
-            raise TopologyError(f"link {self.src}->{self.dst}: channel rate must be > 0")
+        for name, x in (("length", self.length_km), ("channel rate", self.channel_rate)):
+            if not 0 < x < math.inf:  # NaN fails this too
+                raise TopologyError(f"link {self.src}->{self.dst}: {name} must be "
+                                    f"{'> 0' if x <= 0 else 'finite'}")
 
 
 def propagation_delay(link, signal_speed=SIGNAL_SPEED):

@@ -16,10 +16,11 @@ class ConnectionSpec:
     seed: int
 
     def __post_init__(self):
-        if self.lambda_ <= 0:
-            raise ValueError("arrival rate must be > 0")
-        if self.mean_burst_size <= 0:
-            raise ValueError("mean burst size must be > 0")
+        # `not 0 < x < inf` also rejects NaN, which passes every `x <= 0` check
+        if not 0 < self.lambda_ < math.inf:
+            raise ValueError("arrival rate must be finite and > 0")
+        if not 0 < self.mean_burst_size < math.inf:
+            raise ValueError("mean burst size must be finite and > 0")
 
     def make_rng(self):
         return random.Random(self.seed)
@@ -31,10 +32,10 @@ class LoadSpec:
     node_capacity: dict  # node id -> bits per second of egress capacity
 
     def __post_init__(self):
-        if self.target_load <= 0:
-            raise ValueError("target load must be > 0")
-        if any(mu <= 0 for mu in self.node_capacity.values()):
-            raise ValueError("node capacities must be > 0")
+        if not 0 < self.target_load < math.inf:
+            raise ValueError("target load must be finite and > 0")
+        if not all(0 < mu < math.inf for mu in self.node_capacity.values()):
+            raise ValueError("node capacities must be finite and > 0")
 
 
 class TrafficMatrix:

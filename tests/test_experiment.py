@@ -305,9 +305,14 @@ def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
     ("", "0 0 2.0", "matrix: {matrix}:2: self-traffic weight at node 0"),
     ("", "0 1 nan", "matrix: {matrix}:2: non-finite weight for pair (0, 1)"),
     ("", "0 1 inf", "matrix: {matrix}:2: non-finite weight for pair (0, 1)"),
+    ("link 0 1 nan 2 4 1e9", "", "topology: {topo}:3: link 0->1: length must be finite"),
+    ("link 0 1 inf 2 4 1e9", "", "topology: {topo}:3: link 0->1: length must be finite"),
+    ("link 0 1 100 2 4 nan", "", "topology: {topo}:3: link 0->1: channel rate must be finite"),
+    ("link 0 1 100 2 4 inf", "", "topology: {topo}:3: link 0->1: channel rate must be finite"),
 ], ids=["bad-link-record", "bad-matrix-line", "matrix-node-not-in-topology",
         "negative-matrix-weight", "self-traffic-weight", "nan-matrix-weight",
-        "inf-matrix-weight"])
+        "inf-matrix-weight", "nan-link-length", "inf-link-length", "nan-link-rate",
+        "inf-link-rate"])
 def test_cli_validate_parses_topology_and_matrix(tmp_path, capsys, topo_line, matrix_line,
                                                  expected):
     topo, matrix = tmp_path / "net.topo", tmp_path / "m.matrix"

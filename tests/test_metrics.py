@@ -103,7 +103,7 @@ def test_gain_errors():
         gains("blr", [float("nan"), 0.0], [0.1, 0.1])
 
 
-def test_gain_terms_recompute_directly():
+def test_gains_rows_recompute_terms_directly():
     sp, gp = [0.08, 0.12, 0.2], [0.05, 0.1, 0.25]
     rows = gains("blr", sp, gp)
     for (b_sp, b_gp, term, *_), s, g in zip(rows, sp, gp):

@@ -92,7 +92,7 @@ def test_lookup_equals_exhaustive_min(raw):
         assert lazy.lookup(e, set(), 0.0) == best[1]
 
 
-def test_lazy_table_matches_full_build_and_freezes():
+def test_lazy_table_freezes_within_period():
     e = EvidenceVector(0, 0, 0, 0)
     t = table_with({(1, *e): 0.9, (2, *e): 0.4})
     lazy = LazyRoutingTable(t, refresh_period=1.0)

@@ -109,6 +109,10 @@ def test_duplicate_link_rejected(tmp_path):
     ("link 0 0 100 2 4 1e9", "self-loop link at node 0"),
     ("link 0 2 -5 2 4 1e9", "link 0->2: length must be > 0"),
     ("link 1 0 500 2 1 1e9", "link 1->0 is already declared on line 4"),
+    ("link 0 2 nan 2 4 1e9", "link 0->2: length must be finite"),
+    ("link 0 2 inf 2 4 1e9", "link 0->2: length must be finite"),
+    ("link 0 2 100 2 4 nan", "link 0->2: channel rate must be finite"),
+    ("link 0 2 100 2 4 inf", "link 0->2: channel rate must be finite"),
 ])
 def test_bad_link_record_names_its_line(tmp_path, record, reason):
     path = tmp_path / "bad.topo"

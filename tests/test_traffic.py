@@ -24,6 +24,18 @@ def test_connection_spec_validation():
         ConnectionSpec(0, 1, 1.0, -5, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_specs_reject_non_finite_values(bad):
+    # NaN passes a `<= 0` check. Only construction is tried: a run with an
+    # infinite arrival rate would never return.
+    for args in ((0, 1, bad, L, 1), (0, 1, 1.0, bad, 1)):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            ConnectionSpec(*args)
+    for args in ((bad, {0: 1e9}), (0.4, {0: 1e9, 1: bad})):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            LoadSpec(*args)
+
+
 def test_inter_arrival_sample_mean():
     conn = ConnectionSpec(0, 1, 10.0, L, seed=11)
     rng = conn.make_rng()
