@@ -9,6 +9,7 @@ import numpy as np
 
 import obs_gprm
 from obs_gprm.routing import shortest_path_table
+from obs_gprm.signaling import SimConfig
 from obs_gprm.topology import load_topology, propagation_delay
 from obs_gprm.traffic import load_matrix
 
@@ -22,8 +23,8 @@ def main():
                        if i != j])
     print(f"hop counts: mean {counts.mean():.2f}, max {counts.max()}")
 
-    delays = np.array([propagation_delay(l, topo.signal_speed) * 1e3
-                       for l in topo.links.values()])
+    speed = SimConfig().signal_speed
+    delays = np.array([propagation_delay(l, speed) * 1e3 for l in topo.links.values()])
     print(f"one-way link delays: {delays.min():.1f}..{delays.max():.1f} ms "
           f"(mean {delays.mean():.1f} ms)")
 

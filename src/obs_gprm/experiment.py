@@ -46,12 +46,7 @@ class Scenario(SimConfig):
     loads: list[float] = field(default_factory=list)
     seeds: list[int] = field(default_factory=lambda: [1])
     duration: float = 20.0
-    # a sweep's default run lasts 20 s, long enough to cut its first tenth as
-    # the warm-up transient; SimConfig's 1 s default suits shorter single runs
-    warmup: float = 2.0
     mean_burst_size: float = 3.2e6
-    signal_speed: float = 2.0e8
-    connections_per_pair: int = 1
 
 
 def _parse_value(kind, value):
@@ -126,21 +121,24 @@ def validate(scenario):
         errors.append("loads: every load must be finite and > 0")
     if not scenario.seeds:
         errors.append("seeds: must not be empty")
+    # a run's output files are named by its policy, load tag and seed
+    for key, tags in (("policies", scenario.policies), ("seeds", scenario.seeds),
+                      ("loads", [f"{l:g}" for l in scenario.loads])):
+        repeated = sorted({str(t) for t in tags if tags.count(t) > 1})
+        if repeated:
+            errors.append(f"{key}: {', '.join(repeated)} repeated; "
+                          "two runs would write the same files")
     if scenario.duration <= scenario.warmup:
         errors.append("warmup: must be < duration")
     if scenario.mean_burst_size <= 0:
         errors.append("mean_burst_size: must be > 0")
-    if scenario.signal_speed <= 0:
-        errors.append("signal_speed: must be > 0")
-    if scenario.connections_per_pair < 1:
-        errors.append("connections_per_pair: must be >= 1")
     return errors
 
 
 def run_single(scenario, policy, load, seed, trace_path=None):
     """One simulation run; returns (result row dict, learning arrays)."""
-    topology = load_topology(scenario.topology, scenario.signal_speed)
-    matrix = load_matrix(scenario.matrix, scenario.connections_per_pair)
+    topology = load_topology(scenario.topology)
+    matrix = load_matrix(scenario.matrix)
     capacities = {n: topology.egress_capacity(n) for n in topology.nodes}
     connections = scale_to_load(matrix, LoadSpec(load, capacities),
                                 scenario.mean_burst_size, master_seed=seed)

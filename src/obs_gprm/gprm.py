@@ -11,18 +11,12 @@ counts.
 """
 
 from collections import defaultdict, deque
-from enum import Enum
 from typing import NamedTuple
 
 OFFSET_CLASSES = 16  # offset classes 0..15, measured in per-hop processing units
 HOP_CLASSES = 16     # hop-count classes 0..15
 DEST_NEIGHBOR_SP = 0.95  # cold prior of handing a burst straight to its destination
 INFEASIBLE_SP = 0.02     # warm prior of a neighbor too far for the remaining offset
-
-
-class Outcome(Enum):
-    SUCCESS = 1
-    FAILURE = 0
 
 
 class EvidenceVector(NamedTuple):
@@ -170,12 +164,12 @@ class SuccessTable:
             return s_succ / (s_succ + s_fail)
         return self._default(k, e)
 
-    def sp_update(self, k, e, outcome):
-        """Queue the notification of one forwarding outcome via `k` under `e`;
-        ``begin_epoch`` applies it."""
+    def sp_update(self, k, e, success):
+        """Queue the notification of one forwarding outcome via `k` under `e`,
+        `success` True for an ACK; ``begin_epoch`` applies it."""
         if k not in self._neighbor_set:
             raise UnknownNeighborError(f"{k} is not a neighbor of node {self.owner}")
-        self._pending.append((k, e, outcome is Outcome.SUCCESS))
+        self._pending.append((k, e, success))
 
     def _nb_scores(self, k, e):
         n_succ, n_fail = self._totals[k]

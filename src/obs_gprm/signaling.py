@@ -28,7 +28,6 @@ from .gprm import (
     HOP_CLASSES,
     LossRateWindow,
     OFFSET_CLASSES,
-    Outcome,
     SuccessTable,
     cold_start_prior,
     extract_evidence,
@@ -57,11 +56,11 @@ class Bhp:
     nodes are the ones a GPRM hop may not send the burst back to.
     `wavelength` stays None until the source hop reserves one, and until then
     `duration` holds the burst size in bits, which that hop divides by its
-    link's rate. `outcome` is set when the notification is sent.
+    link's rate. `success` is set when the notification is sent.
     """
 
     __slots__ = ("burst_id", "dest", "wavelength", "duration", "remaining_offset",
-                 "created_at", "path_log", "outcome")
+                 "created_at", "path_log", "success")
 
     def __init__(self, burst_id, dest, size, offset, created_at):
         self.burst_id = burst_id
@@ -71,7 +70,7 @@ class Bhp:
         self.remaining_offset = offset
         self.created_at = created_at
         self.path_log = []
-        self.outcome = None
+        self.success = None
 
 
 def _reserve(lane, start, duration, now):
@@ -144,7 +143,8 @@ class SimConfig:
     blr_window: float = 0.1
     util_mode: str = "delivered"      # "delivered" | "all"
     bucket_width: float = 0.01
-    warmup: float = 1.0
+    warmup: float = 2.0
+    signal_speed: float = 2.0e8       # m/s, light in fiber
 
     def problems(self):
         """Every invalid field, as a list of `field: reason` strings.
@@ -177,6 +177,8 @@ class SimConfig:
             errors.append("offset_guard: must be >= 0")
         if self.bucket_width <= 0:
             errors.append("bucket_width: must be > 0")
+        if self.signal_speed <= 0:
+            errors.append("signal_speed: must be > 0")
         if self.util_mode not in ("delivered", "all"):
             errors.append(f"util_mode: expected delivered or all, got {self.util_mode!r}")
         return errors
@@ -213,7 +215,7 @@ class Simulator:
         # hop adds their sum; the golden outputs fix that float order
         self._links = {}
         for uv, link in topology.links.items():
-            prop = propagation_delay(link, topology.signal_speed)
+            prop = propagation_delay(link, cfg.signal_speed)
             self._links[uv] = (link.channel_rate, prop, php + prop)
         self._heap = []
         self._seq = itertools.count(1)  # event tie-break, in push order
@@ -263,7 +265,7 @@ class Simulator:
             self.trace(now, "BURST_ARRIVAL" if cause == "ingress" else "BHP_ARRIVE", node,
                        bhp.burst_id, f"drop {cause}")
         if bhp.path_log:
-            bhp.outcome = Outcome.FAILURE
+            bhp.success = False
             self._notify(now, node, bhp, len(bhp.path_log) - 1)
 
     # -- handlers, one per event kind, each called as (now, a, b) ------------
@@ -295,7 +297,7 @@ class Simulator:
                                   BURST_ARRIVE, node, bhp))
             if self.trace is not None:
                 self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, "at destination")
-            bhp.outcome = Outcome.SUCCESS
+            bhp.success = True
             self._notify(now, node, bhp, len(bhp.path_log) - 1)
             return
         php = self._php
@@ -366,18 +368,17 @@ class Simulator:
     def _on_notification(self, now, idx, bhp):
         """The ACK/NACK of `bhp` reaches the forwarding node at `path_log[idx]`."""
         node, evidence, next_hop, start = bhp.path_log[idx]
-        failed = bhp.outcome is Outcome.FAILURE
-        if failed:
+        if not bhp.success:
             self.schedule.release(node, next_hop, bhp.wavelength, start)
         if self._gprm:
-            if failed:
+            if not bhp.success:
                 self._loss[node].record_failure(now)
             router = self.nodes[node]
             router.maybe_roll(now)
-            router.success.sp_update(next_hop, evidence, bhp.outcome)
+            router.success.sp_update(next_hop, evidence, bhp.success)
         if self.trace is not None:
             self.trace(now, "NOTIFICATION_ARRIVE", node, bhp.burst_id,
-                       "NACK" if failed else "ACK")
+                       "ACK" if bhp.success else "NACK")
         if idx > 0:
             self._notify(now, node, bhp, idx - 1)
 

@@ -1,4 +1,4 @@
-"""Network graph model: nodes, directed links, hop counts, propagation delays.
+"""Network graph model: nodes, directed links with their lengths, hop counts.
 
 Fibers are bidirectional but modeled as two directed links so that each
 direction has its own data channels and its own reservation schedule.
@@ -7,8 +7,6 @@ direction has its own data channels and its own reservation schedule.
 import math
 from collections import deque
 from dataclasses import dataclass
-
-SIGNAL_SPEED = 2.0e8  # m/s, light in fiber
 
 
 class TopologyError(Exception):
@@ -35,8 +33,8 @@ class Link:
                                     f"{'> 0' if x <= 0 else 'finite'}")
 
 
-def propagation_delay(link, signal_speed=SIGNAL_SPEED):
-    """One-way propagation delay of a link in seconds."""
+def propagation_delay(link, signal_speed):
+    """One-way propagation delay of a link in seconds, at `signal_speed` m/s."""
     return link.length_km * 1000.0 / signal_speed
 
 
@@ -47,14 +45,13 @@ class Topology:
     cached.
     """
 
-    def __init__(self, nodes, links, signal_speed=SIGNAL_SPEED, names=None):
+    def __init__(self, nodes, links, names=None):
         self.nodes = sorted(nodes)
         self.links = {}
         for l in links:
             if (l.src, l.dst) in self.links:
                 raise TopologyError(f"link {l.src}->{l.dst} is declared twice")
             self.links[(l.src, l.dst)] = l
-        self.signal_speed = signal_speed
         self.names = dict(names) if names else {}
         self._hop_counts = None
         self._validate()
@@ -119,7 +116,7 @@ def all_pairs_hop_counts(topology):
     return hops
 
 
-def load_topology(path, signal_speed=SIGNAL_SPEED):
+def load_topology(path):
     """Parse a topology file.
 
     Format, one record per line, `#` starts a comment:
@@ -160,4 +157,4 @@ def load_topology(path, signal_speed=SIGNAL_SPEED):
                 raise TopologyError(f"{path}:{lineno}: malformed line: {line!r}") from exc
             except TopologyError as exc:  # a bad record, or a `Link` field out of range
                 raise TopologyError(f"{path}:{lineno}: {exc}") from exc
-    return Topology(nodes, links, signal_speed=signal_speed, names=names)
+    return Topology(nodes, links, names=names)

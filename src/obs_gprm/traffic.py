@@ -39,13 +39,10 @@ class LoadSpec:
 
 
 class TrafficMatrix:
-    """Relative demand weights between node pairs.
+    """Relative demand weights between node pairs; each positive weight is
+    one connection."""
 
-    `connections_per_pair` gives the connection count for every pair with
-    positive weight (0 connections for zero-weight pairs).
-    """
-
-    def __init__(self, weights, connections_per_pair=1):
+    def __init__(self, weights):
         self.weights = {}
         for (i, j), w in weights.items():
             if not 0 <= w < math.inf or (w and i == j):  # the first test fails for NaN
@@ -54,7 +51,6 @@ class TrafficMatrix:
                 self.weights[(i, j)] = float(w)
         if not self.weights:
             raise ValueError("traffic matrix has no positive weights")
-        self.connections_per_pair = connections_per_pair
 
     def pairs(self):
         return sorted(self.weights)
@@ -73,7 +69,7 @@ class _WeightError(ValueError):
         self.pair = pair
 
 
-def load_matrix(path, connections_per_pair=1):
+def load_matrix(path):
     """Parse a matrix file: lines `src dst weight`, `#` comments; missing
     pairs default to weight 0, and a pair listed twice raises ValueError."""
     weights, linenos = {}, {}
@@ -91,7 +87,7 @@ def load_matrix(path, connections_per_pair=1):
                 raise ValueError(f"{path}:{lineno}: pair {s} {d} is listed twice")
             weights[pair], linenos[pair] = weight, lineno
     try:
-        return TrafficMatrix(weights, connections_per_pair)
+        return TrafficMatrix(weights)
     except _WeightError as exc:
         raise ValueError(f"{path}:{linenos[exc.pair]}: {exc}") from None
 
@@ -111,10 +107,10 @@ def offered_load(connections, capacities):
     return total
 
 
-def connection_seed(master_seed, src, dst, k):
+def connection_seed(master_seed, src, dst):
     """Stable per-connection seed so adding connections never perturbs
     existing streams."""
-    return (master_seed * 1_000_003 + src * 100_003 + dst * 1_009 + k) & 0x7FFFFFFFFFFFFFFF
+    return (master_seed * 1_000_003 + src * 100_003 + dst * 1_009) & 0x7FFFFFFFFFFFFFFF
 
 
 def scale_to_load(matrix, target, mean_burst_size, master_seed=0):
@@ -125,18 +121,9 @@ def scale_to_load(matrix, target, mean_burst_size, master_seed=0):
     """
     denom = 0.0
     for (i, j), w in matrix.weights.items():
-        denom += matrix.connections_per_pair * w * mean_burst_size / target.node_capacity[i]
+        denom += w * mean_burst_size / target.node_capacity[i]
     scale = target.target_load / denom
-    connections = []
-    for (i, j) in matrix.pairs():
-        for k in range(matrix.connections_per_pair):
-            connections.append(
-                ConnectionSpec(
-                    src=i,
-                    dst=j,
-                    lambda_=scale * matrix.weights[(i, j)],
-                    mean_burst_size=mean_burst_size,
-                    seed=connection_seed(master_seed, i, j, k),
-                )
-            )
-    return connections
+    return [ConnectionSpec(src=i, dst=j, lambda_=scale * matrix.weights[(i, j)],
+                           mean_burst_size=mean_burst_size,
+                           seed=connection_seed(master_seed, i, j))
+            for (i, j) in matrix.pairs()]

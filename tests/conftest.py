@@ -35,9 +35,9 @@ def walk_row(router, e, now=0.0):
     return hops
 
 
-def update_and_read(table, k, e, outcome):
+def update_and_read(table, k, e, success):
     """Apply one notification at once: queue it, start a refresh period, and
     return the success value routing then sees for (k, e)."""
-    table.sp_update(k, e, outcome)
+    table.sp_update(k, e, success)
     table.begin_epoch()
     return table.epoch_success_prob(k, e)

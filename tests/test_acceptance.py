@@ -18,7 +18,7 @@ import pytest
 import obs_gprm
 from conftest import update_and_read, walk_row
 from obs_gprm.experiment import parse_scenario, run_experiment
-from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable
+from obs_gprm.gprm import EvidenceVector, SuccessTable
 from obs_gprm.routing import LazyRoutingTable
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import Link, Topology, load_topology
@@ -153,8 +153,7 @@ def _props_unit_interval():
     for _ in range(1_000_000):
         e = EvidenceVector(rng.randrange(16), rng.randrange(3), rng.randrange(16),
                            rng.randrange(14))
-        v = update_and_read(t, (1, 2, 3)[rng.randrange(3)], e,
-                            Outcome.SUCCESS if rng.random() < 0.5 else Outcome.FAILURE)
+        v = update_and_read(t, (1, 2, 3)[rng.randrange(3)], e, rng.random() < 0.5)
         if not 0.0 <= v <= 1.0:
             return False
     return True
@@ -169,8 +168,7 @@ def _props_sort_and_rows():
         for _ in range(rng.randrange(80)):
             e = EvidenceVector(rng.randrange(2), rng.randrange(3), rng.randrange(4),
                                rng.randrange(5))
-            update_and_read(t, rng.choice((1, 2, 3)), e,
-                            rng.choice((Outcome.SUCCESS, Outcome.FAILURE)))
+            update_and_read(t, rng.choice((1, 2, 3)), e, rng.choice((True, False)))
         lazy = LazyRoutingTable(t, refresh_period=1.0)
         rows = 0
         for combo in product(*(range(c) for c in counts)):
@@ -227,9 +225,9 @@ def _props_replay():
 def _props_algorithm3_spot():
     t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5)
     e = EvidenceVector(1, 0, 1, 1)
-    ok = abs(update_and_read(t, 1, e, Outcome.SUCCESS) - 0.55) < 1e-12
+    ok = abs(update_and_read(t, 1, e, True) - 0.55) < 1e-12
     t2 = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5)
-    ok &= abs(update_and_read(t2, 1, e, Outcome.FAILURE) - 0.45) < 1e-12
+    ok &= abs(update_and_read(t2, 1, e, False) - 0.45) < 1e-12
     return ok
 
 
@@ -242,7 +240,7 @@ def _props_nb_exhaustive():
         for _ in range(rng.randrange(1, 25)):
             e = EvidenceVector(rng.randrange(2), rng.randrange(2), rng.randrange(2),
                                rng.randrange(2))
-            update_and_read(t, 1, e, rng.choice((Outcome.SUCCESS, Outcome.FAILURE)))
+            update_and_read(t, 1, e, rng.choice((True, False)))
         n_succ, n_fail = t._totals[1]
         n = n_succ + n_fail
         for combo in product(range(2), repeat=4):

@@ -79,7 +79,6 @@ SCENARIO_KEYS = [
     ("mean_burst_size", "1e5", 1e5),
     ("signal_speed", "3e8", 3e8),
     ("bucket_width", "0.05", 0.05),
-    ("connections_per_pair", "2", 2),
     ("util_mode", "all", "all"),
 ]
 
@@ -326,6 +325,23 @@ def test_cli_validate_parses_topology_and_matrix(tmp_path, capsys, topo_line, ma
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {expected}"), lines
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid, key", [
+    ("policies = sp, gprm, gprm\nloads = 0.3\nseeds = 1", "policies"),
+    ("policies = sp\nloads = 0.3\nseeds = 1, 1", "seeds"),
+    ("policies = sp\nloads = 0.3000001, 0.3000002\nseeds = 1", "loads"),  # both tag 0.3
+], ids=["policies", "seeds", "loads"])
+def test_cli_run_rejects_a_grid_that_repeats_runs(tmp_path, capsys, grid, key):
+    # a repeated run would write its files over another's
+    path = write_scn(tmp_path, f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
+                               f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
+                               f"{grid}\nduration = 1.0\nwarmup = 0.2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out-dir", str(out), "--trace"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
+    assert not out.exists()
 
 
 def test_cli_run_small(tmp_path):

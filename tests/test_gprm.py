@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from obs_gprm.gprm import (
     EvidenceVector,
     LossRateWindow,
-    Outcome,
     SuccessTable,
     UnknownNeighborError,
     extract_evidence,
@@ -29,9 +28,9 @@ def test_cold_query_returns_default():
 
 def test_update_ack_from_half(tmp_path):
     t = fresh_table(alpha=0.9)
-    assert update_and_read(t, 1, EV, Outcome.SUCCESS) == pytest.approx(0.55)
+    assert update_and_read(t, 1, EV, True) == pytest.approx(0.55)
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.55)
-    update_and_read(t, 1, EvidenceVector(0, 0, 0, 2), Outcome.FAILURE)
+    update_and_read(t, 1, EvidenceVector(0, 0, 0, 2), False)
     path = tmp_path / "table.txt"
     t.dump(str(path))  # observed entries only, as sorted `k o b nb d sp` lines
     assert path.read_text() == "# success table of node 0\n1 0 0 0 2 0.45\n1 3 0 3 2 0.55\n"
@@ -39,26 +38,26 @@ def test_update_ack_from_half(tmp_path):
 
 def test_update_nack_from_half():
     t = fresh_table(alpha=0.9)
-    assert update_and_read(t, 1, EV, Outcome.FAILURE) == pytest.approx(0.45)
+    assert update_and_read(t, 1, EV, False) == pytest.approx(0.45)
 
 
 def test_alpha_one_freezes():
     t = fresh_table(alpha=1.0, initial=0.7)
-    assert update_and_read(t, 1, EV, Outcome.SUCCESS) == pytest.approx(0.7)
-    assert update_and_read(t, 1, EV, Outcome.FAILURE) == pytest.approx(0.7)
+    assert update_and_read(t, 1, EV, True) == pytest.approx(0.7)
+    assert update_and_read(t, 1, EV, False) == pytest.approx(0.7)
 
 
 def test_unknown_neighbor_raises():
     t = fresh_table()
     with pytest.raises(UnknownNeighborError):
-        t.sp_update(9, EV, Outcome.SUCCESS)
+        t.sp_update(9, EV, True)
 
 
 @given(st.floats(0.0, 1.0), st.lists(st.booleans(), min_size=1, max_size=60))
 def test_update_closure_property(alpha, outcomes):
     t = fresh_table(alpha=alpha)
     for ok in outcomes:
-        v = update_and_read(t, 1, EV, Outcome.SUCCESS if ok else Outcome.FAILURE)
+        v = update_and_read(t, 1, EV, ok)
         assert 0.0 <= v <= 1.0
 
 
@@ -66,8 +65,7 @@ def test_alternating_stream_settles_in_band():
     t = fresh_table(alpha=0.9)
     v = 0.5
     for i in range(400):
-        out = Outcome.SUCCESS if i % 2 == 0 else Outcome.FAILURE
-        v = update_and_read(t, 1, EV, out)
+        v = update_and_read(t, 1, EV, i % 2 == 0)
         if i >= 200:
             assert 0.45 <= v <= 0.55
 
@@ -167,7 +165,7 @@ def nb_scores(table, k, e):
 def test_nb_scores_unanimous_success():
     t = fresh_table(nb_fallback=True)
     for _ in range(5):
-        update_and_read(t, 1, EV, Outcome.SUCCESS)
+        update_and_read(t, 1, EV, True)
     s_succ, s_fail = nb_scores(t, 1, EV)
     assert s_succ > s_fail > 0
     # one field away from EV is unseen evidence, which routing scores by naive Bayes
@@ -181,15 +179,15 @@ def test_nb_scores_require_observations():
     # naive Bayes scores a neighbor only once that neighbor has an outcome
     t = fresh_table(nb_fallback=True)
     assert t.epoch_success_prob(1, EV) == 0.5
-    update_and_read(t, 2, EV, Outcome.FAILURE)
+    update_and_read(t, 2, EV, False)
     assert t.epoch_success_prob(1, EV) == 0.5
     assert t.epoch_success_prob(2, EV._replace(blr_class=1)) != 0.5
 
 
 def test_warm_table_keeps_no_naive_bayes_counts():
     t = fresh_table()  # nb_fallback off, as on every warm start
-    update_and_read(t, 1, EV, Outcome.SUCCESS)
-    update_and_read(t, 1, EvidenceVector(0, 1, 2, 3), Outcome.FAILURE)
+    update_and_read(t, 1, EV, True)
+    update_and_read(t, 1, EvidenceVector(0, 1, 2, 3), False)
     assert t._totals[1] == [0, 0]
     # unseen evidence still scores the prior
     assert t.epoch_success_prob(1, EV._replace(blr_class=1)) == 0.5
@@ -204,8 +202,7 @@ def test_nb_scores_match_bruteforce_oracle(history):
     t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts,
                      nb_fallback=True)
     for o, b, nb, d, ok in history:
-        update_and_read(t, 1, EvidenceVector(o, b, nb, d),
-                        Outcome.SUCCESS if ok else Outcome.FAILURE)
+        update_and_read(t, 1, EvidenceVector(o, b, nb, d), ok)
     for o in range(3):
         for b in range(3):
             e = EvidenceVector(o, b, 1, 2)
@@ -228,10 +225,10 @@ def test_warm_start_prior_prefers_min_hop():
 
 def test_update_takes_effect_at_next_refresh():
     t = fresh_table(alpha=0.5)
-    t.sp_update(1, EV, Outcome.SUCCESS)
+    t.sp_update(1, EV, True)
     t.begin_epoch()
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.75)
-    t.sp_update(1, EV, Outcome.SUCCESS)        # queued: 0.875 from the next refresh
+    t.sp_update(1, EV, True)        # queued: 0.875 from the next refresh
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.75)
     t.begin_epoch()
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.875)
@@ -240,7 +237,7 @@ def test_update_takes_effect_at_next_refresh():
 def test_epoch_freeze_covers_unseen_keys():
     t = fresh_table(alpha=0.5)
     t.begin_epoch()
-    t.sp_update(1, EV, Outcome.FAILURE)
+    t.sp_update(1, EV, False)
     # at epoch start (1, EV) was unseen, so this period's view is the default
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.5)
     t.begin_epoch()

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import obs_gprm
 from conftest import update_and_read, walk_row
-from obs_gprm.gprm import EvidenceVector, Outcome, SuccessTable, cold_start_prior
+from obs_gprm.gprm import EvidenceVector, SuccessTable, cold_start_prior
 from obs_gprm.routing import LazyRoutingTable, shortest_path_table
 from obs_gprm.topology import Link, Topology, load_topology
 
@@ -99,7 +99,7 @@ def test_lazy_table_freezes_within_period():
     assert lazy.lookup(e, set(), now=0.1) == 1
     # updates inside the period do not change the frozen view...
     for _ in range(10):
-        t.sp_update(1, e, Outcome.FAILURE)
+        t.sp_update(1, e, False)
     assert lazy.lookup(e, set(), now=0.5) == 1
     # ...but the next period sees them
     assert lazy.lookup(e, set(), now=1.2) == 2
@@ -111,7 +111,7 @@ def test_lazy_roll_before_update_keeps_boundary_semantics():
     lazy = LazyRoutingTable(t, refresh_period=1.0)
     assert lazy.lookup(e, set(), now=0.1) == 1
     lazy.maybe_roll(1.05)  # boundary passed before this update arrives
-    t.sp_update(1, e, Outcome.FAILURE)  # 0.81, still best
+    t.sp_update(1, e, False)  # 0.81, still best
     assert lazy.lookup(e, set(), now=1.1) == 1
     assert lazy.lookup(e, set(), now=2.1) == 1
 
@@ -145,9 +145,8 @@ def test_lazy_table_matches_snapshot_argmin(ops, nb_fallback, prior):
         now += step
         e = EvidenceVector(*e)
         if op == "sp_update":
-            outcome = Outcome.SUCCESS if success else Outcome.FAILURE
-            t.sp_update(k, e, outcome)
-            update_and_read(reference, k, e, outcome)
+            t.sp_update(k, e, success)
+            update_and_read(reference, k, e, success)
             continue
         if int(now) != epoch:  # this call is the first of a new period
             epoch = int(now)

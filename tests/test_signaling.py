@@ -187,6 +187,17 @@ def test_single_burst_end_to_end_timing(arrivals):
     assert [l[2] for l in acks] == [1, 0]
 
 
+def test_signal_speed_sets_propagation_delay(arrivals):
+    # one 200 km link: 1 ms of propagation at 2e8 m/s, 2 ms at 1e8 m/s
+    delays = {}
+    for speed in (1e8, 2e8):
+        arrivals({(0, 1): [(1 * MS, 1e6)]})
+        sim = Simulator(path_topology(2, km=200.0), [conn(0, 1)], policy="sp",
+                        config=SimConfig(warmup=0.0, signal_speed=speed))
+        delays[speed] = sim.run(1.0).mean_delay()
+    assert delays[1e8] - delays[2e8] == pytest.approx(1 * MS, abs=1e-12)
+
+
 def test_burst_arrives_after_bhp_everywhere(arrivals):
     topo = path_topology(4)
     arrivals({(0, 3): [(1 * MS, 2e6)]})
@@ -318,13 +329,16 @@ def test_zero_traffic_run():
         res.blr()
     assert res.utilization(topo) == 0.0
     # a misspelled mode must not silently select the other branch, and the
-    # learning values are checked here, once, before any table is built
+    # learning values and the signal speed are checked here, once, before
+    # any table or link delay is built
     for bad, error in (({"util_mode": "deliverd"}, "util_mode"),
                        ({"initial_mode": "Warm"}, "initial_mode"),
                        ({"refresh_period": 0}, "refresh_period"),
                        ({"alpha": 1.2}, "alpha"),
                        ({"initial_sp": -0.1}, "initial_sp"),
-                       ({"blr_low": 0.5, "blr_high": 0.1}, "blr thresholds")):
+                       ({"blr_low": 0.5, "blr_high": 0.1}, "blr thresholds"),
+                       *(({"signal_speed": v}, "signal_speed: ")
+                         for v in (-2e8, 0.0, math.nan, math.inf))):
         with pytest.raises(ValueError, match=error):
             Simulator(topo, [], policy="gprm", config=SimConfig(**bad))
 

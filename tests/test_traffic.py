@@ -116,15 +116,6 @@ def test_scale_to_load_shipped_matrix_round_trip():
     assert all(c.src != c.dst for c in conns)
 
 
-def test_connections_per_pair():
-    m = TrafficMatrix({(0, 1): 1.0}, connections_per_pair=3)
-    caps = {0: 4e9}
-    conns = scale_to_load(m, LoadSpec(0.3, caps), L)
-    assert len(conns) == 3
-    assert len({c.seed for c in conns}) == 3
-    assert offered_load(conns, caps) == pytest.approx(0.3, rel=1e-9)
-
-
 def test_seed_stability_when_adding_connections():
     m1 = TrafficMatrix({(0, 1): 1.0})
     m2 = TrafficMatrix({(0, 1): 1.0, (1, 0): 1.0})
