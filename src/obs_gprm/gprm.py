@@ -10,6 +10,7 @@ directly; a warm start scores them with the hop-count prior and keeps no
 counts.
 """
 
+import os
 from collections import defaultdict, deque
 from typing import NamedTuple
 
@@ -221,10 +222,11 @@ class SuccessTable:
         return self._unseen_prob(k, e)
 
     def dump(self, path_or_file):
-        """Write observed entries as flat text: `k o b nb d sp` per line."""
+        """Write observed entries as flat text: `k o b nb d sp` per line, to a
+        path (`str` or `os.PathLike`) or an open text file."""
         close = False
         fh = path_or_file
-        if isinstance(path_or_file, str):
+        if isinstance(path_or_file, (str, os.PathLike)):
             fh = open(path_or_file, "w")
             close = True
         try:

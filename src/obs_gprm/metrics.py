@@ -83,6 +83,8 @@ class TimeSeries:
 
         Buckets whose window saw no traffic report 0.
         """
+        if window_buckets < 1:
+            raise ValueError(f"window_buckets must be >= 1, got {window_buckets}")
         times, sent, dropped = self.arrays()
         if len(times) == 0:
             return times, np.array([])

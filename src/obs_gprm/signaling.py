@@ -7,7 +7,9 @@ one-hop decision in `Simulator._on_bhp`: the source picks the lowest free
 wavelength, later hops must reserve that same one. Reaching the destination
 triggers an ACK along the reverse path; any failure (no viable next hop,
 exhausted offset, reservation conflict) drops the burst and sends a NACK that
-also releases the upstream reservations it passes. The notification carries
+also releases the upstream reservations it passes. An untraced run under the
+min-hop policy sends no ACK, since there it changes nothing; a traced run
+sends and traces every ACK under both policies. The notification carries
 the BHP record itself and is sent one reverse hop at a time by
 `Simulator._notify`. Under the adaptive policy a node's state is its
 `LazyRoutingTable` in `Simulator.nodes`, which owns the node's success table,
@@ -298,7 +300,11 @@ class Simulator:
             if self.trace is not None:
                 self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, "at destination")
             bhp.success = True
-            self._notify(now, node, bhp, len(bhp.path_log) - 1)
+            # under `sp` an ACK releases nothing and feeds no learning, so only
+            # a traced run sends one; skipping its pushes keeps every other
+            # event's (time, seq) order, and so every result
+            if self._gprm or self.trace is not None:
+                self._notify(now, node, bhp, len(bhp.path_log) - 1)
             return
         php = self._php
         offset = bhp.remaining_offset

@@ -146,3 +146,12 @@ def test_rolling_blr_empty():
     ts = TimeSeries(bucket_width=0.01)
     times, rolling = ts.rolling_blr()
     assert len(times) == 0 and len(rolling) == 0
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_rolling_blr_rejects_a_window_under_one_bucket(window):
+    ts = TimeSeries(bucket_width=0.01)
+    for t in (0.001, 0.012, 0.025):
+        ts.add_sent(t)
+    with pytest.raises(ValueError, match="window_buckets must be >= 1"):
+        ts.rolling_blr(window_buckets=window)
