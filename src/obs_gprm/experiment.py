@@ -242,6 +242,8 @@ def worker_count(n_runs, threads=None):
             threads = int(env) if env else (os.cpu_count() or 1)
         except ValueError:
             raise ScenarioError([f"OBS_SIM_THREADS: expected an integer, got {env!r}"]) from None
+        if threads < 1:
+            raise ScenarioError([f"OBS_SIM_THREADS: must be >= 1, got {env!r}"])
     return max(1, min(threads, n_runs))
 
 

@@ -77,7 +77,8 @@ def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_lo
     nb = hop_counts[(node, dest)]
     if nb >= HOP_CLASSES:
         nb = HOP_CLASSES - 1
-    return EvidenceVector(o, b, nb, dest)
+    # tuple.__new__ builds the same EvidenceVector without the frame of its generated __new__
+    return tuple.__new__(EvidenceVector, (o, b, nb, dest))
 
 
 def cold_start_prior(initial_sp=0.5):
@@ -186,7 +187,8 @@ class SuccessTable:
 
     def begin_epoch(self):
         """Apply the queued notifications in arrival order; the result is the
-        routing view of the next period.
+        routing view of the next period. Returns the applied ``(k, e, success)``
+        list, so that routing can re-cost exactly the rows it touched.
 
         Each is an exponential-smoothing update, SP' = alpha * SP +
         (1 - alpha) * A with A = 1 on success, 0 on failure, and with
@@ -197,7 +199,8 @@ class SuccessTable:
         """
         values = self.values
         alpha = self.alpha
-        for k, e, success in self._pending:
+        applied, self._pending = self._pending, []
+        for k, e, success in applied:
             key = (k, *e)
             old = values.get(key)
             base = old if old is not None else self._unseen_prob(k, e)
@@ -211,7 +214,7 @@ class SuccessTable:
                 c_b[b] += 1
                 c_nb[nb] += 1
                 c_d[d] += 1
-        self._pending = []
+        return applied
 
     def epoch_success_prob(self, k, e):
         """Success estimate used for route costs in this period: the stored

@@ -5,9 +5,11 @@ that node's `SuccessTable`. For one evidence vector, a row lists the node's
 neighbors by cost 1 - success probability, ascending, ties by node id; a
 lookup returns the first one not excluded. Learning updates take effect at
 the next refresh: the success table applies them at the start of a refresh
-period, and a row is built from that view the first time it is consulted in
-the period. The baseline maps (node, destination) to the smallest-id
-neighbor on a minimum-hop path.
+period. A row is built from that view the first time it is consulted and is
+kept across refreshes; a refresh re-costs and re-ranks only the rows whose
+(neighbor, evidence) values it changed, or drops every row when the
+naive-Bayes fallback is on. The baseline maps (node, destination) to the
+smallest-id neighbor on a minimum-hop path.
 """
 
 
@@ -15,10 +17,18 @@ class LazyRoutingTable:
     """Periodically refreshed table with on-demand row materialization.
 
     At each refresh boundary (every `refresh_period`) the success table
-    `success` applies the updates queued since the last one; rows consulted
-    during the period are built once from that view and cached. The first
-    period routes on the table as it is given. `maybe_roll` must be called
-    before any lookup or any learning update, so that an update which
+    `success` applies the updates queued since the last one. A row is built
+    from that view the first time it is consulted, and it is kept, with its
+    cost per neighbor, across refreshes: each applied update to (k, e)
+    re-costs k in row e and re-sorts that row. This equals a fresh build
+    because, with naive Bayes off, an unseen estimate is a fixed function of
+    (k, e) and a stored value changes only in `begin_epoch`. With naive Bayes
+    on, one outcome moves every estimate of its neighbor, so a refresh that
+    applied any update drops every row. Hence a built row does not see direct
+    writes into `success.values`; make them before the first lookup.
+
+    The first period routes on the table as it is given. `maybe_roll` must be
+    called before any lookup or any learning update, so that an update which
     arrives after a boundary takes effect at the next refresh, not this one.
     The candidate next hops are the success table's neighbors.
     """
@@ -27,14 +37,25 @@ class LazyRoutingTable:
         self.success = success
         self.refresh_period = refresh_period
         self._epoch = 0
-        self._rows = {}
+        self._rows = {}   # evidence -> next hops in lookup order
+        self._costs = {}  # evidence -> {neighbor: cost} the row is sorted by
 
     def maybe_roll(self, now):
         epoch = int(now / self.refresh_period)
         if epoch != self._epoch:
             self._epoch = epoch
-            self._rows = {}
-            self.success.begin_epoch()
+            table = self.success
+            applied = table.begin_epoch()
+            if table.nb_fallback and applied:
+                self._rows = {}
+                self._costs = {}
+                return
+            rows, costs = self._rows, self._costs
+            for k, e, _ in applied:
+                cost = costs.get(e)
+                if cost is not None:
+                    cost[k] = 1.0 - table.epoch_success_prob(k, e)
+                    rows[e] = tuple(sorted(table.neighbors, key=cost.__getitem__))
 
     def lookup(self, e, excluded, now):
         if int(now / self.refresh_period) != self._epoch:
@@ -43,7 +64,7 @@ class LazyRoutingTable:
         if row is None:
             table = self.success
             prob = table.epoch_success_prob
-            cost = {k: 1.0 - prob(k, e) for k in table.neighbors}
+            cost = self._costs[e] = {k: 1.0 - prob(k, e) for k in table.neighbors}
             # a stable sort keeps equal costs in the ascending id order of neighbors
             row = self._rows[e] = tuple(sorted(table.neighbors, key=cost.__getitem__))
         for k in row:

@@ -262,6 +262,17 @@ def test_bad_thread_count_is_a_scenario_error(monkeypatch, tmp_path, capsys):
     assert "error: OBS_SIM_THREADS: expected an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_thread_count_is_a_scenario_error(monkeypatch, tmp_path, capsys, value):
+    monkeypatch.setenv("OBS_SIM_THREADS", value)
+    with pytest.raises(ScenarioError) as exc:
+        worker_count(4)
+    assert exc.value.errors == [f"OBS_SIM_THREADS: must be >= 1, got '{value}'"]
+    assert main(["run", "--scenario", obs_gprm.data_path("nsfnet_paper.scn"),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "error: OBS_SIM_THREADS: must be >= 1" in capsys.readouterr().err
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("OBS_SIM_THREADS", "3")
     assert worker_count(10) == 3

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obs_gprm
-from conftest import update_and_read, walk_row
-from obs_gprm.gprm import EvidenceVector, SuccessTable, cold_start_prior
+from conftest import bidir, update_and_read, walk_row
+from obs_gprm.gprm import (INFEASIBLE_SP, EvidenceVector, SuccessTable, cold_start_prior,
+                           warm_start_prior)
 from obs_gprm.routing import LazyRoutingTable, shortest_path_table
 from obs_gprm.topology import Link, Topology, load_topology
 
@@ -116,8 +117,52 @@ def test_lazy_roll_before_update_keeps_boundary_semantics():
     assert lazy.lookup(e, set(), now=2.1) == 1
 
 
+def counting_prob(table):
+    """Record every (k, e) that `table.epoch_success_prob` is asked for."""
+    calls = []
+    prob = table.epoch_success_prob
+
+    def counted(k, e):
+        calls.append((k, e))
+        return prob(k, e)
+
+    table.epoch_success_prob = counted
+    return calls
+
+
+@pytest.mark.parametrize("nb_fallback", [False, True])
+def test_refresh_recosts_only_updated_rows(nb_fallback):
+    t = SuccessTable(0, (1, 2, 3), alpha=0.9, initial_sp=0.5, state_counts=SMALL,
+                     nb_fallback=nb_fallback)
+    lazy = LazyRoutingTable(t, refresh_period=1.0)
+    calls = counting_prob(t)
+    e, f = EvidenceVector(0, 0, 0, 0), EvidenceVector(1, 0, 0, 0)
+    assert walk_row(lazy, e, 0.5) == walk_row(lazy, f, 0.5) == [1, 2, 3]
+    assert len(calls) == 6
+    # a refresh that applied nothing keeps every row as built
+    calls.clear()
+    assert walk_row(lazy, e, 1.5) == [1, 2, 3]
+    assert calls == []
+    t.sp_update(2, e, False)  # 0.45: neighbor 2 drops to the end of row e
+    calls.clear()
+    assert walk_row(lazy, e, 2.5) == [1, 3, 2]
+    if nb_fallback:  # the outcome moves every estimate of 2, so both rows are rebuilt
+        assert walk_row(lazy, f, 2.5) == [1, 3, 2]
+        assert sorted(calls) == sorted((k, x) for x in (e, f) for k in (1, 2, 3))
+    else:
+        assert walk_row(lazy, f, 2.5) == [1, 2, 3]
+        assert calls == [(2, e)]
+
+
 NEIGHBORS = (1, 2, 3)
-TINY = (1, 2, 1, 2)  # four evidence vectors, so rows are often reused
+OWNER = 4
+TINY = (3, 1, 1, 2)  # six evidence vectors, so rows are often reused
+# a small graph around OWNER: from its neighbors, destination 1 is 0, 1 and
+# 2 hops away and destination 0 is 1, 2 and 3 hops away, so with offset
+# classes 0..2 the warm prior finds some neighbors feasible and others not
+HOPS = Topology([0, 1, 2, 3, 4], bidir(0, 1) + bidir(1, 2) + bidir(1, 4) + bidir(2, 3)
+                + bidir(2, 4) + bidir(3, 4)).hop_counts()
+PRIORS = {"flat": 0.5, "cold": cold_start_prior(0.5), "warm": warm_start_prior(HOPS, OWNER)}
 # (operation, neighbor, evidence, success?, excluded next hops, time step);
 # steps of 0.3 and 1.0 against a period of 1.0 cross boundaries often
 LAZY_OPS = st.lists(st.tuples(
@@ -127,14 +172,20 @@ LAZY_OPS = st.lists(st.tuples(
     st.sampled_from([0.0, 0.3, 1.0])), min_size=10, max_size=60)
 
 
-@settings(max_examples=200, deadline=None)
-@given(LAZY_OPS, st.booleans(), st.booleans())
-def test_lazy_table_matches_snapshot_argmin(ops, nb_fallback, prior):
-    initial = cold_start_prior(0.5) if prior else 0.5
+def test_warm_prior_of_the_oracle_mixes_feasible_and_infeasible():
+    prior = PRIORS["warm"]
+    e = EvidenceVector(2, 0, 0, 1)
+    assert [prior(k, e) for k in NEIGHBORS] == [1.0, pytest.approx(0.8), INFEASIBLE_SP]
+    assert [prior(k, EvidenceVector(1, 0, 0, 1)) for k in NEIGHBORS] == \
+        [1.0, INFEASIBLE_SP, INFEASIBLE_SP]
 
+
+@settings(max_examples=200, deadline=None)
+@given(LAZY_OPS, st.booleans(), st.sampled_from(sorted(PRIORS)))
+def test_lazy_table_matches_snapshot_argmin(ops, nb_fallback, prior):
     def table():
-        return SuccessTable(0, NEIGHBORS, alpha=0.7, initial_sp=initial, state_counts=TINY,
-                            nb_fallback=nb_fallback)
+        return SuccessTable(OWNER, NEIGHBORS, alpha=0.7, initial_sp=PRIORS[prior],
+                            state_counts=TINY, nb_fallback=nb_fallback)
 
     t, reference = table(), table()
     lazy = LazyRoutingTable(t, refresh_period=1.0)
