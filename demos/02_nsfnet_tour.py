@@ -5,7 +5,7 @@ Shows hop counts, propagation delays, the min-hop next-hop table, and how
 the gravity traffic matrix concentrates demand on a few corridors.
 """
 
-import numpy as np
+from statistics import mean
 
 import obs_gprm
 from obs_gprm.routing import shortest_path_table
@@ -19,14 +19,13 @@ def main():
     print(f"nodes: {len(topo.nodes)}, directed links: {len(topo.links)}")
 
     hops = topo.hop_counts()
-    counts = np.array([hops[(i, j)] for i in topo.nodes for j in topo.nodes
-                       if i != j])
-    print(f"hop counts: mean {counts.mean():.2f}, max {counts.max()}")
+    counts = [hops[(i, j)] for i in topo.nodes for j in topo.nodes if i != j]
+    print(f"hop counts: mean {mean(counts):.2f}, max {max(counts)}")
 
     speed = SimConfig().signal_speed
-    delays = np.array([propagation_delay(l, speed) * 1e3 for l in topo.links.values()])
-    print(f"one-way link delays: {delays.min():.1f}..{delays.max():.1f} ms "
-          f"(mean {delays.mean():.1f} ms)")
+    delays = [propagation_delay(l, speed) * 1e3 for l in topo.links.values()]
+    print(f"one-way link delays: {min(delays):.1f}..{max(delays):.1f} ms "
+          f"(mean {mean(delays):.1f} ms)")
 
     table = shortest_path_table(topo)
     src, dst = 1, 11  # Palo Alto -> Ithaca

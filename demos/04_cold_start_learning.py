@@ -9,8 +9,6 @@ workload. Small bursts (40 KB) keep the notification rate high enough that
 the network organizes itself within a second.
 """
 
-import numpy as np
-
 import obs_gprm
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import load_topology
@@ -39,9 +37,11 @@ def main():
     print("cold-start rolling BLR (200 ms window):")
     for t in (0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
         print(f"  t = {t:4.2f} s   {rolling[int(t / 0.01)]:.4f}")
-    crossed = np.nonzero((rolling <= 1.1 * sp.blr()) & (times >= 0.2))[0]
-    if len(crossed):
-        print(f"within 10% of the baseline after {times[crossed[0]]:.2f} s")
+    threshold = 1.1 * sp.blr()
+    for t, r in zip(times, rolling):
+        if r <= threshold and t >= 0.2:
+            print(f"within 10% of the baseline after {t:.2f} s")
+            break
 
     try:
         import matplotlib
@@ -54,7 +54,7 @@ def main():
     plt.axhline(sp.blr(), color="k", ls="--", label="shortest path steady state")
     plt.xlabel("simulated time (s)")
     plt.ylabel("burst loss ratio")
-    plt.ylim(0, min(1.0, rolling.max() * 1.1))
+    plt.ylim(0, min(1.0, max(rolling) * 1.1))
     plt.legend()
     plt.tight_layout()
     plt.savefig("cold_start_learning.png", dpi=120)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 from typing import get_args, get_origin
 
-from .metrics import DROP_CAUSES
+from .metrics import DROP_CAUSES, rolling_ratio
 from .signaling import SimConfig, Simulator
 from .topology import TopologyError, load_topology
 from .traffic import LoadSpec, load_matrix, scale_to_load
@@ -58,11 +58,13 @@ def _parse_value(kind, value):
 
 
 def parse_scenario(path):
-    """Read a flat `key = value` scenario file; lists are comma separated and
-    file paths resolve relative to the scenario file."""
+    """Read a flat `key = value` scenario file; lists are comma separated,
+    file paths resolve relative to the scenario file, and each key may be set
+    once."""
     base = os.path.dirname(os.path.abspath(path))
     types = {f.name: f.type for f in fields(Scenario)}
     scenario = Scenario()
+    set_on = {}  # key -> line that set it
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -74,6 +76,10 @@ def parse_scenario(path):
             key, value = key.strip(), value.strip()
             if key not in types:
                 raise ScenarioError([f"{path}:{lineno}: unknown key {key!r}"])
+            if key in set_on:
+                raise ScenarioError([f"{path}:{lineno}: key {key!r} is already set "
+                                     f"on line {set_on[key]}"])
+            set_on[key] = lineno
             if key in ("topology", "matrix") and not os.path.isabs(value):
                 value = os.path.join(base, value)
             try:
@@ -166,8 +172,7 @@ def run_single(scenario, policy, load, seed, trace_path=None):
         **{f"drops_{cause}": getattr(counters, f"drops_{cause}") for cause in DROP_CAUSES},
     }
     times, sent, dropped = result.series.arrays()
-    _, rolling = result.series.rolling_blr(ROLLING_WINDOW_BUCKETS)
-    return row, (times, sent, dropped, rolling)
+    return row, (times, sent, dropped, rolling_ratio(sent, dropped, ROLLING_WINDOW_BUCKETS))
 
 
 def _pool_worker(args):
@@ -191,7 +196,7 @@ def _write_results_csv(path, rows):
 
 def _write_learning_csv(path, arrays):
     times, sent, dropped, rolling = arrays
-    _write_csv(path, LEARNING_COLUMNS, ([_fmt(float(t)), int(s), int(d), _fmt(float(r))]
+    _write_csv(path, LEARNING_COLUMNS, ([_fmt(t), s, d, _fmt(r)]
                                         for t, s, d, r in zip(times, sent, dropped, rolling)))
 
 

@@ -2,9 +2,9 @@
 per-bucket learning series, and the metrics of a run: loss ratio, mean
 end-to-end delay and utilization."""
 
+from array import array
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import chain, repeat
 
 # every cause a burst can be dropped for; RunCounters has a `drops_<cause>`
 # field for each, and results.csv a column, in this order
@@ -65,39 +65,42 @@ class TimeSeries:
         self._dropped[i] = self._dropped.get(i, 0) + 1
 
     def arrays(self):
-        """(bucket start times, sent, dropped) as dense numpy arrays."""
-        if not self._sent and not self._dropped:
-            return np.array([]), np.array([], dtype=int), np.array([], dtype=int)
-        last = max(list(self._sent) + list(self._dropped))
-        sent = np.zeros(last + 1, dtype=int)
-        dropped = np.zeros(last + 1, dtype=int)
-        for i, n in self._sent.items():
-            sent[i] = n
-        for i, n in self._dropped.items():
-            dropped[i] = n
-        times = np.arange(last + 1) * self.bucket_width
-        return times, sent, dropped
+        """(bucket start times, sent, dropped) as dense `array.array`s: times
+        `i * bucket_width` ("d"), counts ("q"), one item per bucket up to the
+        last one that saw a burst sent or dropped; all empty if none did."""
+        n = 1 + max(chain(self._sent, self._dropped), default=-1)
+        sent = array("q", [0]) * n
+        dropped = array("q", [0]) * n
+        for i, c in self._sent.items():
+            sent[i] = c
+        for i, c in self._dropped.items():
+            dropped[i] = c
+        width = self.bucket_width
+        return array("d", [i * width for i in range(n)]), sent, dropped
 
     def rolling_blr(self, window_buckets=20):
-        """Loss ratio over a trailing window ending at each bucket.
-
-        Buckets whose window saw no traffic report 0.
-        """
-        if window_buckets < 1:
-            raise ValueError(f"window_buckets must be >= 1, got {window_buckets}")
+        """(bucket start times, loss ratio over a trailing window ending at
+        each bucket); see `rolling_ratio`."""
         times, sent, dropped = self.arrays()
-        if len(times) == 0:
-            return times, np.array([])
-        wsent = np.cumsum(sent)
-        wdrop = np.cumsum(dropped)
-        w = window_buckets
-        if len(wsent) > w:
-            wsent[w:] -= wsent[:-w].copy()
-            wdrop[w:] -= wdrop[:-w].copy()
-        out = np.zeros(len(times))
-        nz = wsent > 0
-        out[nz] = wdrop[nz] / wsent[nz]
-        return times, out
+        return times, rolling_ratio(sent, dropped, window_buckets)
+
+
+def rolling_ratio(sent, dropped, window_buckets):
+    """dropped / sent over the last `window_buckets` buckets up to each one,
+    as an `array.array("d")`; buckets whose window saw no traffic report 0."""
+    if window_buckets < 1:
+        raise ValueError(f"window_buckets must be >= 1, got {window_buckets}")
+    # each bucket leaves the window `window_buckets` buckets after it entered
+    sent_out = chain(repeat(0, window_buckets), sent)
+    dropped_out = chain(repeat(0, window_buckets), dropped)
+    wsent = wdrop = 0
+    out = []
+    # the window sums are exact ints, so each ratio is one correctly rounded division
+    for s, d, s_out, d_out in zip(sent, dropped, sent_out, dropped_out):
+        wsent += s - s_out
+        wdrop += d - d_out
+        out.append(wdrop / wsent if wsent else 0.0)
+    return array("d", out)
 
 
 @dataclass

@@ -110,6 +110,17 @@ def test_parse_rejects_unknown_key(tmp_path):
         parse_scenario(path)
 
 
+def test_parse_rejects_a_repeated_key(tmp_path, capsys):
+    # a second value for a key must not silently replace the first
+    path = write_scn(tmp_path, "loads = 0.3\n# one more load\nloads = 0.5\n")
+    error = f"{path}:3: key 'loads' is already set on line 1"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(path)
+    assert exc.value.errors == [error]
+    assert main(["validate", "--scenario", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+
 def test_shipped_scenario_validates():
     s = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
     assert validate(s) == []
@@ -299,9 +310,10 @@ def test_cli_validate_bad(tmp_path):
 ])
 def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
     # NaN compares false with every bound, so `x <= 0` checks let it through
-    path = write_scn(tmp_path, f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
-                               f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
-                               f"loads = 0.3\n{key} = {value}\n")
+    # each key once: the bad value replaces the valid `loads` line
+    keys = {"topology": obs_gprm.data_path("nsfnet.topo"),
+            "matrix": obs_gprm.data_path("us_ref.matrix"), "loads": "0.3", key: value}
+    path = write_scn(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
     assert main(["validate", "--scenario", path]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines

@@ -1,5 +1,11 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
+import obs_gprm
 from conftest import bidir, path_topology
 from obs_gprm.experiment import _gains_rows
 from obs_gprm.metrics import (
@@ -121,8 +127,8 @@ def test_time_series_buckets_and_conservation():
     ts.add_drop(0.013)
     ts.add_drop(0.027)
     times, sent, dropped = ts.arrays()
-    assert sent.sum() == 5
-    assert dropped.sum() == 2
+    assert sum(sent) == 5
+    assert sum(dropped) == 2
     assert list(sent) == [2, 1, 2]
     assert list(dropped) == [0, 1, 1]
 
@@ -142,6 +148,36 @@ def test_rolling_blr_window():
     assert rolling2[1] == pytest.approx(0.25)
 
 
+def test_rolling_blr_equals_brute_force_window_sums():
+    rng = random.Random(14)
+    for _ in range(40):
+        ts = TimeSeries(bucket_width=0.01)
+        n = rng.randint(1, 30)
+        want_sent, want_dropped = [0] * n, [0] * n
+        for i in range(n):
+            if rng.random() < 0.4:
+                continue  # an empty bucket
+            want_sent[i], want_dropped[i] = rng.randint(0, 6), rng.randint(0, 3)
+            for _ in range(want_sent[i]):
+                ts.add_sent((i + 0.5) * 0.01)
+            for _ in range(want_dropped[i]):
+                ts.add_drop((i + 0.5) * 0.01)
+        while want_sent and not (want_sent[-1] or want_dropped[-1]):
+            del want_sent[-1], want_dropped[-1]  # the series ends at its last burst
+        times, sent, dropped = ts.arrays()
+        assert times.tolist() == [i * 0.01 for i in range(len(want_sent))]
+        assert (sent.tolist(), dropped.tolist()) == (want_sent, want_dropped)
+        for w in range(1, len(times) + 3):  # up to windows longer than the series
+            expected = []
+            for i in range(len(times)):
+                first = max(0, i - w + 1)
+                s, d = sum(want_sent[first:i + 1]), sum(want_dropped[first:i + 1])
+                expected.append(d / s if s else 0.0)
+            got_times, rolling = ts.rolling_blr(window_buckets=w)
+            assert got_times.tolist() == times.tolist()
+            assert rolling.tolist() == expected
+
+
 def test_rolling_blr_empty():
     ts = TimeSeries(bucket_width=0.01)
     times, rolling = ts.rolling_blr()
@@ -155,3 +191,15 @@ def test_rolling_blr_rejects_a_window_under_one_bucket(window):
         ts.add_sent(t)
     with pytest.raises(ValueError, match="window_buckets must be >= 1"):
         ts.rolling_blr(window_buckets=window)
+
+
+def test_runtime_imports_no_numpy():
+    # the simulator, the sweep and the CLI run on the standard library alone
+    src = os.path.dirname(os.path.dirname(obs_gprm.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, obs_gprm.cli, obs_gprm.experiment, obs_gprm.signaling; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
