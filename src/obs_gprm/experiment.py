@@ -222,9 +222,11 @@ def _gains_rows(rows, loads, seeds):
         b_sp, b_gp = seed_means(l, "blr")
         d_sp, d_gp = seed_means(l, "mean_delay_s")
         u_sp, u_gp = seed_means(l, "utilization")
-        # one value at a time: a NaN baseline must not hide a zero one
-        if b_sp <= 0 or u_sp <= 0:
-            raise ValueError("baseline values must be > 0")
+        # `not x > 0`: a NaN mean (a seed whose steady window sent no burst)
+        # compares false with every bound and must fail as a zero one does
+        if not b_sp > 0 or not u_sp > 0:
+            raise ValueError(f"load {l:g}: baseline values must be > 0, "
+                             f"got blr_sp={b_sp}, util_sp={u_sp}")
         blr_gains.append((b_sp - b_gp) / b_sp)
         u_gains.append((u_gp - u_sp) / u_sp)
         out.append([_fmt(float(v)) for v in
@@ -241,6 +243,9 @@ def _write_gains_csv(path, gains_rows):
 
 
 def worker_count(n_runs, threads=None):
+    """Pool size for `n_runs` runs: `threads`, else `OBS_SIM_THREADS`, else
+    the CPU count, capped at `n_runs`. A `threads` or `OBS_SIM_THREADS`
+    that is not an integer >= 1 is a ScenarioError."""
     if threads is None:
         env = os.environ.get("OBS_SIM_THREADS", "")
         try:
@@ -249,20 +254,33 @@ def worker_count(n_runs, threads=None):
             raise ScenarioError([f"OBS_SIM_THREADS: expected an integer, got {env!r}"]) from None
         if threads < 1:
             raise ScenarioError([f"OBS_SIM_THREADS: must be >= 1, got {env!r}"])
+    elif not isinstance(threads, int) or threads < 1:
+        raise ScenarioError([f"threads: must be an integer >= 1, got {threads!r}"])
     return max(1, min(threads, n_runs))
 
 
 def run_experiment(scenario, out_dir=".", trace=False, threads=None, log=None):
     """Run the full sweep and write results.csv, learning CSVs, and gains.csv.
 
+    With more than one worker (`worker_count`), the runs go to the pool
+    longest first: by load, highest first, and `gprm` before `sp` at equal
+    load, one run per task. So the slowest run does not start last while
+    the other workers sit idle. The outcomes are put back in grid order
+    (policy, load, seed), so every output file is the same for any worker
+    count.
+
     Every output file, CSV or trace, is written into a staging directory
     inside `out_dir` and moved into `out_dir` only after every run, the
     gains and every write have succeeded. On any failure the staging
     directory removes itself, so a failed sweep leaves no result file.
+    A bad scenario or worker count raises ScenarioError before any run or
+    file; a zero or undefined (NaN) `sp` baseline raises ValueError.
     """
     errors = validate(scenario)
     if errors:
         raise ScenarioError(errors)
+    workers = worker_count(
+        len(scenario.policies) * len(scenario.loads) * len(scenario.seeds), threads)
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out_dir) as stage:
         specs = [(scenario, pol, load, seed,
@@ -270,12 +288,18 @@ def run_experiment(scenario, out_dir=".", trace=False, threads=None, log=None):
                   if trace else None)
                  for pol in scenario.policies for load in scenario.loads
                  for seed in scenario.seeds]
-        workers = worker_count(len(specs), threads)
         if log:
             log(f"running {len(specs)} simulations on {workers} worker(s)")
         if workers > 1:
+            # a run's cost grows with its load, and gprm replays sp's arrivals
+            # plus ACK hops and learning; seed and duration are shared by all
+            order = sorted(range(len(specs)),
+                           key=lambda i: (-specs[i][2], specs[i][1] != "gprm"))
+            outcomes = [None] * len(specs)
             with Pool(workers) as pool:
-                outcomes = pool.map(_pool_worker, specs)
+                done = pool.map(_pool_worker, [specs[i] for i in order], chunksize=1)
+            for i, outcome in zip(order, done):
+                outcomes[i] = outcome
         else:
             outcomes = [run_single(*spec) for spec in specs]
         rows = [row for row, _ in outcomes]

@@ -171,13 +171,62 @@ def test_runs_cartesian_product_and_order(tmp_path):
 
 
 def test_repeat_invocation_byte_identical(tmp_path):
-    s = small_scenario(tmp_path, duration=1.5, warmup=0.3)
+    # 2 policies x 2 loads: two workers take the runs longest first, out of
+    # grid order, and must still write what one worker writes
+    s = small_scenario(tmp_path, loads=[0.2, 0.4], duration=1.5, warmup=0.3)
     a, b = tmp_path / "a", tmp_path / "b"
     run_experiment(s, out_dir=str(a), threads=1)
-    run_experiment(s, out_dir=str(b), threads=2)  # worker count must not matter
-    for name in os.listdir(a):
-        if name.endswith(".csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    run_experiment(s, out_dir=str(b), threads=2)
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    assert len([n for n in names if n.startswith("learning_")]) == 4
+    assert "gains.csv" in names and "results.csv" in names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class RecordingPool:
+    """An in-process stand-in for `multiprocessing.Pool` that records the
+    specs handed to `map`, in order, and the `chunksize` it was given."""
+
+    calls = []
+
+    def __init__(self, workers):
+        self.workers = workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, specs, chunksize=None):
+        specs = list(specs)
+        RecordingPool.calls.append(([(pol, load, seed) for _, pol, load, seed, _ in specs],
+                                    chunksize))
+        return [fn(spec) for spec in specs]
+
+
+def test_pool_gets_the_runs_longest_first_one_per_task(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "calls", [])
+    s = small_scenario(tmp_path, loads=[0.2, 0.4], seeds=[1, 2], duration=0.5, warmup=0.2)
+    written = run_experiment(s, out_dir=str(tmp_path / "out"), threads=2)
+    assert RecordingPool.calls == [([
+        ("gprm", 0.4, 1), ("gprm", 0.4, 2), ("sp", 0.4, 1), ("sp", 0.4, 2),
+        ("gprm", 0.2, 1), ("gprm", 0.2, 2), ("sp", 0.2, 1), ("sp", 0.2, 2),
+    ], 1)]
+    with open(written["results"]) as fh:
+        rows = [(r["policy"], float(r["load"]), int(r["seed"])) for r in csv.DictReader(fh)]
+    assert rows == [(p, l, sd) for p in ("sp", "gprm") for l in (0.2, 0.4) for sd in (1, 2)]
+
+
+def test_one_worker_runs_in_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "calls", [])
+    s = small_scenario(tmp_path, loads=[0.2, 0.4], duration=0.5, warmup=0.2)
+    run_experiment(s, out_dir=str(tmp_path / "out"), threads=1)
+    assert RecordingPool.calls == []
 
 
 def test_learning_csv_columns(tmp_path):
@@ -234,6 +283,18 @@ def test_lossless_baseline_fails_sweep_before_any_file(tmp_path):
     assert [name for name in os.listdir(out) if name.endswith(".csv")] == []
 
 
+def test_undefined_baseline_fails_sweep_before_any_file(tmp_path):
+    # some seeds send no burst in the 50 ms steady window, so the seed mean
+    # of the sp BLR is NaN: no gain is defined, as with a zero baseline
+    out = tmp_path / "out"
+    s = small_scenario(tmp_path, loads=[0.01], seeds=list(range(1, 9)),
+                       duration=0.25, warmup=0.2)
+    with pytest.raises(ValueError, match=r"load 0.01: baseline values must be > 0, "
+                                         r"got blr_sp=nan"):
+        run_experiment(s, out_dir=str(out), threads=1)
+    assert os.listdir(out) == []
+
+
 def test_failed_traced_sweep_leaves_no_trace(tmp_path):
     out = tmp_path / "out"
     s = small_scenario(tmp_path, loads=[0.01], duration=1.5, warmup=0.3)
@@ -282,6 +343,18 @@ def test_non_positive_thread_count_is_a_scenario_error(monkeypatch, tmp_path, ca
     assert main(["run", "--scenario", obs_gprm.data_path("nsfnet_paper.scn"),
                  "--out-dir", str(tmp_path)]) == 2
     assert "error: OBS_SIM_THREADS: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.5, "2"])
+def test_bad_threads_argument_is_a_scenario_error(tmp_path, threads):
+    with pytest.raises(ScenarioError) as exc:
+        worker_count(4, threads)
+    assert exc.value.errors == [f"threads: must be an integer >= 1, got {threads!r}"]
+    out = tmp_path / "out"
+    with pytest.raises(ScenarioError) as exc:
+        run_experiment(small_scenario(tmp_path), out_dir=str(out), threads=threads)
+    assert exc.value.errors == [f"threads: must be an integer >= 1, got {threads!r}"]
+    assert not out.exists()
 
 
 def test_worker_count_env(monkeypatch):
