@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .experiment import ScenarioError, parse_scenario, run_experiment, validate
+from .experiment import ScenarioError, parse_scenario, run_experiment, validate, worker_count
 
 
 def _log(msg):
@@ -53,6 +53,10 @@ def main(argv=None):
         return 2
     if args.command == "validate":
         errors = validate(scenario)
+        try:
+            worker_count(1)  # `run` rejects a bad OBS_SIM_THREADS, so validate does too
+        except ScenarioError as exc:
+            errors += exc.errors
         if errors:
             for err in errors:
                 _log(f"error: {err}")

@@ -17,7 +17,7 @@ from typing import get_args, get_origin
 from .metrics import DROP_CAUSES, rolling_ratio
 from .signaling import SimConfig, Simulator
 from .topology import TopologyError, load_topology
-from .traffic import LoadSpec, load_matrix, scale_to_load
+from .traffic import LoadSpec, arrival_rates, load_matrix, scale_to_load
 
 RESULT_COLUMNS = ("policy", "seed", "load", "blr", "mean_delay_s", "utilization",
                   *(f"drops_{cause}" for cause in DROP_CAUSES))
@@ -104,11 +104,32 @@ def _load(errors, key, path, loader):
     return None
 
 
+def _rate_problems(topology, matrix, scenario):
+    """What a run would reject when it scales the matrix to its load: an
+    egress capacity that overflows, else a pair whose arrival rate is not
+    finite and > 0. Every rate grows with the load, so such a rate shows at
+    the lowest load (an underflow to 0) or at the highest (an overflow),
+    which are checked in that order."""
+    capacities = {n: topology.egress_capacity(n) for n in topology.nodes}
+    overflow = [n for n, c in capacities.items() if c == math.inf]
+    if overflow:
+        return [f"topology: egress capacity of nodes {overflow} overflows"]
+    loads = [l for l in scenario.loads if 0 < l < math.inf]  # the rest are `loads:` errors
+    for load in sorted({min(loads), max(loads)}) if loads else ():
+        try:
+            arrival_rates(matrix, LoadSpec(load, capacities), scenario.mean_burst_size)
+        except ValueError as exc:
+            return [f"matrix: at load {load:g}, {exc}"]
+    return []
+
+
 def validate(scenario):
     """All scenario invariants; returns a list of `field: reason` strings.
 
-    Parses the topology and matrix files, as each run will, so that a bad
-    record or a matrix node the topology lacks is reported here."""
+    Parses the topology and matrix files and scales the matrix to the
+    loads, as each run will, so that a bad record, a matrix node the
+    topology lacks or a weight whose rate a run would reject is reported
+    here."""
     errors = scenario.problems()
     topology = _load(errors, "topology", scenario.topology, load_topology)
     matrix = _load(errors, "matrix", scenario.matrix, load_matrix)
@@ -116,6 +137,8 @@ def validate(scenario):
         missing = sorted({n for pair in matrix.weights for n in pair} - set(topology.nodes))
         if missing:
             errors.append(f"matrix: nodes {missing} are not in the topology")
+        elif 0 < scenario.mean_burst_size < math.inf:
+            errors += _rate_problems(topology, matrix, scenario)
     for p in scenario.policies:
         if p not in ("sp", "gprm"):
             errors.append(f"policies: unknown policy {p!r}")

@@ -11,7 +11,7 @@ counts.
 """
 
 import os
-from collections import defaultdict, deque
+from collections import deque
 from typing import NamedTuple
 
 OFFSET_CLASSES = 16  # offset classes 0..15, measured in per-hop processing units
@@ -131,6 +131,13 @@ class SuccessTable:
     as that neighbor has any recorded outcome. Without it (warm starts) no
     counts are kept and unseen vectors always get the initial default.
 
+    Precondition under naive Bayes: each evidence field value ``e[f]`` lies
+    in ``range(state_counts[f])``, since the counts of field f are a list of
+    that length. The engine keeps to it: offset and hop classes are capped
+    at 15, the loss class is at most 2, and destinations are node ids, which
+    are below the node count. A larger value raises IndexError when it is
+    scored or counted.
+
     The learned state is the routing view of the current refresh period:
     ``sp_update`` queues a notification, and updates take effect at the next
     refresh, when ``begin_epoch`` applies the queue in arrival order.
@@ -149,19 +156,19 @@ class SuccessTable:
                          else (lambda k, e: initial_sp))
         self.nb_fallback = nb_fallback
         self.values = {}
-        # per neighbor, per outcome: total count and counts per evidence field value
+        # per neighbor, per outcome: total count, and with naive Bayes on, one
+        # count list per evidence field, indexed by the field's value
         self._totals = {k: [0, 0] for k in self.neighbors}
         self._factor_counts = {
-            k: ([defaultdict(int), defaultdict(int), defaultdict(int), defaultdict(int)],
-                [defaultdict(int), defaultdict(int), defaultdict(int), defaultdict(int)])
+            k: ([[0] * s for s in self.state_counts], [[0] * s for s in self.state_counts])
             for k in self.neighbors
-        }
+        } if nb_fallback else {}
         self._pending = []  # (k, e, success) of this period, in arrival order
 
     def _unseen_prob(self, k, e):
         """Estimate for a (k, e) with no stored value: the naive-Bayes
         generalization when enabled and k has history, else the initial default."""
-        if self.nb_fallback and sum(self._totals[k]) > 0:
+        if self.nb_fallback and any(self._totals[k]):
             s_succ, s_fail = self._nb_scores(k, e)
             return s_succ / (s_succ + s_fail)
         return self._default(k, e)
@@ -174,16 +181,20 @@ class SuccessTable:
         self._pending.append((k, e, success))
 
     def _nb_scores(self, k, e):
+        """[success, failure] scores of the smoothed independence product: per
+        outcome, (n_phi + 1) / (n + 2) times (count + 1) / (n_phi + states)
+        for each evidence field in turn, multiplied left to right."""
         n_succ, n_fail = self._totals[k]
-        n = n_succ + n_fail
-        scores = []
-        for idx, n_phi in ((0, n_succ), (1, n_fail)):
-            score = (n_phi + 1.0) / (n + 2.0)
-            counters = self._factor_counts[k][idx]
-            for f in range(4):
-                score *= (counters[f][e[f]] + 1.0) / (n_phi + self.state_counts[f])
-            scores.append(score)
-        return scores  # [success, failure]
+        n2 = n_succ + n_fail + 2.0
+        (s_o, s_b, s_nb, s_d), (f_o, f_b, f_nb, f_d) = self._factor_counts[k]
+        c_o, c_b, c_nb, c_d = self.state_counts
+        o, b, nb, d = e
+        return [(n_succ + 1.0) / n2 * ((s_o[o] + 1.0) / (n_succ + c_o))
+                * ((s_b[b] + 1.0) / (n_succ + c_b)) * ((s_nb[nb] + 1.0) / (n_succ + c_nb))
+                * ((s_d[d] + 1.0) / (n_succ + c_d)),
+                (n_fail + 1.0) / n2 * ((f_o[o] + 1.0) / (n_fail + c_o))
+                * ((f_b[b] + 1.0) / (n_fail + c_b)) * ((f_nb[nb] + 1.0) / (n_fail + c_nb))
+                * ((f_d[d] + 1.0) / (n_fail + c_d))]
 
     def begin_epoch(self):
         """Apply the queued notifications in arrival order; the result is the
@@ -193,9 +204,14 @@ class SuccessTable:
         Each is an exponential-smoothing update, SP' = alpha * SP +
         (1 - alpha) * A with A = 1 on success, 0 on failure, and with
         ``nb_fallback`` on it also feeds the naive-Bayes observation counts.
-        The first update of a row starts from the same estimate routing was
-        already using for it: the naive-Bayes generalization when enabled and
-        available, else the initial default.
+        The entries are applied one at a time: each reads its base, then
+        stores its value, then (under naive Bayes) adds its outcome to the
+        counts. The base of a row's first update is `_unseen_prob` at that
+        moment. Without naive Bayes that is the initial default, which
+        routing was already using for the row. Under naive Bayes it is the
+        estimate from counts that already hold every earlier entry of this
+        queue, so it differs from routing's view of the ending period as soon
+        as an earlier entry in the queue has the same neighbor.
         """
         values = self.values
         alpha = self.alpha

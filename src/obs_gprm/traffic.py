@@ -52,9 +52,6 @@ class TrafficMatrix:
         if not self.weights:
             raise ValueError("traffic matrix has no positive weights")
 
-    def pairs(self):
-        return sorted(self.weights)
-
 
 class _WeightError(ValueError):
     """A negative, non-finite or self-traffic weight; `pair` lets
@@ -113,17 +110,34 @@ def connection_seed(master_seed, src, dst):
     return (master_seed * 1_000_003 + src * 100_003 + dst * 1_009) & 0x7FFFFFFFFFFFFFFF
 
 
-def scale_to_load(matrix, target, mean_burst_size, master_seed=0):
-    """Connection set whose offered load hits the target exactly.
+def arrival_rates(matrix, target, mean_burst_size):
+    """Per-pair arrival rates (bursts/s), in pair order, whose offered load
+    hits the target exactly.
 
-    Per-connection rates stay proportional to the matrix weights; a single
-    global factor is solved from the load formula.
+    Rates stay proportional to the matrix weights; a single global factor is
+    solved from the load formula. Raises ValueError naming a pair when the
+    load sum overflows (that pair has the largest term) or underflows to 0,
+    or when a pair's rate is not finite and > 0.
     """
+    capacity = target.node_capacity
     denom = 0.0
     for (i, j), w in matrix.weights.items():
-        denom += w * mean_burst_size / target.node_capacity[i]
+        denom += w * mean_burst_size / capacity[i]
+    if not 0 < denom < math.inf:
+        i, j = max(matrix.weights, key=lambda p: matrix.weights[p] / capacity[p[0]])
+        raise ValueError(f"pair {i} {j}: weight {matrix.weights[(i, j)]:g} makes the "
+                         f"offered load {'overflow' if denom else 'underflow to 0'}")
     scale = target.target_load / denom
-    return [ConnectionSpec(src=i, dst=j, lambda_=scale * matrix.weights[(i, j)],
-                           mean_burst_size=mean_burst_size,
-                           seed=connection_seed(master_seed, i, j))
-            for (i, j) in matrix.pairs()]
+    rates = {pair: scale * w for pair, w in sorted(matrix.weights.items())}
+    for (i, j), rate in rates.items():
+        if not 0 < rate < math.inf:
+            raise ValueError(f"pair {i} {j}: weight {matrix.weights[(i, j)]:g} gives "
+                             f"arrival rate {rate:g}, which must be finite and > 0")
+    return rates
+
+
+def scale_to_load(matrix, target, mean_burst_size, master_seed=0):
+    """Connection set whose offered load hits the target exactly, at the
+    rates of `arrival_rates`."""
+    return [ConnectionSpec(i, j, rate, mean_burst_size, connection_seed(master_seed, i, j))
+            for (i, j), rate in arrival_rates(matrix, target, mean_burst_size).items()]

@@ -237,19 +237,22 @@ def _props_nb_exhaustive():
     for _ in range(10):
         t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts,
                          nb_fallback=True)
+        history = []  # (evidence, success) as fed to the table
         for _ in range(rng.randrange(1, 25)):
             e = EvidenceVector(rng.randrange(2), rng.randrange(2), rng.randrange(2),
                                rng.randrange(2))
-            update_and_read(t, 1, e, rng.choice((True, False)))
-        n_succ, n_fail = t._totals[1]
-        n = n_succ + n_fail
+            ok = rng.choice((True, False))
+            update_and_read(t, 1, e, ok)
+            history.append((e, ok))
         for combo in product(range(2), repeat=4):
             e = EvidenceVector(*combo)
-            scores = []  # [success, failure]
-            for n_phi, idx in ((n_succ, 0), (n_fail, 1)):
-                p = (n_phi + 1) / (n + 2)
+            scores = []  # [success, failure], counted from the history
+            for outcome in (True, False):
+                seen = [h for h, ok in history if ok == outcome]
+                p = (len(seen) + 1) / (len(history) + 2)
                 for f in range(4):
-                    p *= (t._factor_counts[1][idx][f][e[f]] + 1) / (n_phi + counts[f])
+                    c = sum(1 for h in seen if h[f] == e[f])
+                    p *= (c + 1) / (len(seen) + counts[f])
                 scores.append(p)
             got = t._nb_scores(1, e)
             if any(abs(g - s) > 1e-12 for g, s in zip(got, scores)):

@@ -334,6 +334,15 @@ def test_bad_thread_count_is_a_scenario_error(monkeypatch, tmp_path, capsys):
     assert "error: OBS_SIM_THREADS: expected an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, reason", [("two", "expected an integer, got 'two'"),
+                                           ("0", "must be >= 1, got '0'")])
+def test_cli_validate_checks_the_thread_count(monkeypatch, capsys, value, reason):
+    # `validate` must reject what `run` rejects, with the same line
+    monkeypatch.setenv("OBS_SIM_THREADS", value)
+    assert main(["validate", "--scenario", obs_gprm.data_path("nsfnet_paper.scn")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: OBS_SIM_THREADS: {reason}"]
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_non_positive_thread_count_is_a_scenario_error(monkeypatch, tmp_path, capsys, value):
     monkeypatch.setenv("OBS_SIM_THREADS", value)
@@ -404,10 +413,14 @@ def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
     ("link 0 1 inf 2 4 1e9", "", "topology: {topo}:3: link 0->1: length must be finite"),
     ("link 0 1 100 2 4 nan", "", "topology: {topo}:3: link 0->1: channel rate must be finite"),
     ("link 0 1 100 2 4 inf", "", "topology: {topo}:3: link 0->1: channel rate must be finite"),
+    # finite inputs whose products overflow: every arrival rate would be 0
+    ("", "0 1 1e308", "matrix: at load 0.3, pair 0 1: weight 1e+308 makes the offered "
+                      "load overflow"),
+    ("link 0 1 100 2 4 1e308", "", "topology: egress capacity of nodes [0, 1] overflows"),
 ], ids=["bad-link-record", "bad-matrix-line", "matrix-node-not-in-topology",
         "negative-matrix-weight", "self-traffic-weight", "nan-matrix-weight",
         "inf-matrix-weight", "nan-link-length", "inf-link-length", "nan-link-rate",
-        "inf-link-rate"])
+        "inf-link-rate", "huge-matrix-weight", "huge-link-rate"])
 def test_cli_validate_parses_topology_and_matrix(tmp_path, capsys, topo_line, matrix_line,
                                                  expected):
     topo, matrix = tmp_path / "net.topo", tmp_path / "m.matrix"

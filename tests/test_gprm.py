@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,17 +148,17 @@ def test_extract_evidence_ranges(node, dest, rem, blr_value):
     assert e.dest == dest
 
 
-def nb_oracle(table, k, e, state_counts):
-    """Brute-force evaluation of the smoothed independence product:
+def nb_oracle(history, e, state_counts):
+    """Brute-force evaluation of the smoothed independence product, counted
+    from the `(evidence, success)` history the table was fed:
     [success score, failure score]."""
-    n_succ, n_fail = table._totals[k]
-    n = n_succ + n_fail
     scores = []
-    for n_phi, idx in ((n_succ, 0), (n_fail, 1)):
-        p = (n_phi + 1) / (n + 2)
+    for outcome in (True, False):
+        seen = [h for h, ok in history if ok == outcome]
+        p = (len(seen) + 1) / (len(history) + 2)
         for f in range(4):
-            c = table._factor_counts[k][idx][f][e[f]]
-            p *= (c + 1) / (n_phi + state_counts[f])
+            c = sum(1 for h in seen if h[f] == e[f])
+            p *= (c + 1) / (len(seen) + state_counts[f])
         scores.append(p)
     return scores
 
@@ -204,16 +206,69 @@ def test_nb_scores_match_bruteforce_oracle(history):
     counts = (3, 3, 3, 3)
     t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts,
                      nb_fallback=True)
-    for o, b, nb, d, ok in history:
-        update_and_read(t, 1, EvidenceVector(o, b, nb, d), ok)
+    fed = [(EvidenceVector(o, b, nb, d), ok) for o, b, nb, d, ok in history]
+    for e, ok in fed:
+        update_and_read(t, 1, e, ok)
     for o in range(3):
         for b in range(3):
             e = EvidenceVector(o, b, 1, 2)
-            s_succ, s_fail = oracle = nb_oracle(t, 1, e, counts)
+            s_succ, s_fail = oracle = nb_oracle(fed, e, counts)
             assert nb_scores(t, 1, e) == pytest.approx(oracle)
             if (1, *e) not in t.values:
                 assert t.epoch_success_prob(1, e) == pytest.approx(
                     s_succ / (s_succ + s_fail))
+
+
+def nb_count_state(table):
+    return copy.deepcopy((table._totals, table._factor_counts))
+
+
+def test_scoring_unseen_evidence_leaves_the_counts_alone():
+    t = fresh_table(nb_fallback=True)
+    update_and_read(t, 1, EV, True)
+    update_and_read(t, 2, EvidenceVector(0, 1, 2, 3), False)
+    before = nb_count_state(t)
+    for k in (1, 2):
+        for e in (EvidenceVector(15, 2, 15, 7), EvidenceVector(0, 0, 0, 0)):
+            assert (k, *e) not in t.values
+            t.epoch_success_prob(k, e)
+            nb_scores(t, k, e)
+    assert nb_count_state(t) == before
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_naive_bayes_rejects_a_field_value_out_of_range(field):
+    # each evidence field value must lie in range(state_counts[field])
+    t = fresh_table(nb_fallback=True)
+    update_and_read(t, 1, EV, True)
+    e = EV._replace(**{EV._fields[field]: STATE_COUNTS[field]})
+    with pytest.raises(IndexError):
+        t.epoch_success_prob(1, e)
+    t.sp_update(1, e, True)
+    with pytest.raises(IndexError):
+        t.begin_epoch()
+
+
+def test_naive_bayes_refresh_bases_each_entry_on_the_earlier_ones():
+    # begin_epoch applies its queue in order; the base of an unseen row is the
+    # naive-Bayes estimate from counts that already hold the earlier entries
+    t = fresh_table(alpha=0.9, nb_fallback=True)
+    history = [(EV, True)]
+    update_and_read(t, 1, EV, True)
+    e2, e3 = EV._replace(blr_class=1), EV._replace(blr_class=2)
+    routed = t.epoch_success_prob(1, e3)  # routing's view in the ending period
+    t.sp_update(1, e2, False)
+    t.sp_update(1, e3, True)
+    t.begin_epoch()
+    for e, ok in ((e2, False), (e3, True)):
+        s_succ, s_fail = nb_oracle(history, e, STATE_COUNTS)
+        base = s_succ / (s_succ + s_fail)
+        assert t.values[(1, *e)] == pytest.approx(0.9 * base + 0.1 * ok, rel=1e-12)
+        history.append((e, ok))
+    # e2's failure was counted before e3 was based, so e3 moved off routing's view
+    s_succ, s_fail = nb_oracle(history[:1], e3, STATE_COUNTS)
+    assert routed == pytest.approx(s_succ / (s_succ + s_fail), rel=1e-12)
+    assert t.values[(1, *e3)] != pytest.approx(0.9 * routed + 0.1, rel=1e-6)
 
 
 def test_warm_start_prior_prefers_min_hop():

@@ -8,6 +8,7 @@ from obs_gprm.traffic import (
     ConnectionSpec,
     LoadSpec,
     TrafficMatrix,
+    arrival_rates,
     load_matrix,
     next_arrival,
     offered_load,
@@ -114,6 +115,21 @@ def test_scale_to_load_shipped_matrix_round_trip():
     conns = scale_to_load(m, LoadSpec(0.3, caps), L)
     assert offered_load(conns, caps) == pytest.approx(0.3, rel=1e-9)
     assert all(c.src != c.dst for c in conns)
+
+
+@pytest.mark.parametrize("weights, target, message", [
+    # the overflow makes every rate 0; the error names the pair that caused it
+    ({(0, 1): 1.0, (1, 2): 1e308, (2, 0): 1.0}, 0.2,
+     "pair 1 2: weight 1e+308 makes the offered load overflow"),
+    ({(0, 1): 5e-324, (1, 0): 5e-324}, 0.2,
+     "pair 0 1: weight 4.94066e-324 makes the offered load underflow to 0"),
+    ({(0, 1): 1.0, (1, 0): 5e-324}, 1e-4,
+     "pair 1 0: weight 4.94066e-324 gives arrival rate 0, which must be finite and > 0"),
+], ids=["load-overflow", "load-underflow", "rate-underflow"])
+def test_arrival_rates_name_the_pair_a_run_would_reject(weights, target, message):
+    caps = {0: 4e9, 1: 4e9, 2: 4e9}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        arrival_rates(TrafficMatrix(weights), LoadSpec(target, caps), L)
 
 
 def test_seed_stability_when_adding_connections():
