@@ -10,6 +10,7 @@ the network organizes itself within a second.
 """
 
 import obs_gprm
+from obs_gprm.metrics import ROLLING_WINDOW_BUCKETS, rolling_ratio
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import load_topology
 from obs_gprm.traffic import LoadSpec, load_matrix, scale_to_load
@@ -32,7 +33,8 @@ def main():
                     alpha=0.75, refresh_period=0.01, blr_window=1.0,
                     blr_low=0.05, blr_high=0.15, bucket_width=0.01)
     res = Simulator(topo, conns, policy="gprm", config=cfg).run(4.0)
-    times, rolling = res.series.rolling_blr(window_buckets=20)
+    times, sent, dropped = res.series.arrays()
+    rolling = rolling_ratio(sent, dropped, ROLLING_WINDOW_BUCKETS)
 
     print("cold-start rolling BLR (200 ms window):")
     for t in (0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):

@@ -11,10 +11,11 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
+from itertools import starmap
 from multiprocessing import Pool
 from typing import get_args, get_origin
 
-from .metrics import DROP_CAUSES, rolling_ratio
+from .metrics import DROP_CAUSES, ROLLING_WINDOW_BUCKETS, rolling_ratio
 from .signaling import SimConfig, Simulator
 from .topology import TopologyError, load_topology
 from .traffic import LoadSpec, arrival_rates, load_matrix, scale_to_load
@@ -24,7 +25,6 @@ RESULT_COLUMNS = ("policy", "seed", "load", "blr", "mean_delay_s", "utilization"
 LEARNING_COLUMNS = ("t_bucket", "sent", "dropped", "rolling_blr")
 GAINS_COLUMNS = ("load", "blr_sp", "blr_gprm", "blr_gain_point", "delay_sp_s", "delay_gprm_s",
                  "util_sp", "util_gprm", "util_gain_point")
-ROLLING_WINDOW_BUCKETS = 20
 
 
 class ScenarioError(Exception):
@@ -104,41 +104,34 @@ def _load(errors, key, path, loader):
     return None
 
 
-def _rate_problems(topology, matrix, scenario):
-    """What a run would reject when it scales the matrix to its load: an
-    egress capacity that overflows, else a pair whose arrival rate is not
-    finite and > 0. Every rate grows with the load, so such a rate shows at
-    the lowest load (an underflow to 0) or at the highest (an overflow),
-    which are checked in that order."""
-    capacities = {n: topology.egress_capacity(n) for n in topology.nodes}
-    overflow = [n for n, c in capacities.items() if c == math.inf]
-    if overflow:
-        return [f"topology: egress capacity of nodes {overflow} overflows"]
-    loads = [l for l in scenario.loads if 0 < l < math.inf]  # the rest are `loads:` errors
-    for load in sorted({min(loads), max(loads)}) if loads else ():
-        try:
-            arrival_rates(matrix, LoadSpec(load, capacities), scenario.mean_burst_size)
-        except ValueError as exc:
-            return [f"matrix: at load {load:g}, {exc}"]
-    return []
-
-
 def validate(scenario):
     """All scenario invariants; returns a list of `field: reason` strings.
 
-    Parses the topology and matrix files and scales the matrix to the
-    loads, as each run will, so that a bad record, a matrix node the
-    topology lacks or a weight whose rate a run would reject is reported
-    here."""
+    Parses the topology and matrix files and scales the matrix to every
+    valid load, ascending, through `arrival_rates`, as each run's
+    `scale_to_load` will, so that a bad record, a matrix node the topology
+    lacks, an egress capacity that overflows or a weight whose rate a run
+    would reject is reported here; of the rate problems, the one at the
+    lowest load is reported."""
     errors = scenario.problems()
     topology = _load(errors, "topology", scenario.topology, load_topology)
     matrix = _load(errors, "matrix", scenario.matrix, load_matrix)
     if topology is not None and matrix is not None:
         missing = sorted({n for pair in matrix.weights for n in pair} - set(topology.nodes))
+        capacities = {n: topology.egress_capacity(n) for n in topology.nodes}
+        overflow = [n for n, c in capacities.items() if c == math.inf]
         if missing:
             errors.append(f"matrix: nodes {missing} are not in the topology")
+        elif overflow:
+            errors.append(f"topology: egress capacity of nodes {overflow} overflows")
         elif 0 < scenario.mean_burst_size < math.inf:
-            errors += _rate_problems(topology, matrix, scenario)
+            # the other loads are `loads:` errors
+            for load in sorted(l for l in scenario.loads if 0 < l < math.inf):
+                try:
+                    arrival_rates(matrix, LoadSpec(load, capacities), scenario.mean_burst_size)
+                except ValueError as exc:
+                    errors.append(f"matrix: at load {load:g}, {exc}")
+                    break
     for p in scenario.policies:
         if p not in ("sp", "gprm"):
             errors.append(f"policies: unknown policy {p!r}")
@@ -196,14 +189,6 @@ def run_single(scenario, policy, load, seed, trace_path=None):
     }
     times, sent, dropped = result.series.arrays()
     return row, (times, sent, dropped, rolling_ratio(sent, dropped, ROLLING_WINDOW_BUCKETS))
-
-
-def _pool_worker(args):
-    return run_single(*args)
-
-
-def _learning_name(policy, load, seed):
-    return f"learning_{policy}_load{load:g}_seed{seed}.csv"
 
 
 def _write_csv(path, header, rows):
@@ -277,7 +262,7 @@ def worker_count(n_runs, threads=None):
             raise ScenarioError([f"OBS_SIM_THREADS: expected an integer, got {env!r}"]) from None
         if threads < 1:
             raise ScenarioError([f"OBS_SIM_THREADS: must be >= 1, got {env!r}"])
-    elif not isinstance(threads, int) or threads < 1:
+    elif type(threads) is not int or threads < 1:  # a bool is an int subclass
         raise ScenarioError([f"threads: must be an integer >= 1, got {threads!r}"])
     return max(1, min(threads, n_runs))
 
@@ -285,12 +270,14 @@ def worker_count(n_runs, threads=None):
 def run_experiment(scenario, out_dir=".", trace=False, threads=None, log=None):
     """Run the full sweep and write results.csv, learning CSVs, and gains.csv.
 
-    With more than one worker (`worker_count`), the runs go to the pool
-    longest first: by load, highest first, and `gprm` before `sp` at equal
-    load, one run per task. So the slowest run does not start last while
-    the other workers sit idle. The outcomes are put back in grid order
+    The runs start longest first: by load, highest first, and `gprm` before
+    `sp` at equal load. With more than one worker (`worker_count`) they go
+    to a process pool one run per task, so the slowest run does not start
+    last while the other workers sit idle; with one they run in this
+    process in the same order. The outcomes are put back in grid order
     (policy, load, seed), so every output file is the same for any worker
-    count.
+    count. Each run's tag `<policy>_load<l:g>_seed<s>` names its trace and
+    its learning CSV.
 
     Every output file, CSV or trace, is written into a staging directory
     inside `out_dir` and moved into `out_dir` only after every run, the
@@ -306,30 +293,29 @@ def run_experiment(scenario, out_dir=".", trace=False, threads=None, log=None):
         len(scenario.policies) * len(scenario.loads) * len(scenario.seeds), threads)
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out_dir) as stage:
-        specs = [(scenario, pol, load, seed,
-                  os.path.join(stage, f"trace_{pol}_load{load:g}_seed{seed}.log")
-                  if trace else None)
-                 for pol in scenario.policies for load in scenario.loads
-                 for seed in scenario.seeds]
+        grid = [(pol, load, seed) for pol in scenario.policies for load in scenario.loads
+                for seed in scenario.seeds]
+        tags = [f"{pol}_load{load:g}_seed{seed}" for pol, load, seed in grid]
+        specs = [(scenario, *run, os.path.join(stage, f"trace_{tag}.log") if trace else None)
+                 for run, tag in zip(grid, tags)]
         if log:
             log(f"running {len(specs)} simulations on {workers} worker(s)")
+        # a run's cost grows with its load, and gprm replays sp's arrivals
+        # plus ACK hops and learning; seed and duration are shared by all
+        order = sorted(range(len(specs)), key=lambda i: (-grid[i][1], grid[i][0] != "gprm"))
+        longest_first = [specs[i] for i in order]
         if workers > 1:
-            # a run's cost grows with its load, and gprm replays sp's arrivals
-            # plus ACK hops and learning; seed and duration are shared by all
-            order = sorted(range(len(specs)),
-                           key=lambda i: (-specs[i][2], specs[i][1] != "gprm"))
-            outcomes = [None] * len(specs)
             with Pool(workers) as pool:
-                done = pool.map(_pool_worker, [specs[i] for i in order], chunksize=1)
-            for i, outcome in zip(order, done):
-                outcomes[i] = outcome
+                done = pool.starmap(run_single, longest_first, chunksize=1)
         else:
-            outcomes = [run_single(*spec) for spec in specs]
+            done = list(starmap(run_single, longest_first))
+        outcomes = [None] * len(specs)
+        for i, outcome in zip(order, done):
+            outcomes[i] = outcome
         rows = [row for row, _ in outcomes]
         _write_results_csv(os.path.join(stage, "results.csv"), rows)
-        for row, arrays in outcomes:
-            name = _learning_name(row["policy"], row["load"], row["seed"])
-            _write_learning_csv(os.path.join(stage, name), arrays)
+        for tag, (_, arrays) in zip(tags, outcomes):
+            _write_learning_csv(os.path.join(stage, f"learning_{tag}.csv"), arrays)
         both = {"sp", "gprm"} <= set(scenario.policies)
         if both:
             _write_gains_csv(os.path.join(stage, "gains.csv"),

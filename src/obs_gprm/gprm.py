@@ -10,7 +10,6 @@ directly; a warm start scores them with the hop-count prior and keeps no
 counts.
 """
 
-import os
 from collections import deque
 from typing import NamedTuple
 
@@ -240,19 +239,10 @@ class SuccessTable:
             return v
         return self._unseen_prob(k, e)
 
-    def dump(self, path_or_file):
-        """Write observed entries as flat text: `k o b nb d sp` per line, to a
-        path (`str` or `os.PathLike`) or an open text file."""
-        close = False
-        fh = path_or_file
-        if isinstance(path_or_file, (str, os.PathLike)):
-            fh = open(path_or_file, "w")
-            close = True
-        try:
-            fh.write(f"# success table of node {self.owner}\n")
-            for key in sorted(self.values):
-                k, o, b, nb, d = key
-                fh.write(f"{k} {o} {b} {nb} {d} {self.values[key]:.12g}\n")
-        finally:
-            if close:
-                fh.close()
+    def dump(self, fh):
+        """Write observed entries to the open text file `fh` as flat text:
+        `k o b nb d sp` per line."""
+        fh.write(f"# success table of node {self.owner}\n")
+        for key in sorted(self.values):
+            k, o, b, nb, d = key
+            fh.write(f"{k} {o} {b} {nb} {d} {self.values[key]:.12g}\n")

@@ -78,11 +78,9 @@ class TimeSeries:
         width = self.bucket_width
         return array("d", [i * width for i in range(n)]), sent, dropped
 
-    def rolling_blr(self, window_buckets=20):
-        """(bucket start times, loss ratio over a trailing window ending at
-        each bucket); see `rolling_ratio`."""
-        times, sent, dropped = self.arrays()
-        return times, rolling_ratio(sent, dropped, window_buckets)
+
+# the learning CSVs' `rolling_blr` window: 200 ms at the default 10 ms bucket
+ROLLING_WINDOW_BUCKETS = 20
 
 
 def rolling_ratio(sent, dropped, window_buckets):

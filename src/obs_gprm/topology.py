@@ -122,12 +122,14 @@ def load_topology(path):
     Format, one record per line, `#` starts a comment:
         node <id> <name>
         link <src> <dst> <km> <ctrl_channels> <data_channels> <bit_rate>
-    Each `link` line declares one bidirectional fiber (two directed links);
-    declaring a fiber twice, in either direction, raises `TopologyError`.
+    Each `link` line declares one bidirectional fiber (two directed links).
+    A node declared twice, a fiber declared twice (in either direction) or
+    a link to a node that no `node` line declares raises a `TopologyError`
+    naming the record's `path:line`.
     """
-    nodes = []
     names = {}
     links = []
+    node_lines = {}  # node id -> line number of its declaration
     link_lines = {}  # directed link -> line number of its declaration
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -138,7 +140,10 @@ def load_topology(path):
             try:
                 if parts[0] == "node":
                     nid = int(parts[1])
-                    nodes.append(nid)
+                    if nid in node_lines:
+                        raise TopologyError(f"node {nid} is already declared on "
+                                            f"line {node_lines[nid]}")
+                    node_lines[nid] = lineno
                     names[nid] = parts[2] if len(parts) > 2 else str(nid)
                 elif parts[0] == "link":
                     src, dst = int(parts[1]), int(parts[2])
@@ -157,4 +162,7 @@ def load_topology(path):
                 raise TopologyError(f"{path}:{lineno}: malformed line: {line!r}") from exc
             except TopologyError as exc:  # a bad record, or a `Link` field out of range
                 raise TopologyError(f"{path}:{lineno}: {exc}") from exc
-    return Topology(nodes, links, names=names)
+    for (src, dst), lineno in link_lines.items():
+        if src not in node_lines or dst not in node_lines:
+            raise TopologyError(f"{path}:{lineno}: link {src}->{dst} references undeclared node")
+    return Topology(list(node_lines), links, names=names)

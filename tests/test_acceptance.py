@@ -19,6 +19,7 @@ import obs_gprm
 from conftest import update_and_read, walk_row
 from obs_gprm.experiment import parse_scenario, run_experiment
 from obs_gprm.gprm import EvidenceVector, SuccessTable
+from obs_gprm.metrics import ROLLING_WINDOW_BUCKETS, rolling_ratio
 from obs_gprm.routing import LazyRoutingTable
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import Link, Topology, load_topology
@@ -135,7 +136,8 @@ def test_criterion_5_cold_start_learning():
                         alpha=0.75, refresh_period=0.01, blr_window=1.0,
                         blr_low=0.05, blr_high=0.15, bucket_width=0.01)
         res = Simulator(topo, conns, policy="gprm", config=cfg).run(3.0)
-        times, rolling = res.series.rolling_blr(window_buckets=20)
+        times, sent, dropped = res.series.arrays()
+        rolling = rolling_ratio(sent, dropped, ROLLING_WINDOW_BUCKETS)
         hit = [t for t, r in zip(times, rolling) if r <= threshold and t >= 0.2]
         crossings.append(hit[0] if hit else math.inf)
     worst = max(crossings)

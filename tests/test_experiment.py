@@ -187,7 +187,7 @@ def test_repeat_invocation_byte_identical(tmp_path):
 
 class RecordingPool:
     """An in-process stand-in for `multiprocessing.Pool` that records the
-    specs handed to `map`, in order, and the `chunksize` it was given."""
+    specs handed to `starmap`, in order, and the `chunksize` it was given."""
 
     calls = []
 
@@ -200,11 +200,11 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, specs, chunksize=None):
+    def starmap(self, fn, specs, chunksize=None):
         specs = list(specs)
         RecordingPool.calls.append(([(pol, load, seed) for _, pol, load, seed, _ in specs],
                                     chunksize))
-        return [fn(spec) for spec in specs]
+        return [fn(*spec) for spec in specs]
 
 
 def test_pool_gets_the_runs_longest_first_one_per_task(tmp_path, monkeypatch):
@@ -222,11 +222,21 @@ def test_pool_gets_the_runs_longest_first_one_per_task(tmp_path, monkeypatch):
 
 
 def test_one_worker_runs_in_process(tmp_path, monkeypatch):
+    # in the same longest-first order as a pool
     monkeypatch.setattr(experiment, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "calls", [])
+    started = []
+    run_single = experiment.run_single
+
+    def recording_run_single(scenario, policy, load, seed, trace_path):
+        started.append((policy, load, seed))
+        return run_single(scenario, policy, load, seed, trace_path)
+
+    monkeypatch.setattr(experiment, "run_single", recording_run_single)
     s = small_scenario(tmp_path, loads=[0.2, 0.4], duration=0.5, warmup=0.2)
     run_experiment(s, out_dir=str(tmp_path / "out"), threads=1)
     assert RecordingPool.calls == []
+    assert started == [("gprm", 0.4, 1), ("sp", 0.4, 1), ("gprm", 0.2, 1), ("sp", 0.2, 1)]
 
 
 def test_learning_csv_columns(tmp_path):
@@ -354,7 +364,7 @@ def test_non_positive_thread_count_is_a_scenario_error(monkeypatch, tmp_path, ca
     assert "error: OBS_SIM_THREADS: must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", [0, -3, 2.5, "2"])
+@pytest.mark.parametrize("threads", [0, -3, 2.5, "2", True])
 def test_bad_threads_argument_is_a_scenario_error(tmp_path, threads):
     with pytest.raises(ScenarioError) as exc:
         worker_count(4, threads)

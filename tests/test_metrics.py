@@ -9,10 +9,12 @@ import obs_gprm
 from conftest import bidir, path_topology
 from obs_gprm.experiment import _gains_rows
 from obs_gprm.metrics import (
+    ROLLING_WINDOW_BUCKETS,
     RunCounters,
     RunResult,
     TimeSeries,
     UndefinedMetricError,
+    rolling_ratio,
 )
 from obs_gprm.topology import Topology
 
@@ -141,10 +143,11 @@ def test_rolling_blr_window():
         ts.add_sent(0.01 + 0.001 * i)
     ts.add_drop(0.002)
     ts.add_drop(0.003)
-    _, rolling = ts.rolling_blr(window_buckets=1)
+    _, sent, dropped = ts.arrays()
+    rolling = rolling_ratio(sent, dropped, 1)
     assert rolling[0] == pytest.approx(0.5)
     assert rolling[1] == pytest.approx(0.0)
-    _, rolling2 = ts.rolling_blr(window_buckets=2)
+    rolling2 = rolling_ratio(sent, dropped, 2)
     assert rolling2[1] == pytest.approx(0.25)
 
 
@@ -173,14 +176,13 @@ def test_rolling_blr_equals_brute_force_window_sums():
                 first = max(0, i - w + 1)
                 s, d = sum(want_sent[first:i + 1]), sum(want_dropped[first:i + 1])
                 expected.append(d / s if s else 0.0)
-            got_times, rolling = ts.rolling_blr(window_buckets=w)
-            assert got_times.tolist() == times.tolist()
-            assert rolling.tolist() == expected
+            assert rolling_ratio(sent, dropped, w).tolist() == expected
 
 
 def test_rolling_blr_empty():
     ts = TimeSeries(bucket_width=0.01)
-    times, rolling = ts.rolling_blr()
+    times, sent, dropped = ts.arrays()
+    rolling = rolling_ratio(sent, dropped, ROLLING_WINDOW_BUCKETS)
     assert len(times) == 0 and len(rolling) == 0
 
 
@@ -189,8 +191,9 @@ def test_rolling_blr_rejects_a_window_under_one_bucket(window):
     ts = TimeSeries(bucket_width=0.01)
     for t in (0.001, 0.012, 0.025):
         ts.add_sent(t)
+    _, sent, dropped = ts.arrays()
     with pytest.raises(ValueError, match="window_buckets must be >= 1"):
-        ts.rolling_blr(window_buckets=window)
+        rolling_ratio(sent, dropped, window)
 
 
 def test_runtime_imports_no_numpy():

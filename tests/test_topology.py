@@ -113,6 +113,8 @@ def test_duplicate_link_rejected(tmp_path):
     ("link 0 2 inf 2 4 1e9", "link 0->2: length must be finite"),
     ("link 0 2 100 2 4 nan", "link 0->2: channel rate must be finite"),
     ("link 0 2 100 2 4 inf", "link 0->2: channel rate must be finite"),
+    ("node 1 d", "node 1 is already declared on line 2"),
+    ("link 1 7 100 2 4 1e9", "link 1->7 references undeclared node"),
 ])
 def test_bad_link_record_names_its_line(tmp_path, record, reason):
     path = tmp_path / "bad.topo"
