@@ -15,10 +15,10 @@ from itertools import starmap
 from multiprocessing import Pool
 from typing import get_args, get_origin
 
-from .metrics import DROP_CAUSES, ROLLING_WINDOW_BUCKETS, rolling_ratio
+from .metrics import DROP_CAUSES, MAX_BUCKETS, ROLLING_WINDOW_BUCKETS, rolling_ratio
 from .signaling import SimConfig, Simulator
 from .topology import TopologyError, load_topology
-from .traffic import LoadSpec, arrival_rates, load_matrix, scale_to_load
+from .traffic import LoadSpec, PairError, arrival_rates, load_matrix, scale_to_load
 
 RESULT_COLUMNS = ("policy", "seed", "load", "blr", "mean_delay_s", "utilization",
                   *(f"drops_{cause}" for cause in DROP_CAUSES))
@@ -112,7 +112,8 @@ def validate(scenario):
     `scale_to_load` will, so that a bad record, a matrix node the topology
     lacks, an egress capacity that overflows or a weight whose rate a run
     would reject is reported here; of the rate problems, the one at the
-    lowest load is reported."""
+    lowest load is reported, with the matrix line of its pair. A run whose
+    learning series would have more than `MAX_BUCKETS` buckets is rejected."""
     errors = scenario.problems()
     topology = _load(errors, "topology", scenario.topology, load_topology)
     matrix = _load(errors, "matrix", scenario.matrix, load_matrix)
@@ -129,8 +130,9 @@ def validate(scenario):
             for load in sorted(l for l in scenario.loads if 0 < l < math.inf):
                 try:
                     arrival_rates(matrix, LoadSpec(load, capacities), scenario.mean_burst_size)
-                except ValueError as exc:
-                    errors.append(f"matrix: at load {load:g}, {exc}")
+                except PairError as exc:
+                    errors.append(f"matrix: {matrix.path}:{matrix.linenos[exc.pair]}: "
+                                  f"at load {load:g}, {exc}")
                     break
     for p in scenario.policies:
         if p not in ("sp", "gprm"):
@@ -152,6 +154,10 @@ def validate(scenario):
                           "two runs would write the same files")
     if scenario.duration <= scenario.warmup:
         errors.append("warmup: must be < duration")
+    if (0 < scenario.bucket_width
+            and MAX_BUCKETS * scenario.bucket_width < scenario.duration < math.inf):
+        errors.append(f"bucket_width: a duration of {scenario.duration:g} s makes more than "
+                      f"{MAX_BUCKETS} buckets of {scenario.bucket_width:g} s")
     if scenario.mean_burst_size <= 0:
         errors.append("mean_burst_size: must be > 0")
     return errors

@@ -81,6 +81,9 @@ class TimeSeries:
 
 # the learning CSVs' `rolling_blr` window: 200 ms at the default 10 ms bucket
 ROLLING_WINDOW_BUCKETS = 20
+# the most learning buckets (`duration / bucket_width`) `validate` allows a
+# scenario: `TimeSeries.arrays` and `rolling_ratio` allocate items for each
+MAX_BUCKETS = 1_000_000
 
 
 def rolling_ratio(sent, dropped, window_buckets):

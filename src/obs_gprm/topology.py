@@ -10,7 +10,15 @@ from dataclasses import dataclass
 
 
 class TopologyError(Exception):
-    """Malformed topology file or violated graph invariant."""
+    """Malformed topology file or broken graph rule; `record`: the node or link at fault."""
+
+    def __init__(self, msg, record=None):
+        super().__init__(msg)
+        self.record = record
+
+
+# a link holds one reservation schedule per data channel, made up front
+MAX_DATA_CHANNELS = 1024
 
 
 @dataclass(frozen=True)
@@ -25,8 +33,9 @@ class Link:
     def __post_init__(self):
         if self.src == self.dst:
             raise TopologyError(f"self-loop link at node {self.src}")
-        if self.control_channels < 1 or self.data_channels < 1:
-            raise TopologyError(f"link {self.src}->{self.dst}: needs >= 1 channel of each kind")
+        if self.control_channels < 1 or not 1 <= self.data_channels <= MAX_DATA_CHANNELS:
+            raise TopologyError(f"link {self.src}->{self.dst}: needs >= 1 control channel "
+                                f"and 1..{MAX_DATA_CHANNELS} data channels")
         for name, x in (("length", self.length_km), ("channel rate", self.channel_rate)):
             if not 0 < x < math.inf:  # NaN fails this too
                 raise TopologyError(f"link {self.src}->{self.dst}: {name} must be "
@@ -39,11 +48,8 @@ def propagation_delay(link, signal_speed):
 
 
 class Topology:
-    """Validated directed graph with per-link channel counts and distances.
-
-    Immutable after construction; hop counts are computed once on demand and
-    cached.
-    """
+    """Validated directed graph with per-link channel counts and distances,
+    and the all-pairs hop counts; immutable after construction."""
 
     def __init__(self, nodes, links, names=None):
         self.nodes = sorted(nodes)
@@ -53,36 +59,37 @@ class Topology:
                 raise TopologyError(f"link {l.src}->{l.dst} is declared twice")
             self.links[(l.src, l.dst)] = l
         self.names = dict(names) if names else {}
-        self._hop_counts = None
         self._validate()
 
     def _validate(self):
-        """Check the graph invariants and build `neighbors` on the way."""
+        """Check the graph invariants; build `neighbors` and the hop counts on the way."""
         n = len(self.nodes)
         if n == 0:
             raise TopologyError("topology has no nodes")
         if self.nodes != list(range(n)):
-            raise TopologyError(f"node ids must be dense 0..{n - 1}, got {self.nodes}")
-        for (u, v) in self.links:
-            if u not in self.nodes or v not in self.nodes:
-                raise TopologyError(f"link {u}->{v} references undeclared node")
-            if (v, u) not in self.links:
-                raise TopologyError(f"link {u}->{v} has no reverse link")
+            raise TopologyError(f"node ids must be dense 0..{n - 1}, got {self.nodes}",
+                                next((m for m in self.nodes if not 0 <= m < n), None))
         nbrs = {m: [] for m in self.nodes}
         for (u, v) in self.links:
+            if u not in nbrs or v not in nbrs:
+                raise TopologyError(f"link {u}->{v} references undeclared node", (u, v))
+            if (v, u) not in self.links:
+                raise TopologyError(f"link {u}->{v} has no reverse link", (u, v))
             nbrs[u].append(v)
         self.neighbors = {m: tuple(sorted(ks)) for m, ks in nbrs.items()}
-        # reverse links exist, so one sweep from node 0 decides connectivity
-        seen = _hops_from(self.neighbors, 0)
-        if len(seen) != n:
-            missing = sorted(set(self.nodes) - seen.keys())
-            raise TopologyError(f"graph is disconnected; unreachable nodes {missing}")
+        self._hops = hops = {}
+        for s in self.nodes:
+            row = _hops_from(self.neighbors, s)
+            if len(row) != n:  # reverse links exist, so node 0's row decides connectivity
+                missing = sorted(nbrs.keys() - row.keys())
+                raise TopologyError(f"graph is disconnected; unreachable nodes {missing}",
+                                    missing[0])
+            for v, d in row.items():
+                hops[(s, v)] = d
 
     def hop_counts(self):
-        """Cached all-pairs minimum hop counts."""
-        if self._hop_counts is None:
-            self._hop_counts = all_pairs_hop_counts(self)
-        return self._hop_counts
+        """All-pairs minimum hop counts, `{(src, dst): hops}`."""
+        return self._hops
 
     def total_data_channels(self):
         return sum(l.data_channels for l in self.links.values())
@@ -107,15 +114,6 @@ def _hops_from(neighbors, s):
     return dist
 
 
-def all_pairs_hop_counts(topology):
-    """Minimum hop count for every ordered node pair, via BFS per source."""
-    hops = {}
-    for s in topology.nodes:
-        for v, d in _hops_from(topology.neighbors, s).items():
-            hops[(s, v)] = d
-    return hops
-
-
 def load_topology(path):
     """Parse a topology file.
 
@@ -123,9 +121,9 @@ def load_topology(path):
         node <id> <name>
         link <src> <dst> <km> <ctrl_channels> <data_channels> <bit_rate>
     Each `link` line declares one bidirectional fiber (two directed links).
-    A node declared twice, a fiber declared twice (in either direction) or
-    a link to a node that no `node` line declares raises a `TopologyError`
-    naming the record's `path:line`.
+    A malformed or repeated record, and a broken graph rule, raise a
+    `TopologyError` naming the `path:line` of the record at fault, or the
+    `path` alone when no record is (a file without nodes).
     """
     names = {}
     links = []
@@ -162,7 +160,8 @@ def load_topology(path):
                 raise TopologyError(f"{path}:{lineno}: malformed line: {line!r}") from exc
             except TopologyError as exc:  # a bad record, or a `Link` field out of range
                 raise TopologyError(f"{path}:{lineno}: {exc}") from exc
-    for (src, dst), lineno in link_lines.items():
-        if src not in node_lines or dst not in node_lines:
-            raise TopologyError(f"{path}:{lineno}: link {src}->{dst} references undeclared node")
-    return Topology(list(node_lines), links, names=names)
+    try:
+        return Topology(list(node_lines), links, names=names)
+    except TopologyError as exc:  # a graph rule, checked once the whole file is read
+        lineno = (link_lines if isinstance(exc.record, tuple) else node_lines).get(exc.record)
+        raise TopologyError(f"{path}:{lineno}: {exc}" if lineno else f"{path}: {exc}") from exc

@@ -40,28 +40,29 @@ class LoadSpec:
 
 class TrafficMatrix:
     """Relative demand weights between node pairs; each positive weight is
-    one connection."""
+    one connection. A matrix read by `load_matrix` keeps its file `path`
+    and, in `linenos`, the line of each pair's record."""
 
     def __init__(self, weights):
         self.weights = {}
+        self.path, self.linenos = None, {}
         for (i, j), w in weights.items():
-            if not 0 <= w < math.inf or (w and i == j):  # the first test fails for NaN
-                raise _WeightError((i, j), w)
+            if not 0 <= w < math.inf:  # fails for NaN too
+                raise PairError((i, j), f"{'negative' if w < 0 else 'non-finite'} weight "
+                                        f"for pair {(i, j)}")
+            if w and i == j:
+                raise PairError((i, j), f"self-traffic weight at node {i}")
             if w > 0:
                 self.weights[(i, j)] = float(w)
         if not self.weights:
             raise ValueError("traffic matrix has no positive weights")
 
 
-class _WeightError(ValueError):
-    """A negative, non-finite or self-traffic weight; `pair` lets
-    `load_matrix` name the file line it came from."""
+class PairError(ValueError):
+    """A matrix weight that `TrafficMatrix` or `arrival_rates` rejects;
+    `pair` lets a caller name the file line it came from."""
 
-    def __init__(self, pair, w):
-        if 0 <= w < math.inf:
-            msg = f"self-traffic weight at node {pair[0]}"
-        else:
-            msg = f"{'negative' if w < 0 else 'non-finite'} weight for pair {pair}"
+    def __init__(self, pair, msg):
         super().__init__(msg)
         self.pair = pair
 
@@ -84,9 +85,11 @@ def load_matrix(path):
                 raise ValueError(f"{path}:{lineno}: pair {s} {d} is listed twice")
             weights[pair], linenos[pair] = weight, lineno
     try:
-        return TrafficMatrix(weights)
-    except _WeightError as exc:
+        matrix = TrafficMatrix(weights)
+    except PairError as exc:
         raise ValueError(f"{path}:{linenos[exc.pair]}: {exc}") from None
+    matrix.path, matrix.linenos = path, linenos
+    return matrix
 
 
 def next_arrival(conn, rng):
@@ -115,7 +118,7 @@ def arrival_rates(matrix, target, mean_burst_size):
     hits the target exactly.
 
     Rates stay proportional to the matrix weights; a single global factor is
-    solved from the load formula. Raises ValueError naming a pair when the
+    solved from the load formula. Raises PairError naming a pair when the
     load sum overflows (that pair has the largest term) or underflows to 0,
     or when a pair's rate is not finite and > 0.
     """
@@ -125,14 +128,14 @@ def arrival_rates(matrix, target, mean_burst_size):
         denom += w * mean_burst_size / capacity[i]
     if not 0 < denom < math.inf:
         i, j = max(matrix.weights, key=lambda p: matrix.weights[p] / capacity[p[0]])
-        raise ValueError(f"pair {i} {j}: weight {matrix.weights[(i, j)]:g} makes the "
-                         f"offered load {'overflow' if denom else 'underflow to 0'}")
+        raise PairError((i, j), f"pair {i} {j}: weight {matrix.weights[(i, j)]:g} makes the "
+                                f"offered load {'overflow' if denom else 'underflow to 0'}")
     scale = target.target_load / denom
     rates = {pair: scale * w for pair, w in sorted(matrix.weights.items())}
     for (i, j), rate in rates.items():
         if not 0 < rate < math.inf:
-            raise ValueError(f"pair {i} {j}: weight {matrix.weights[(i, j)]:g} gives "
-                             f"arrival rate {rate:g}, which must be finite and > 0")
+            raise PairError((i, j), f"pair {i} {j}: weight {matrix.weights[(i, j)]:g} gives "
+                                    f"arrival rate {rate:g}, which must be finite and > 0")
     return rates
 
 

@@ -15,6 +15,7 @@ from obs_gprm.experiment import (
     validate,
     worker_count,
 )
+from obs_gprm.metrics import MAX_BUCKETS
 
 
 def small_scenario(tmp_path, **overrides):
@@ -126,6 +127,14 @@ def test_shipped_scenario_validates():
     assert validate(s) == []
     assert s.loads == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
     assert s.mean_burst_size == 3.2e6
+
+
+def test_validate_caps_the_learning_buckets(tmp_path):
+    # validate allocates no bucket; a run of 2e10 buckets would exhaust memory
+    assert validate(small_scenario(tmp_path, duration=20.0,
+                                   bucket_width=20.0 / MAX_BUCKETS)) == []
+    assert validate(small_scenario(tmp_path, duration=20.0, bucket_width=1e-9)) == [
+        f"bucket_width: a duration of 20 s makes more than {MAX_BUCKETS} buckets of 1e-09 s"]
 
 
 def test_validate_reports_field_errors(tmp_path):
@@ -424,8 +433,8 @@ def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
     ("link 0 1 100 2 4 nan", "", "topology: {topo}:3: link 0->1: channel rate must be finite"),
     ("link 0 1 100 2 4 inf", "", "topology: {topo}:3: link 0->1: channel rate must be finite"),
     # finite inputs whose products overflow: every arrival rate would be 0
-    ("", "0 1 1e308", "matrix: at load 0.3, pair 0 1: weight 1e+308 makes the offered "
-                      "load overflow"),
+    ("", "0 1 1e308", "matrix: {matrix}:2: at load 0.3, pair 0 1: weight 1e+308 makes the "
+                      "offered load overflow"),
     ("link 0 1 100 2 4 1e308", "", "topology: egress capacity of nodes [0, 1] overflows"),
 ], ids=["bad-link-record", "bad-matrix-line", "matrix-node-not-in-topology",
         "negative-matrix-weight", "self-traffic-weight", "nan-matrix-weight",
@@ -444,6 +453,22 @@ def test_cli_validate_parses_topology_and_matrix(tmp_path, capsys, topo_line, ma
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {expected}"), lines
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, where, reason", [
+    ("node 0 a\nnode 2 c\nlink 0 2 100 2 4 1e9\n", ":2",
+     "node ids must be dense 0..1, got [0, 2]"),
+    ("node 0 a\nnode 1 b\nnode 2 c\nlink 0 1 100 2 4 1e9\n", ":3",
+     "graph is disconnected; unreachable nodes [2]"),
+    ("", "", "topology has no nodes"),
+], ids=["non-dense-ids", "disconnected", "empty-file"])
+def test_cli_validate_names_the_record_of_a_graph_rule(tmp_path, capsys, text, where, reason):
+    topo = tmp_path / "net.topo"
+    topo.write_text(text)
+    path = write_scn(tmp_path, f"topology = net.topo\nloads = 0.3\n"
+                               f"matrix = {obs_gprm.data_path('uniform.matrix')}\n")
+    assert main(["validate", "--scenario", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: topology: {topo}{where}: {reason}"]
 
 
 @pytest.mark.parametrize("grid, key", [

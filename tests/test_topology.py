@@ -1,14 +1,16 @@
-import os
+import itertools
+import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import obs_gprm
 from obs_gprm.topology import (
+    MAX_DATA_CHANNELS,
     Link,
     Topology,
     TopologyError,
-    all_pairs_hop_counts,
     load_topology,
     propagation_delay,
 )
@@ -23,12 +25,11 @@ def triangle():
     return Topology([0, 1, 2], links)
 
 
-def floyd_warshall_hops(topology):
-    """Independent oracle: all-pairs hop counts without BFS."""
-    inf = float("inf")
-    nodes = topology.nodes
-    dist = {(i, j): 0 if i == j else inf for i in nodes for j in nodes}
-    for (u, v) in topology.links:
+def floyd_warshall_hops(nodes, links):
+    """Independent oracle: all-pairs hop counts without BFS, `inf` for a
+    pair that no path joins."""
+    dist = {(i, j): 0 if i == j else math.inf for i in nodes for j in nodes}
+    for (u, v) in links:
         dist[(u, v)] = 1
     for k in nodes:
         for i in nodes:
@@ -115,6 +116,9 @@ def test_duplicate_link_rejected(tmp_path):
     ("link 0 2 100 2 4 inf", "link 0->2: channel rate must be finite"),
     ("node 1 d", "node 1 is already declared on line 2"),
     ("link 1 7 100 2 4 1e9", "link 1->7 references undeclared node"),
+    # rejected before any per-channel schedule exists
+    ("link 0 2 100 2 1000000000000 1e9",
+     f"link 0->2: needs >= 1 control channel and 1..{MAX_DATA_CHANNELS} data channels"),
 ])
 def test_bad_link_record_names_its_line(tmp_path, record, reason):
     path = tmp_path / "bad.topo"
@@ -124,6 +128,19 @@ def test_bad_link_record_names_its_line(tmp_path, record, reason):
     assert str(exc.value) == f"{path}:5: {reason}"
 
 
+@pytest.mark.parametrize("text, where, reason", [
+    ("node 0 a\nnode 2 c\nlink 0 2 100 2 4 1e9\n", ":2",
+     "node ids must be dense 0..1, got [0, 2]"),
+    ("", "", "topology has no nodes"),
+], ids=["non-dense-ids", "empty-file"])
+def test_graph_rule_names_its_file_line(tmp_path, text, where, reason):
+    path = tmp_path / "bad.topo"
+    path.write_text(text)
+    with pytest.raises(TopologyError) as exc:
+        load_topology(str(path))
+    assert str(exc.value) == f"{path}{where}: {reason}"
+
+
 def test_link_invariants():
     with pytest.raises(TopologyError):
         Link(0, 0, 10, 2, 4, 1e9)
@@ -131,20 +148,36 @@ def test_link_invariants():
         Link(0, 1, -5, 2, 4, 1e9)
     with pytest.raises(TopologyError):
         Link(0, 1, 10, 2, 0, 1e9)
+    assert Link(0, 1, 10, 2, MAX_DATA_CHANNELS, 1e9).data_channels == MAX_DATA_CHANNELS
+    with pytest.raises(TopologyError):
+        Link(0, 1, 10, 2, MAX_DATA_CHANNELS + 1, 1e9)
 
 
 def test_triangle_hop_counts():
-    hops = all_pairs_hop_counts(triangle())
+    hops = triangle().hop_counts()
     assert hops[(0, 1)] == 1
     assert hops[(0, 0)] == 0
 
 
-def test_hop_counts_match_oracle_on_nsfnet():
-    t = load_topology(obs_gprm.data_path("nsfnet.topo"))
-    hops = all_pairs_hop_counts(t)
-    oracle = floyd_warshall_hops(t)
-    for pair, d in oracle.items():
-        assert hops[pair] == d
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))), unique=True))))
+def test_hop_counts_match_oracle_on_random_graphs(tmp_path_factory, graph):
+    # nodes are declared in a random order, so each has its own line
+    order, fibers = graph
+    path = tmp_path_factory.mktemp("graph") / "g.topo"
+    path.write_text("".join(f"node {m} n{m}\n" for m in order)
+                    + "".join(f"link {u} {v} 100 2 4 1e9\n" for u, v in fibers))
+    oracle = floyd_warshall_hops(sorted(order), fibers + [(v, u) for u, v in fibers])
+    unreachable = [m for m in sorted(order) if oracle[(0, m)] == math.inf]
+    if not unreachable:
+        assert load_topology(str(path)).hop_counts() == oracle
+        return
+    with pytest.raises(TopologyError) as exc:
+        load_topology(str(path))
+    assert str(exc.value) == (f"{path}:{order.index(unreachable[0]) + 1}: graph is "
+                              f"disconnected; unreachable nodes {unreachable}")
 
 
 def test_hop_count_triangle_inequality():
