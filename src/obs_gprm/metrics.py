@@ -18,6 +18,9 @@ class UndefinedMetricError(ValueError):
 
 @dataclass
 class RunCounters:
+    """Counts of one cohort of bursts. `busy_time` maps (src, dst, wavelength)
+    to the channel seconds, clipped at the run end, of each delivered burst
+    (util_mode `delivered`) or each reservation (`all`) of the steady cohort."""
     bursts_sent: int = 0
     bursts_delivered: int = 0
     drops_contention: int = 0
@@ -25,7 +28,6 @@ class RunCounters:
     drops_noroute: int = 0
     drops_ingress: int = 0
     delay_sum: float = 0.0
-    # (src, dst, wavelength) -> seconds of channel occupancy
     busy_time: dict = field(default_factory=dict)
 
     @property
@@ -47,8 +49,8 @@ class TimeSeries:
     """Per-bucket sent/dropped counts for the learning-curve output."""
 
     def __init__(self, bucket_width):
-        if bucket_width <= 0:
-            raise ValueError("bucket width must be > 0")
+        if not 0 < bucket_width < float("inf"):  # NaN fails this too
+            raise ValueError(f"bucket width must be finite and > 0, got {bucket_width}")
         self.bucket_width = bucket_width
         self._sent = {}
         self._dropped = {}
@@ -109,7 +111,8 @@ class RunResult:
     """Everything one simulation run produces.
 
     `counters` covers the steady-state cohort (bursts created after warm-up);
-    `counters_total` covers every burst including the transient.
+    `counters_total` covers every burst including the transient. Only
+    `counters` holds busy time, so utilization covers the steady cohort only.
     """
 
     counters: RunCounters
@@ -138,9 +141,8 @@ class RunResult:
         return c.delay_sum / c.bursts_delivered
 
     def utilization(self, topology):
-        """Fraction of total data-channel capacity occupied after warm-up."""
+        """Fraction of total data-channel capacity the steady cohort occupied."""
         elapsed = self.elapsed
         if elapsed <= 0:
             raise UndefinedMetricError("utilization undefined: elapsed must be > 0")
-        total_busy = sum(self.counters.busy_time.values())
-        return total_busy / (elapsed * topology.total_data_channels())
+        return sum(self.counters.busy_time.values()) / (elapsed * topology.total_data_channels())

@@ -237,18 +237,20 @@ class Simulator:
                 self.nodes[n] = LazyRoutingTable(success, cfg.refresh_period)
                 self._loss[n] = LossRateWindow(cfg.blr_window)
         self.counters = RunCounters()        # steady-state cohort
-        self.counters_total = RunCounters()  # every burst
+        self.counters_total = RunCounters()  # every burst; no busy time
         self.series = TimeSeries(cfg.bucket_width)
         self._duration = None
 
     # -- helpers -----------------------------------------------------------
 
-    def _add_busy(self, key, start, duration, steady):
-        lo = max(start, self._warmup)
-        hi = min(start + duration, self._duration)
-        self.counters_total.add_busy(key, duration)
-        if steady and hi > lo:
-            self.counters.add_busy(key, hi - lo)
+    def _add_busy(self, hops, wavelength, duration):
+        """Count one steady burst's `hops` (path log entries, so past warm-up) to the run end."""
+        run_end = self._duration
+        for node, _, next_hop, start in hops:
+            end = start + duration
+            busy = (run_end if run_end < end else end) - start  # min() without the call
+            if busy > 0:
+                self.counters.add_busy((node, next_hop, wavelength), busy)
 
     def _notify(self, now, node, bhp, idx):
         """Send the ACK/NACK of `bhp` from `node` to the forwarding node at `path_log[idx]`."""
@@ -348,26 +350,22 @@ class Simulator:
         bhp.path_log.append((node, evidence, next_hop, start))
         if self._gprm:
             loss.record_forward(now)
-        if self._util_all:
-            self._add_busy((node, next_hop, wavelength), start, bhp.duration,
-                           self._warmup <= bhp.created_at)
+        if self._util_all and self._warmup <= bhp.created_at:
+            self._add_busy(bhp.path_log[-1:], wavelength, bhp.duration)
         if self.trace is not None and not at_source:
             self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, f"forward {next_hop}")
         heappush(self._heap, (now + php + prop, next(self._seq), BHP_ARRIVE, next_hop, bhp))
 
     def _on_burst_arrive(self, now, node, bhp):
         """A burst's tail reaches its destination."""
-        steady = self._warmup <= bhp.created_at
         delay = now - bhp.created_at
         self.counters_total.bursts_delivered += 1
         self.counters_total.delay_sum += delay
-        if steady:
+        if self._warmup <= bhp.created_at:
             self.counters.bursts_delivered += 1
             self.counters.delay_sum += delay
-        if not self._util_all:
-            wavelength, duration = bhp.wavelength, bhp.duration
-            for hop_node, _, next_hop, start in bhp.path_log:
-                self._add_busy((hop_node, next_hop, wavelength), start, duration, steady)
+            if not self._util_all:
+                self._add_busy(bhp.path_log, bhp.wavelength, bhp.duration)
         if self.trace is not None:
             self.trace(now, "BURST_ARRIVE", node, bhp.burst_id, "delivered")
 

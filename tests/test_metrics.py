@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -133,6 +134,14 @@ def test_time_series_buckets_and_conservation():
     assert sum(dropped) == 2
     assert list(sent) == [2, 1, 2]
     assert list(dropped) == [0, 1, 1]
+
+
+@pytest.mark.parametrize("width", [0.0, -0.01, math.nan, math.inf, -math.inf])
+def test_time_series_rejects_a_bucket_width_not_finite_and_positive(width):
+    # NaN would fail only at the first bucket index, and an infinite width
+    # would give the one bucket a start time of NaN (0 * inf)
+    with pytest.raises(ValueError, match="bucket width must be finite and > 0"):
+        TimeSeries(width)
 
 
 def test_rolling_blr_window():

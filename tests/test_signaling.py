@@ -372,15 +372,15 @@ def test_unroutable_connection_is_rejected(policy, src, dst, error):
     assert f"src={src}, dst={dst}," in str(exc.value)
 
 
-def nsfnet_sim(policy, seed, load=0.4, trace=None, **config):
-    """A Simulator on the shipped NSFnet and gravity matrix; `config` overrides
+def nsfnet_sim(policy, seed, load=0.4, trace=None, simulator=Simulator, **config):
+    """A `simulator` on the shipped NSFnet and gravity matrix; `config` overrides
     SimConfig fields (no warm-up and a 0.3 ms offset guard by default)."""
     topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
     matrix = load_matrix(obs_gprm.data_path("us_ref.matrix"))
     caps = {n: topo.egress_capacity(n) for n in topo.nodes}
     conns = scale_to_load(matrix, LoadSpec(load, caps), 3.2e6, master_seed=seed)
     cfg = SimConfig(**{"warmup": 0.0, "offset_guard": 3e-4, **config})
-    return Simulator(topo, conns, policy=policy, config=cfg, trace=trace)
+    return simulator(topo, conns, policy=policy, config=cfg, trace=trace)
 
 
 def run_nsfnet(policy, seed, duration=6.0, load=0.4, trace=None, initial_mode="warm"):
@@ -489,6 +489,73 @@ def test_busy_time_bounded_by_elapsed():
     res, topo = run_nsfnet("sp", seed=6, duration=4.0)
     for key, busy in res.counters.busy_time.items():
         assert busy <= res.elapsed + 1e-9
+
+
+class ReservationLog(Simulator):
+    """A Simulator that logs, in event order, every reservation its util mode
+    counts: all of a burst's when it is delivered (`delivered`), or each one
+    when it is made (`all`), as (lane, start, duration, created_at)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reservations = []
+
+    def _log(self, bhp, hops):
+        self.reservations += [((node, next_hop, bhp.wavelength), start, bhp.duration,
+                               bhp.created_at) for node, _, next_hop, start in hops]
+
+    def _on_bhp(self, now, node, bhp):
+        made = len(bhp.path_log)
+        super()._on_bhp(now, node, bhp)
+        if self.config.util_mode == "all" and len(bhp.path_log) > made:
+            self._log(bhp, bhp.path_log[-1:])
+
+    def _on_burst_arrive(self, now, node, bhp):
+        super()._on_burst_arrive(now, node, bhp)
+        if self.config.util_mode == "delivered":
+            self._log(bhp, bhp.path_log)
+
+
+def clipped_busy_time(reservations, warmup, run_end):
+    """Busy time per lane of the bursts created at or after `warmup`, each
+    reservation clipped to [warmup, run_end], summed in the order given."""
+    busy = {}
+    for lane, start, duration, created_at in reservations:
+        lo = max(start, warmup)
+        hi = min(start + duration, run_end)
+        if warmup <= created_at and hi > lo:
+            busy[lane] = busy.get(lane, 0.0) + (hi - lo)
+    return busy
+
+
+@pytest.mark.parametrize("util_mode", ["delivered", "all"])
+@pytest.mark.parametrize("policy", ["sp", "gprm"])
+def test_busy_time_is_the_steady_reservations_clipped_at_both_ends(policy, util_mode):
+    warmup, run_end = 1.0, 3.0
+    sim = nsfnet_sim(policy, seed=8, load=0.8, warmup=warmup, util_mode=util_mode,
+                     simulator=ReservationLog)
+    res = sim.run(run_end)
+    # the log holds bursts from before warm-up and reservations past the run end
+    assert any(created_at < warmup for *_, created_at in sim.reservations)
+    assert any(start + duration > run_end and created_at >= warmup
+               for _, start, duration, created_at in sim.reservations)
+    # same lanes, in the same order, with bit-identical sums
+    expected = clipped_busy_time(sim.reservations, warmup, run_end)
+    assert list(res.counters.busy_time.items()) == list(expected.items())
+    assert res.counters_total.busy_time == {}
+
+
+def test_busy_time_of_every_reservation_covers_that_of_the_delivered():
+    busy = {}
+    for util_mode in ("delivered", "all"):
+        sim = nsfnet_sim("gprm", seed=9, load=0.8, warmup=1.0, util_mode=util_mode)
+        busy[util_mode] = sim.run(3.0).counters.busy_time
+    assert busy["delivered"].keys() <= busy["all"].keys()
+    # `all` adds the same terms and those of dropped bursts' hops, but in the
+    # order the reservations were made, so a lane with no drop may differ by ulps
+    for lane, seconds in busy["delivered"].items():
+        assert busy["all"][lane] >= seconds * (1 - 1e-12)
+    assert sum(busy["all"].values()) > sum(busy["delivered"].values())
 
 
 def test_replay_is_bit_identical():
