@@ -80,7 +80,7 @@ def parse_scenario(path):
                 raise ScenarioError([f"{path}:{lineno}: key {key!r} is already set "
                                      f"on line {set_on[key]}"])
             set_on[key] = lineno
-            if key in ("topology", "matrix") and not os.path.isabs(value):
+            if key in ("topology", "matrix") and value and not os.path.isabs(value):
                 value = os.path.join(base, value)
             try:
                 setattr(scenario, key, _parse_value(types[key], value))

@@ -4,16 +4,17 @@ Every node keeps one SuccessTable: for each neighbor k and each observed
 evidence vector (offset class, loss-rate class, hop-count class, destination)
 it stores the learned probability that forwarding via k succeeds. ACK/NACK
 notifications drive an exponential-smoothing update; updates take effect at
-the next routing refresh. On a cold start, a naive-Bayes estimator over the
-observation counts generalizes to evidence combinations that were never hit
-directly; a warm start scores them with the hop-count prior and keeps no
-counts.
+the next routing refresh. An unseen pair scores the table's prior. A cold
+start also counts outcomes per evidence field, and a naive-Bayes estimator
+over those counts generalizes to evidence combinations never hit directly;
+a warm start keeps no counts. `signaling.SimConfig` holds every default.
 """
 
 from collections import deque
 from typing import NamedTuple
 
 OFFSET_CLASSES = 16  # offset classes 0..15, measured in per-hop processing units
+BLR_CLASSES = 3      # loss-rate classes 0 low, 1 medium, 2 high
 HOP_CLASSES = 16     # hop-count classes 0..15
 DEST_NEIGHBOR_SP = 0.95  # cold prior of handing a burst straight to its destination
 INFEASIBLE_SP = 0.02     # warm prior of a neighbor too far for the remaining offset
@@ -80,7 +81,7 @@ def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_lo
     return tuple.__new__(EvidenceVector, (o, b, nb, dest))
 
 
-def cold_start_prior(initial_sp=0.5):
+def cold_start_prior(initial_sp):
     """Initial success probability for learning with no routing information.
 
     Uniform over neighbors, except that a neighbor which *is* the burst's
@@ -94,7 +95,7 @@ def cold_start_prior(initial_sp=0.5):
     return prior
 
 
-def warm_start_prior(hop_counts, owner, detour_base=0.8):
+def warm_start_prior(hop_counts, owner, detour_base):
     """Initial success probability favoring minimum-hop neighbors.
 
     A neighbor on a shortest path gets 1.0 and every extra hop a detour would
@@ -120,18 +121,17 @@ def warm_start_prior(hop_counts, owner, detour_base=0.8):
 class SuccessTable:
     """Learned P(success | evidence) for each neighbor of one node.
 
-    `alpha` is the smoothing factor (1.0 freezes the table). `initial_sp`,
-    the success probability of an unseen pair, may be a float (uniform
-    default) or a callable ``(neighbor, evidence) -> float`` for informed
-    warm starts. Both are checked once, by `SimConfig.problems()`. With
-    ``nb_fallback`` enabled (cold starts), the table counts outcomes per
-    evidence field, and evidence vectors never observed for a neighbor are
-    scored by the naive-Bayes estimator instead of the blind default as soon
-    as that neighbor has any recorded outcome. Without it (warm starts) no
-    counts are kept and unseen vectors always get the initial default.
+    `alpha` is the smoothing factor (1.0 freezes the table) and `prior(k, e)`
+    the success probability of an unseen pair; `SimConfig.problems()` checks
+    the settings they come from. Naive Bayes is on exactly when `nb_space`,
+    the number of states of each evidence field, is given (cold starts): the
+    table counts outcomes per field, and an evidence vector never observed
+    for a neighbor is scored by naive Bayes instead of the prior as soon as
+    that neighbor has any recorded outcome. Without it (warm starts) no
+    counts are kept and unseen vectors always get the prior.
 
     Precondition under naive Bayes: each evidence field value ``e[f]`` lies
-    in ``range(state_counts[f])``, since the counts of field f are a list of
+    in ``range(nb_space[f])``, since the counts of field f are a list of
     that length. The engine keeps to it: offset and hop classes are capped
     at 15, the loss class is at most 2, and destinations are node ids, which
     are below the node count. A larger value raises IndexError when it is
@@ -142,35 +142,30 @@ class SuccessTable:
     refresh, when ``begin_epoch`` applies the queue in arrival order.
     """
 
-    def __init__(self, owner, neighbors, alpha=0.9, initial_sp=0.5, state_counts=None,
-                 nb_fallback=False):
+    def __init__(self, owner, neighbors, alpha, prior, nb_space=None):
         self.owner = owner
         self.neighbors = tuple(sorted(neighbors))
         self._neighbor_set = frozenset(neighbors)
         self.alpha = alpha
-        # (offset states, blr states, hop states, destination states)
-        self.state_counts = state_counts or (OFFSET_CLASSES, 3, HOP_CLASSES, 16)
-        # `_default(k, e)`: the initial success probability of an unseen (k, e)
-        self._default = (initial_sp if callable(initial_sp)
-                         else (lambda k, e: initial_sp))
-        self.nb_fallback = nb_fallback
+        self._prior = prior
+        # (offset states, blr states, hop states, destination states), or None
+        self.nb_space = nb_space
         self.values = {}
-        # per neighbor, per outcome: total count, and with naive Bayes on, one
-        # count list per evidence field, indexed by the field's value
-        self._totals = {k: [0, 0] for k in self.neighbors}
-        self._factor_counts = {
-            k: ([[0] * s for s in self.state_counts], [[0] * s for s in self.state_counts])
-            for k in self.neighbors
-        } if nb_fallback else {}
+        # under naive Bayes, per neighbor and outcome: the total count, and
+        # one count list per evidence field, indexed by the field's value
+        nb_neighbors = self.neighbors if nb_space is not None else ()
+        self._totals = {k: [0, 0] for k in nb_neighbors}
+        self._factor_counts = {k: ([[0] * s for s in nb_space], [[0] * s for s in nb_space])
+                               for k in nb_neighbors}
         self._pending = []  # (k, e, success) of this period, in arrival order
 
     def _unseen_prob(self, k, e):
         """Estimate for a (k, e) with no stored value: the naive-Bayes
-        generalization when enabled and k has history, else the initial default."""
-        if self.nb_fallback and any(self._totals[k]):
+        generalization when enabled and k has history, else the prior."""
+        if self.nb_space is not None and any(self._totals[k]):
             s_succ, s_fail = self._nb_scores(k, e)
             return s_succ / (s_succ + s_fail)
-        return self._default(k, e)
+        return self._prior(k, e)
 
     def sp_update(self, k, e, success):
         """Queue the notification of one forwarding outcome via `k` under `e`,
@@ -186,7 +181,7 @@ class SuccessTable:
         n_succ, n_fail = self._totals[k]
         n2 = n_succ + n_fail + 2.0
         (s_o, s_b, s_nb, s_d), (f_o, f_b, f_nb, f_d) = self._factor_counts[k]
-        c_o, c_b, c_nb, c_d = self.state_counts
+        c_o, c_b, c_nb, c_d = self.nb_space
         o, b, nb, d = e
         return [(n_succ + 1.0) / n2 * ((s_o[o] + 1.0) / (n_succ + c_o))
                 * ((s_b[b] + 1.0) / (n_succ + c_b)) * ((s_nb[nb] + 1.0) / (n_succ + c_nb))
@@ -202,15 +197,15 @@ class SuccessTable:
 
         Each is an exponential-smoothing update, SP' = alpha * SP +
         (1 - alpha) * A with A = 1 on success, 0 on failure, and with
-        ``nb_fallback`` on it also feeds the naive-Bayes observation counts.
+        ``nb_space`` given it also feeds the naive-Bayes observation counts.
         The entries are applied one at a time: each reads its base, then
         stores its value, then (under naive Bayes) adds its outcome to the
         counts. The base of a row's first update is `_unseen_prob` at that
-        moment. Without naive Bayes that is the initial default, which
-        routing was already using for the row. Under naive Bayes it is the
-        estimate from counts that already hold every earlier entry of this
-        queue, so it differs from routing's view of the ending period as soon
-        as an earlier entry in the queue has the same neighbor.
+        moment. Without naive Bayes that is the prior, which routing was
+        already using for the row. Under naive Bayes it is the estimate from
+        counts that already hold every earlier entry of this queue, so it
+        differs from routing's view of the ending period as soon as an
+        earlier entry in the queue has the same neighbor.
         """
         values = self.values
         alpha = self.alpha
@@ -220,7 +215,7 @@ class SuccessTable:
             old = values.get(key)
             base = old if old is not None else self._unseen_prob(k, e)
             values[key] = alpha * base + (1.0 - alpha) * (1.0 if success else 0.0)
-            if self.nb_fallback:
+            if self.nb_space is not None:
                 idx = 0 if success else 1
                 self._totals[k][idx] += 1
                 c_o, c_b, c_nb, c_d = self._factor_counts[k][idx]

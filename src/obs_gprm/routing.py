@@ -46,7 +46,7 @@ class LazyRoutingTable:
             self._epoch = epoch
             table = self.success
             applied = table.begin_epoch()
-            if table.nb_fallback and applied:
+            if table.nb_space is not None and applied:
                 self._rows = {}
                 self._costs = {}
                 return

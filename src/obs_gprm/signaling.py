@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 
 from .gprm import (
+    BLR_CLASSES,
     HOP_CLASSES,
     LossRateWindow,
     OFFSET_CLASSES,
@@ -227,13 +228,13 @@ class Simulator:
         self._loss = {}  # GPRM node -> its loss window
         if self._gprm:
             cold = cfg.initial_mode == "cold"
-            state_counts = (OFFSET_CLASSES, 3, HOP_CLASSES, len(topology.nodes))
+            # a cold start scores unseen evidence by naive Bayes over these field sizes
+            nb_space = (OFFSET_CLASSES, BLR_CLASSES, HOP_CLASSES, len(topology.nodes)) \
+                if cold else None
             for n in topology.nodes:
-                initial = (cold_start_prior(cfg.initial_sp) if cold else
-                           warm_start_prior(self.hop_counts, n, detour_base=cfg.detour_penalty))
-                success = SuccessTable(n, topology.neighbors[n], alpha=cfg.alpha,
-                                       initial_sp=initial, nb_fallback=cold,
-                                       state_counts=state_counts)
+                prior = (cold_start_prior(cfg.initial_sp) if cold else
+                         warm_start_prior(self.hop_counts, n, cfg.detour_penalty))
+                success = SuccessTable(n, topology.neighbors[n], cfg.alpha, prior, nb_space)
                 self.nodes[n] = LazyRoutingTable(success, cfg.refresh_period)
                 self._loss[n] = LossRateWindow(cfg.blr_window)
         self.counters = RunCounters()        # steady-state cohort

@@ -121,6 +121,7 @@ def load_topology(path):
         node <id> <name>
         link <src> <dst> <km> <ctrl_channels> <data_channels> <bit_rate>
     Each `link` line declares one bidirectional fiber (two directed links).
+    The name is optional and one word; a record with extra fields is malformed.
     A malformed or repeated record, and a broken graph rule, raise a
     `TopologyError` naming the `path:line` of the record at fault, or the
     `path` alone when no record is (a file without nodes).
@@ -137,6 +138,8 @@ def load_topology(path):
             parts = line.split()
             try:
                 if parts[0] == "node":
+                    if len(parts) > 3:  # a name is one word
+                        raise ValueError("extra fields")
                     nid = int(parts[1])
                     if nid in node_lines:
                         raise TopologyError(f"node {nid} is already declared on "
@@ -144,10 +147,10 @@ def load_topology(path):
                     node_lines[nid] = lineno
                     names[nid] = parts[2] if len(parts) > 2 else str(nid)
                 elif parts[0] == "link":
-                    src, dst = int(parts[1]), int(parts[2])
-                    km = float(parts[3])
-                    ctrl, data = int(parts[4]), int(parts[5])
-                    rate = float(parts[6])
+                    _, src, dst, km, ctrl, data, rate = parts  # exactly seven fields
+                    src, dst = int(src), int(dst)
+                    km, rate = float(km), float(rate)
+                    ctrl, data = int(ctrl), int(data)
                     if (src, dst) in link_lines:  # a line declares both directions
                         raise TopologyError(f"link {src}->{dst} is already declared on "
                                             f"line {link_lines[(src, dst)]}")

@@ -26,6 +26,11 @@ def star_into_chain(data=1, km=0.2):
     return Topology([0, 1, 2, 3], links)
 
 
+def flat(p):
+    """A success-table prior that gives every (neighbor, evidence) pair `p`."""
+    return lambda k, e: p
+
+
 def walk_row(router, e, now=0.0):
     """The next hops of one routing row in lookup order: each lookup excludes
     the hops already returned, until none is left."""

@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 
 import obs_gprm
-from conftest import update_and_read, walk_row
+from conftest import flat, update_and_read, walk_row
 from obs_gprm.experiment import parse_scenario, run_experiment
 from obs_gprm.gprm import EvidenceVector, SuccessTable
 from obs_gprm.metrics import ROLLING_WINDOW_BUCKETS, rolling_ratio
@@ -150,8 +150,7 @@ def test_criterion_5_cold_start_learning():
 
 def _props_unit_interval():
     rng = random.Random(99)
-    t = SuccessTable(0, (1, 2, 3), alpha=0.9, initial_sp=0.5,
-                     state_counts=(16, 3, 16, 14))
+    t = SuccessTable(0, (1, 2, 3), 0.9, flat(0.5))
     for _ in range(1_000_000):
         e = EvidenceVector(rng.randrange(16), rng.randrange(3), rng.randrange(16),
                            rng.randrange(14))
@@ -165,8 +164,7 @@ def _props_sort_and_rows():
     rng = random.Random(5)
     counts = (2, 3, 4, 5)
     for _ in range(20):
-        t = SuccessTable(0, (1, 2, 3), alpha=0.9, initial_sp=0.5,
-                         state_counts=counts)
+        t = SuccessTable(0, (1, 2, 3), 0.9, flat(0.5))
         for _ in range(rng.randrange(80)):
             e = EvidenceVector(rng.randrange(2), rng.randrange(3), rng.randrange(4),
                                rng.randrange(5))
@@ -225,10 +223,10 @@ def _props_replay():
 
 
 def _props_algorithm3_spot():
-    t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5)
+    t = SuccessTable(0, (1,), 0.9, flat(0.5))
     e = EvidenceVector(1, 0, 1, 1)
     ok = abs(update_and_read(t, 1, e, True) - 0.55) < 1e-12
-    t2 = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5)
+    t2 = SuccessTable(0, (1,), 0.9, flat(0.5))
     ok &= abs(update_and_read(t2, 1, e, False) - 0.45) < 1e-12
     return ok
 
@@ -237,8 +235,7 @@ def _props_nb_exhaustive():
     counts = (2, 2, 2, 2)
     rng = random.Random(3)
     for _ in range(10):
-        t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts,
-                         nb_fallback=True)
+        t = SuccessTable(0, (1,), 0.9, flat(0.5), counts)
         history = []  # (evidence, success) as fed to the table
         for _ in range(rng.randrange(1, 25)):
             e = EvidenceVector(rng.randrange(2), rng.randrange(2), rng.randrange(2),

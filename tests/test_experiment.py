@@ -436,10 +436,14 @@ def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
     ("", "0 1 1e308", "matrix: {matrix}:2: at load 0.3, pair 0 1: weight 1e+308 makes the "
                       "offered load overflow"),
     ("link 0 1 100 2 4 1e308", "", "topology: egress capacity of nodes [0, 1] overflows"),
+    # a node name is one word, and a link has exactly seven fields
+    ("node 2 New York", "", "topology: {topo}:3: malformed line"),
+    ("link 0 1 100 2 4 1e9 junk", "", "topology: {topo}:3: malformed line"),
 ], ids=["bad-link-record", "bad-matrix-line", "matrix-node-not-in-topology",
         "negative-matrix-weight", "self-traffic-weight", "nan-matrix-weight",
         "inf-matrix-weight", "nan-link-length", "inf-link-length", "nan-link-rate",
-        "inf-link-rate", "huge-matrix-weight", "huge-link-rate"])
+        "inf-link-rate", "huge-matrix-weight", "huge-link-rate", "extra-node-field",
+        "extra-link-field"])
 def test_cli_validate_parses_topology_and_matrix(tmp_path, capsys, topo_line, matrix_line,
                                                  expected):
     topo, matrix = tmp_path / "net.topo", tmp_path / "m.matrix"
@@ -452,6 +456,19 @@ def test_cli_validate_parses_topology_and_matrix(tmp_path, capsys, topo_line, ma
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {expected}"), lines
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["topology", "matrix"])
+def test_cli_reports_an_empty_file_key_as_missing(tmp_path, capsys, key):
+    # an empty path is not resolved against the scenario's directory
+    keys = {"topology": obs_gprm.data_path("nsfnet.topo"),
+            "matrix": obs_gprm.data_path("us_ref.matrix"), "loads": "0.3", key: ""}
+    path = write_scn(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    for argv in (["validate", "--scenario", path],
+                 ["run", "--scenario", path, "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {key}: missing"]
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,7 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import obs_gprm
 from obs_gprm.gprm import (
     EvidenceVector,
     LossRateWindow,
@@ -11,16 +12,16 @@ from obs_gprm.gprm import (
     extract_evidence,
     warm_start_prior,
 )
-from conftest import path_topology, update_and_read
+from conftest import flat, path_topology, update_and_read
 from obs_gprm.signaling import SimConfig, Simulator
+from obs_gprm.topology import load_topology
 
 EV = EvidenceVector(3, 0, 3, 2)
 STATE_COUNTS = (16, 3, 16, 8)
 
 
-def fresh_table(alpha=0.9, initial=0.5, neighbors=(1, 2), **kw):
-    return SuccessTable(0, neighbors, alpha=alpha, initial_sp=initial,
-                        state_counts=STATE_COUNTS, **kw)
+def fresh_table(alpha=0.9, initial=0.5, neighbors=(1, 2), nb_space=None):
+    return SuccessTable(0, neighbors, alpha, flat(initial), nb_space)
 
 
 def test_cold_query_returns_default():
@@ -146,7 +147,7 @@ def test_extract_evidence_ranges(node, dest, rem, blr_value):
     assert e.dest == dest
 
 
-def nb_oracle(history, e, state_counts):
+def nb_oracle(history, e, nb_space):
     """Brute-force evaluation of the smoothed independence product, counted
     from the `(evidence, success)` history the table was fed:
     [success score, failure score]."""
@@ -156,7 +157,7 @@ def nb_oracle(history, e, state_counts):
         p = (len(seen) + 1) / (len(history) + 2)
         for f in range(4):
             c = sum(1 for h in seen if h[f] == e[f])
-            p *= (c + 1) / (len(seen) + state_counts[f])
+            p *= (c + 1) / (len(seen) + nb_space[f])
         scores.append(p)
     return scores
 
@@ -166,7 +167,7 @@ def nb_scores(table, k, e):
 
 
 def test_nb_scores_unanimous_success():
-    t = fresh_table(nb_fallback=True)
+    t = fresh_table(nb_space=STATE_COUNTS)
     for _ in range(5):
         update_and_read(t, 1, EV, True)
     s_succ, s_fail = nb_scores(t, 1, EV)
@@ -180,7 +181,7 @@ def test_nb_scores_unanimous_success():
 
 def test_nb_scores_require_observations():
     # naive Bayes scores a neighbor only once that neighbor has an outcome
-    t = fresh_table(nb_fallback=True)
+    t = fresh_table(nb_space=STATE_COUNTS)
     assert t.epoch_success_prob(1, EV) == 0.5
     update_and_read(t, 2, EV, False)
     assert t.epoch_success_prob(1, EV) == 0.5
@@ -188,10 +189,10 @@ def test_nb_scores_require_observations():
 
 
 def test_warm_table_keeps_no_naive_bayes_counts():
-    t = fresh_table()  # nb_fallback off, as on every warm start
+    t = fresh_table()  # no naive-Bayes space, as on every warm start
     update_and_read(t, 1, EV, True)
     update_and_read(t, 1, EvidenceVector(0, 1, 2, 3), False)
-    assert t._totals[1] == [0, 0]
+    assert t._totals == {} and t._factor_counts == {}
     # unseen evidence still scores the prior
     assert t.epoch_success_prob(1, EV._replace(blr_class=1)) == 0.5
 
@@ -202,8 +203,7 @@ def test_warm_table_keeps_no_naive_bayes_counts():
                 min_size=1, max_size=25))
 def test_nb_scores_match_bruteforce_oracle(history):
     counts = (3, 3, 3, 3)
-    t = SuccessTable(0, (1,), alpha=0.9, initial_sp=0.5, state_counts=counts,
-                     nb_fallback=True)
+    t = SuccessTable(0, (1,), 0.9, flat(0.5), counts)
     fed = [(EvidenceVector(o, b, nb, d), ok) for o, b, nb, d, ok in history]
     for e, ok in fed:
         update_and_read(t, 1, e, ok)
@@ -222,7 +222,7 @@ def nb_count_state(table):
 
 
 def test_scoring_unseen_evidence_leaves_the_counts_alone():
-    t = fresh_table(nb_fallback=True)
+    t = fresh_table(nb_space=STATE_COUNTS)
     update_and_read(t, 1, EV, True)
     update_and_read(t, 2, EvidenceVector(0, 1, 2, 3), False)
     before = nb_count_state(t)
@@ -236,8 +236,8 @@ def test_scoring_unseen_evidence_leaves_the_counts_alone():
 
 @pytest.mark.parametrize("field", range(4))
 def test_naive_bayes_rejects_a_field_value_out_of_range(field):
-    # each evidence field value must lie in range(state_counts[field])
-    t = fresh_table(nb_fallback=True)
+    # each evidence field value must lie in range(nb_space[field])
+    t = fresh_table(nb_space=STATE_COUNTS)
     update_and_read(t, 1, EV, True)
     e = EV._replace(**{EV._fields[field]: STATE_COUNTS[field]})
     with pytest.raises(IndexError):
@@ -250,7 +250,7 @@ def test_naive_bayes_rejects_a_field_value_out_of_range(field):
 def test_naive_bayes_refresh_bases_each_entry_on_the_earlier_ones():
     # begin_epoch applies its queue in order; the base of an unseen row is the
     # naive-Bayes estimate from counts that already hold the earlier entries
-    t = fresh_table(alpha=0.9, nb_fallback=True)
+    t = fresh_table(alpha=0.9, nb_space=STATE_COUNTS)
     history = [(EV, True)]
     update_and_read(t, 1, EV, True)
     e2, e3 = EV._replace(blr_class=1), EV._replace(blr_class=2)
@@ -271,7 +271,7 @@ def test_naive_bayes_refresh_bases_each_entry_on_the_earlier_ones():
 
 def test_warm_start_prior_prefers_min_hop():
     hops = hop_table()
-    prior = warm_start_prior(hops, owner=1)
+    prior = warm_start_prior(hops, owner=1, detour_base=0.8)
     e_far = EvidenceVector(10, 0, 2, 3)  # plenty of offset budget
     assert prior(2, e_far) == pytest.approx(1.0)       # 2 is on the shortest path 1-2-3
     assert prior(0, e_far) < prior(2, e_far)           # 0 walks away from 3
@@ -309,6 +309,17 @@ def test_loss_rate_window():
     assert w.ratio(0.5) == pytest.approx(0.5)
     # entries expire
     assert w.ratio(1.5) == 0.0
+
+
+@pytest.mark.parametrize("mode, nb_space", [("cold", (16, 3, 16, 14)), ("warm", None)])
+def test_simulator_tables_take_the_config_alpha_and_the_start_mode_nb_space(mode, nb_space):
+    # naive Bayes runs on a cold start only, over every NSFnet node as a destination
+    topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
+    sim = Simulator(topo, [], policy="gprm", config=SimConfig(alpha=0.8, initial_mode=mode))
+    assert len(sim.nodes) == 14
+    for router in sim.nodes.values():
+        assert router.success.alpha == 0.8
+        assert router.success.nb_space == nb_space
 
 
 def test_config_rejects_bad_alpha_and_initial_sp():

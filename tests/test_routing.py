@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obs_gprm
-from conftest import bidir, update_and_read, walk_row
+from conftest import bidir, flat, update_and_read, walk_row
 from obs_gprm.gprm import (INFEASIBLE_SP, EvidenceVector, SuccessTable, cold_start_prior,
                            warm_start_prior)
 from obs_gprm.routing import LazyRoutingTable, shortest_path_table
@@ -14,10 +14,9 @@ from obs_gprm.topology import Link, Topology, load_topology
 SMALL = (2, 3, 4, 5)
 
 
-def table_with(values, neighbors=(1, 2), state_counts=SMALL, initial=0.5):
+def table_with(values, neighbors=(1, 2), initial=0.5):
     """SuccessTable with specific stored values injected."""
-    t = SuccessTable(0, neighbors, alpha=0.9, initial_sp=initial,
-                     state_counts=state_counts)
+    t = SuccessTable(0, neighbors, 0.9, flat(initial))
     t.values.update(values)
     return t
 
@@ -35,14 +34,14 @@ def test_lazy_row_costs_and_order():
 
 
 def test_lazy_row_id_tie_break():
-    t = SuccessTable(0, (3, 7), alpha=0.9, initial_sp=0.5, state_counts=SMALL)
+    t = SuccessTable(0, (3, 7), 0.9, flat(0.5))
     e = EvidenceVector(1, 2, 3, 4)
     assert walk_row(LazyRoutingTable(t, refresh_period=1.0), e) == [3, 7]
     assert cost(t, 3, e) == cost(t, 7, e) == pytest.approx(0.5)
 
 
 def test_row_count_identity_small_space():
-    t = SuccessTable(0, (1, 2), alpha=0.9, initial_sp=0.5, state_counts=SMALL)
+    t = SuccessTable(0, (1, 2), 0.9, flat(0.5))
     lazy = LazyRoutingTable(t, refresh_period=1.0)
     rows = [walk_row(lazy, EvidenceVector(*combo))
             for combo in product(*(range(c) for c in SMALL))]
@@ -130,10 +129,9 @@ def counting_prob(table):
     return calls
 
 
-@pytest.mark.parametrize("nb_fallback", [False, True])
-def test_refresh_recosts_only_updated_rows(nb_fallback):
-    t = SuccessTable(0, (1, 2, 3), alpha=0.9, initial_sp=0.5, state_counts=SMALL,
-                     nb_fallback=nb_fallback)
+@pytest.mark.parametrize("naive_bayes", [False, True])
+def test_refresh_recosts_only_updated_rows(naive_bayes):
+    t = SuccessTable(0, (1, 2, 3), 0.9, flat(0.5), SMALL if naive_bayes else None)
     lazy = LazyRoutingTable(t, refresh_period=1.0)
     calls = counting_prob(t)
     e, f = EvidenceVector(0, 0, 0, 0), EvidenceVector(1, 0, 0, 0)
@@ -146,7 +144,7 @@ def test_refresh_recosts_only_updated_rows(nb_fallback):
     t.sp_update(2, e, False)  # 0.45: neighbor 2 drops to the end of row e
     calls.clear()
     assert walk_row(lazy, e, 2.5) == [1, 3, 2]
-    if nb_fallback:  # the outcome moves every estimate of 2, so both rows are rebuilt
+    if naive_bayes:  # the outcome moves every estimate of 2, so both rows are rebuilt
         assert walk_row(lazy, f, 2.5) == [1, 3, 2]
         assert sorted(calls) == sorted((k, x) for x in (e, f) for k in (1, 2, 3))
     else:
@@ -162,7 +160,8 @@ TINY = (3, 1, 1, 2)  # six evidence vectors, so rows are often reused
 # classes 0..2 the warm prior finds some neighbors feasible and others not
 HOPS = Topology([0, 1, 2, 3, 4], bidir(0, 1) + bidir(1, 2) + bidir(1, 4) + bidir(2, 3)
                 + bidir(2, 4) + bidir(3, 4)).hop_counts()
-PRIORS = {"flat": 0.5, "cold": cold_start_prior(0.5), "warm": warm_start_prior(HOPS, OWNER)}
+PRIORS = {"flat": flat(0.5), "cold": cold_start_prior(0.5),
+          "warm": warm_start_prior(HOPS, OWNER, 0.8)}
 # (operation, neighbor, evidence, success?, excluded next hops, time step);
 # steps of 0.3 and 1.0 against a period of 1.0 cross boundaries often
 LAZY_OPS = st.lists(st.tuples(
@@ -182,10 +181,9 @@ def test_warm_prior_of_the_oracle_mixes_feasible_and_infeasible():
 
 @settings(max_examples=200, deadline=None)
 @given(LAZY_OPS, st.booleans(), st.sampled_from(sorted(PRIORS)))
-def test_lazy_table_matches_snapshot_argmin(ops, nb_fallback, prior):
+def test_lazy_table_matches_snapshot_argmin(ops, naive_bayes, prior):
     def table():
-        return SuccessTable(OWNER, NEIGHBORS, alpha=0.7, initial_sp=PRIORS[prior],
-                            state_counts=TINY, nb_fallback=nb_fallback)
+        return SuccessTable(OWNER, NEIGHBORS, 0.7, PRIORS[prior], TINY if naive_bayes else None)
 
     t, reference = table(), table()
     lazy = LazyRoutingTable(t, refresh_period=1.0)
