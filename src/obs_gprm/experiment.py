@@ -1,9 +1,9 @@
 """Experiment orchestration: scenario files, load/seed sweeps, result CSVs.
 
-A sweep runs every (policy, load, seed) combination on an identical traffic
-realization (the arrival streams depend only on the seed, never on the
-policy) and emits one results CSV, one learning CSV per run, and a per-load
-gain summary when both policies were run.
+A sweep parses its input files once, after the check, and runs every
+(policy, load, seed) combination; both policies of a (load, seed) replay one
+connection list. It emits one results CSV, one learning CSV per run, and a
+per-load gain summary when both policies were run.
 """
 
 import csv
@@ -163,13 +163,8 @@ def validate(scenario):
     return errors
 
 
-def run_single(scenario, policy, load, seed, trace_path=None):
-    """One simulation run; returns (result row dict, learning arrays)."""
-    topology = load_topology(scenario.topology)
-    matrix = load_matrix(scenario.matrix)
-    capacities = {n: topology.egress_capacity(n) for n in topology.nodes}
-    connections = scale_to_load(matrix, LoadSpec(load, capacities),
-                                scenario.mean_burst_size, master_seed=seed)
+def run_single(scenario, topology, connections, policy, load, seed, trace_path=None):
+    """One simulation run on parsed inputs, left unchanged; returns (row, learning arrays)."""
     trace_fh = None
     trace = None
     if trace_path:
@@ -276,14 +271,15 @@ def worker_count(n_runs, threads=None):
 def run_experiment(scenario, out_dir=".", trace=False, threads=None, log=None):
     """Run the full sweep and write results.csv, learning CSVs, and gains.csv.
 
-    The runs start longest first: by load, highest first, and `gprm` before
-    `sp` at equal load. With more than one worker (`worker_count`) they go
-    to a process pool one run per task, so the slowest run does not start
-    last while the other workers sit idle; with one they run in this
-    process in the same order. The outcomes are put back in grid order
-    (policy, load, seed), so every output file is the same for any worker
-    count. Each run's tag `<policy>_load<l:g>_seed<s>` names its trace and
-    its learning CSV.
+    The topology and matrix are parsed once, after `validate`, and each (load,
+    seed) connection list is built once and run under every policy. The runs
+    start longest first: by load, highest first, and `gprm` before `sp` at equal
+    load. With more than one worker (`worker_count`) they go to a process pool
+    one run per task, so the slowest run does not start last while the other
+    workers sit idle; with one they run in this process in the same order. The
+    outcomes are put back in grid order (policy, load, seed), so every output
+    file is the same for any worker count. Each run's tag
+    `<policy>_load<l:g>_seed<s>` names its trace and its learning CSV.
 
     Every output file, CSV or trace, is written into a staging directory
     inside `out_dir` and moved into `out_dir` only after every run, the
@@ -297,13 +293,19 @@ def run_experiment(scenario, out_dir=".", trace=False, threads=None, log=None):
         raise ScenarioError(errors)
     workers = worker_count(
         len(scenario.policies) * len(scenario.loads) * len(scenario.seeds), threads)
+    topology, matrix = load_topology(scenario.topology), load_matrix(scenario.matrix)
+    capacities = {n: topology.egress_capacity(n) for n in topology.nodes}
+    connections = {(load, seed): scale_to_load(matrix, LoadSpec(load, capacities),
+                                               scenario.mean_burst_size, master_seed=seed)
+                   for load in scenario.loads for seed in scenario.seeds}
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out_dir) as stage:
         grid = [(pol, load, seed) for pol in scenario.policies for load in scenario.loads
                 for seed in scenario.seeds]
         tags = [f"{pol}_load{load:g}_seed{seed}" for pol, load, seed in grid]
-        specs = [(scenario, *run, os.path.join(stage, f"trace_{tag}.log") if trace else None)
-                 for run, tag in zip(grid, tags)]
+        specs = [(scenario, topology, connections[(load, seed)], pol, load, seed,
+                  os.path.join(stage, f"trace_{tag}.log") if trace else None)
+                 for (pol, load, seed), tag in zip(grid, tags)]
         if log:
             log(f"running {len(specs)} simulations on {workers} worker(s)")
         # a run's cost grows with its load, and gprm replays sp's arrivals

@@ -55,15 +55,12 @@ class TimeSeries:
         self._sent = {}
         self._dropped = {}
 
-    def _idx(self, t):
-        return int(t / self.bucket_width)
-
     def add_sent(self, t):
-        i = self._idx(t)
+        i = int(t / self.bucket_width)
         self._sent[i] = self._sent.get(i, 0) + 1
 
     def add_drop(self, t):
-        i = self._idx(t)
+        i = int(t / self.bucket_width)
         self._dropped[i] = self._dropped.get(i, 0) + 1
 
     def arrays(self):

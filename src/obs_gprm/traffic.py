@@ -99,14 +99,6 @@ def next_arrival(conn, rng):
     return dt, size
 
 
-def offered_load(connections, capacities):
-    """Sum over connections of rate * mean size / source egress capacity."""
-    total = 0.0
-    for c in connections:
-        total += c.lambda_ * c.mean_burst_size / capacities[c.src]
-    return total
-
-
 def connection_seed(master_seed, src, dst):
     """Stable per-connection seed so adding connections never perturbs
     existing streams."""

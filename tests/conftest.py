@@ -46,3 +46,9 @@ def update_and_read(table, k, e, success):
     table.sp_update(k, e, success)
     table.begin_epoch()
     return table.epoch_success_prob(k, e)
+
+
+def offered_load(connections, capacities):
+    """The README's offered load: the sum over connections of
+    `rate * mean_size / source_egress_capacity`."""
+    return sum(c.lambda_ * c.mean_burst_size / capacities[c.src] for c in connections)

@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 
 import obs_gprm
-from conftest import flat, update_and_read, walk_row
+from conftest import flat, offered_load, update_and_read, walk_row
 from obs_gprm.experiment import parse_scenario, run_experiment
 from obs_gprm.gprm import EvidenceVector, SuccessTable
 from obs_gprm.metrics import ROLLING_WINDOW_BUCKETS, rolling_ratio
@@ -28,7 +28,6 @@ from obs_gprm.traffic import (
     LoadSpec,
     TrafficMatrix,
     load_matrix,
-    offered_load,
     scale_to_load,
 )
 

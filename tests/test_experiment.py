@@ -1,5 +1,6 @@
 import csv
 import os
+import pickle
 from dataclasses import fields
 
 import pytest
@@ -211,7 +212,7 @@ class RecordingPool:
 
     def starmap(self, fn, specs, chunksize=None):
         specs = list(specs)
-        RecordingPool.calls.append(([(pol, load, seed) for _, pol, load, seed, _ in specs],
+        RecordingPool.calls.append(([(pol, load, seed) for *_, pol, load, seed, _ in specs],
                                     chunksize))
         return [fn(*spec) for spec in specs]
 
@@ -237,15 +238,69 @@ def test_one_worker_runs_in_process(tmp_path, monkeypatch):
     started = []
     run_single = experiment.run_single
 
-    def recording_run_single(scenario, policy, load, seed, trace_path):
+    def recording_run_single(scenario, topology, connections, policy, load, seed, trace_path):
         started.append((policy, load, seed))
-        return run_single(scenario, policy, load, seed, trace_path)
+        return run_single(scenario, topology, connections, policy, load, seed, trace_path)
 
     monkeypatch.setattr(experiment, "run_single", recording_run_single)
     s = small_scenario(tmp_path, loads=[0.2, 0.4], duration=0.5, warmup=0.2)
     run_experiment(s, out_dir=str(tmp_path / "out"), threads=1)
     assert RecordingPool.calls == []
     assert started == [("gprm", 0.4, 1), ("sp", 0.4, 1), ("gprm", 0.2, 1), ("sp", 0.2, 1)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_sweep_reads_each_input_file_twice(tmp_path, monkeypatch, threads):
+    # once for the check, once for the runs: never once per run
+    monkeypatch.setattr(experiment, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "calls", [])
+    reads = {"topology": 0, "matrix": 0}
+
+    def counting(key, loader):
+        def wrapper(path):
+            reads[key] += 1
+            return loader(path)
+        return wrapper
+
+    monkeypatch.setattr(experiment, "load_topology",
+                        counting("topology", experiment.load_topology))
+    monkeypatch.setattr(experiment, "load_matrix", counting("matrix", experiment.load_matrix))
+    s = small_scenario(tmp_path, loads=[0.2, 0.4], seeds=[1, 2], duration=0.5, warmup=0.2)
+    run_experiment(s, out_dir=str(tmp_path / "out"), threads=threads)
+    assert len(RecordingPool.calls) == (threads > 1)
+    assert reads == {"topology": 2, "matrix": 2}
+
+
+def test_both_policies_of_a_load_and_seed_share_one_connection_list(tmp_path, monkeypatch):
+    run_single = experiment.run_single
+    lists = {}  # (load, seed) -> {policy: id of its connection list}
+
+    def recording_run_single(scenario, topology, connections, policy, load, seed, trace_path):
+        lists.setdefault((load, seed), {})[policy] = id(connections)
+        return run_single(scenario, topology, connections, policy, load, seed, trace_path)
+
+    monkeypatch.setattr(experiment, "run_single", recording_run_single)
+    s = small_scenario(tmp_path, loads=[0.2, 0.4], seeds=[1, 2], duration=0.5, warmup=0.2)
+    run_experiment(s, out_dir=str(tmp_path / "out"), threads=1)
+    assert sorted(lists) == [(l, sd) for l in (0.2, 0.4) for sd in (1, 2)]
+    assert all(ids["sp"] == ids["gprm"] for ids in lists.values())
+    assert len({ids["sp"] for ids in lists.values()}) == 4
+
+
+@pytest.mark.parametrize("policy", ["sp", "gprm"])
+def test_run_single_leaves_its_inputs_reusable(tmp_path, policy):
+    s = small_scenario(tmp_path, duration=1.0, warmup=0.2)
+    topology = experiment.load_topology(s.topology)
+    caps = {n: topology.egress_capacity(n) for n in topology.nodes}
+    connections = experiment.scale_to_load(experiment.load_matrix(s.matrix),
+                                           experiment.LoadSpec(0.3, caps),
+                                           s.mean_burst_size, master_seed=1)
+    before = pickle.dumps((topology, connections))
+    first = experiment.run_single(s, topology, connections, policy, 0.3, 1)
+    second = experiment.run_single(s, topology, connections, policy, 0.3, 1)
+    assert first[0]["blr"] > 0
+    assert first == second
+    assert pickle.dumps((topology, connections)) == before
 
 
 def test_learning_csv_columns(tmp_path):

@@ -426,16 +426,54 @@ def test_conservation_after_drain(policy, seed):
     assert total.bursts_sent == total.bursts_delivered + total.bursts_dropped
 
 
+class CheckedSchedule(ChannelSchedule):
+    """A `ChannelSchedule` that checks the lane each call touched: its
+    intervals stay non-empty, sorted and disjoint (each end <= the next start)."""
+
+    def __init__(self, channels):
+        super().__init__(channels)
+        self.channels = channels
+        self.checks = 0
+
+    def check(self, u, v, wavelength):
+        lane = self.intervals(u, v, wavelength)
+        assert all(start < end for start, end in lane), (u, v, wavelength)
+        assert all(end <= nxt for (_, end), (nxt, _) in zip(lane, lane[1:])), (u, v, wavelength)
+        self.checks += 1
+
+    def try_reserve(self, u, v, wavelength, start, duration, now=0.0):
+        ok = super().try_reserve(u, v, wavelength, start, duration, now)
+        if wavelength < self.channels[(u, v)]:
+            self.check(u, v, wavelength)
+        return ok
+
+    def first_fit(self, u, v, start, duration, now=0.0):
+        wavelength = super().first_fit(u, v, start, duration, now)
+        if wavelength is not None:
+            self.check(u, v, wavelength)
+        return wavelength
+
+    def release(self, u, v, wavelength, start):
+        super().release(u, v, wavelength, start)
+        self.check(u, v, wavelength)
+
+
 @pytest.mark.parametrize("policy", ["sp", "gprm"])
 def test_loop_freedom_and_schedule_integrity(policy):
     forwards = defaultdict(list)
     trace = (lambda t, kind, node, bid, detail:
              forwards[bid].append(node) if kind == "BHP_ARRIVE" and
              detail.startswith("forward") else None)
-    res, topo = run_nsfnet(policy, seed=3, duration=4.0, trace=trace,
-                           initial_mode="cold")
+    sim = nsfnet_sim(policy, seed=3, load=0.4, trace=trace, initial_mode="cold")
+    channels = {uv: l.data_channels for uv, l in sim.topology.links.items()}
+    sim.schedule = schedule = CheckedSchedule(channels)
+    res = sim.run(4.0)
     for bid, nodes in forwards.items():
         assert len(nodes) == len(set(nodes)), f"burst {bid} revisited a node"
+    assert schedule.checks > res.counters.bursts_sent
+    for (u, v), n in channels.items():
+        for wavelength in range(n):
+            schedule.check(u, v, wavelength)
 
 
 @pytest.mark.parametrize("policy", ["sp", "gprm"])

@@ -4,6 +4,7 @@ import re
 import pytest
 
 import obs_gprm
+from conftest import offered_load
 from obs_gprm.traffic import (
     ConnectionSpec,
     LoadSpec,
@@ -11,7 +12,6 @@ from obs_gprm.traffic import (
     arrival_rates,
     load_matrix,
     next_arrival,
-    offered_load,
     scale_to_load,
 )
 
@@ -66,21 +66,6 @@ def test_same_seed_same_stream():
     s1 = [next_arrival(conn, r1) for _ in range(500)]
     s2 = [next_arrival(conn, r2) for _ in range(500)]
     assert s1 == s2
-
-
-def test_offered_load_single_connection():
-    conns = [ConnectionSpec(0, 1, 10.0, L, 1)]
-    assert offered_load(conns, {0: 4e9}) == pytest.approx(0.008)
-
-
-def test_offered_load_empty():
-    assert offered_load([], {0: 4e9}) == 0.0
-
-
-def test_offered_load_linearity():
-    conns = [ConnectionSpec(0, 1, 10.0, L, 1), ConnectionSpec(0, 1, 10.0, L, 2)]
-    single = offered_load(conns[:1], {0: 4e9})
-    assert offered_load(conns, {0: 4e9}) == pytest.approx(2 * single)
 
 
 def test_matrix_rejects_self_traffic_and_all_zero():
