@@ -15,7 +15,7 @@ from itertools import starmap
 from multiprocessing import Pool
 from typing import get_args, get_origin
 
-from .metrics import DROP_CAUSES, MAX_BUCKETS, ROLLING_WINDOW_BUCKETS, rolling_ratio
+from .metrics import DROP_CAUSES, MAX_BUCKETS, MAX_BURSTS, ROLLING_WINDOW_BUCKETS, rolling_ratio
 from .signaling import SimConfig, Simulator
 from .topology import TopologyError, load_topology
 from .traffic import LoadSpec, PairError, arrival_rates, load_matrix, scale_to_load
@@ -113,7 +113,8 @@ def validate(scenario):
     lacks, an egress capacity that overflows or a weight whose rate a run
     would reject is reported here; of the rate problems, the one at the
     lowest load is reported, with the matrix line of its pair. A run whose
-    learning series would have more than `MAX_BUCKETS` buckets is rejected."""
+    learning series would have more than `MAX_BUCKETS` buckets, or that
+    expects more than `MAX_BURSTS` bursts at the highest load, is rejected."""
     errors = scenario.problems()
     topology = _load(errors, "topology", scenario.topology, load_topology)
     matrix = _load(errors, "matrix", scenario.matrix, load_matrix)
@@ -127,13 +128,21 @@ def validate(scenario):
             errors.append(f"topology: egress capacity of nodes {overflow} overflows")
         elif 0 < scenario.mean_burst_size < math.inf:
             # the other loads are `loads:` errors
+            rates = {}
             for load in sorted(l for l in scenario.loads if 0 < l < math.inf):
                 try:
-                    arrival_rates(matrix, LoadSpec(load, capacities), scenario.mean_burst_size)
+                    rates = arrival_rates(matrix, LoadSpec(load, capacities),
+                                          scenario.mean_burst_size)
                 except PairError as exc:
                     errors.append(f"matrix: {matrix.path}:{matrix.linenos[exc.pair]}: "
                                   f"at load {load:g}, {exc}")
                     break
+            else:  # `rates` are the highest load's
+                bursts = sum(rates.values()) * scenario.duration
+                if bursts > MAX_BURSTS and scenario.duration < math.inf:
+                    errors.append(f"mean_burst_size: {scenario.mean_burst_size:g} bits at load "
+                                  f"{load:g} makes a {scenario.duration:g} s run expect "
+                                  f"{bursts:.3g} bursts, more than {MAX_BURSTS}")
     for p in scenario.policies:
         if p not in ("sp", "gprm"):
             errors.append(f"policies: unknown policy {p!r}")
@@ -164,7 +173,8 @@ def validate(scenario):
 
 
 def run_single(scenario, topology, connections, policy, load, seed, trace_path=None):
-    """One simulation run on parsed inputs, left unchanged; returns (row, learning arrays)."""
+    """One simulation run on parsed inputs, left unchanged; returns (row, learning arrays).
+    The row's metrics are `RunResult`'s, so an undefined one is NaN."""
     trace_fh = None
     trace = None
     if trace_path:
@@ -183,8 +193,8 @@ def run_single(scenario, topology, connections, policy, load, seed, trace_path=N
         "policy": policy,
         "seed": seed,
         "load": load,
-        "blr": result.blr() if counters.bursts_sent else float("nan"),
-        "mean_delay_s": result.mean_delay() if counters.bursts_delivered else float("nan"),
+        "blr": result.blr(),
+        "mean_delay_s": result.mean_delay(),
         "utilization": result.utilization(topology),
         **{f"drops_{cause}": getattr(counters, f"drops_{cause}") for cause in DROP_CAUSES},
     }

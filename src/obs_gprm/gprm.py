@@ -70,9 +70,9 @@ def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_lo
     class is 0 below `blr_low`, 1 below `blr_high` and 2 from there on; the
     thresholds are checked once, by `SimConfig.problems()`.
     """
-    o = int(remaining_offset / per_hop_processing + 1e-9)
-    if o >= OFFSET_CLASSES:
-        o = OFFSET_CLASSES - 1
+    q = remaining_offset / per_hop_processing + 1e-9
+    # capped before int(), which raises on a quotient that overflowed to inf
+    o = int(q) if q < OFFSET_CLASSES else OFFSET_CLASSES - 1
     b = 0 if local_blr < blr_low else 1 if local_blr < blr_high else 2
     nb = hop_counts[(node, dest)]
     if nb >= HOP_CLASSES:

@@ -2,6 +2,7 @@
 per-bucket learning series, and the metrics of a run: loss ratio, mean
 end-to-end delay and utilization."""
 
+import math
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -9,11 +10,6 @@ from itertools import chain, repeat
 # every cause a burst can be dropped for; RunCounters has a `drops_<cause>`
 # field for each, and results.csv a column, in this order
 DROP_CAUSES = ("contention", "offset", "noroute", "ingress")
-
-
-class UndefinedMetricError(ValueError):
-    """Metric requested from counters that cannot define it (e.g. BLR of an
-    empty run)."""
 
 
 @dataclass
@@ -83,6 +79,10 @@ ROLLING_WINDOW_BUCKETS = 20
 # the most learning buckets (`duration / bucket_width`) `validate` allows a
 # scenario: `TimeSeries.arrays` and `rolling_ratio` allocate items for each
 MAX_BUCKETS = 1_000_000
+# the most bursts (arrival rates at the highest load times `duration`)
+# `validate` lets one run expect: at the 20-80k bursts/s of one 2-vCPU Xeon
+# core that is 2-8 minutes, and a count that is not finite would never end
+MAX_BURSTS = 10_000_000
 
 
 def rolling_ratio(sent, dropped, window_buckets):
@@ -110,6 +110,7 @@ class RunResult:
     `counters` covers the steady-state cohort (bursts created after warm-up);
     `counters_total` covers every burst including the transient. Only
     `counters` holds busy time, so utilization covers the steady cohort only.
+    A metric the run cannot define is NaN, as results.csv writes it.
     """
 
     counters: RunCounters
@@ -123,23 +124,20 @@ class RunResult:
         return self.duration - self.warmup
 
     def blr(self):
-        """Burst loss ratio: dropped / sent."""
+        """Burst loss ratio: dropped / sent; NaN if no burst was sent."""
         c = self.counters
-        if c.bursts_sent == 0:
-            raise UndefinedMetricError("BLR undefined: no bursts sent")
-        return c.bursts_dropped / c.bursts_sent
+        return c.bursts_dropped / c.bursts_sent if c.bursts_sent else math.nan
 
     def mean_delay(self):
         """Mean end-to-end delay of delivered bursts (offset + propagation +
-        transmission)."""
+        transmission); NaN if none was delivered."""
         c = self.counters
-        if c.bursts_delivered == 0:
-            raise UndefinedMetricError("delay undefined: no bursts delivered")
-        return c.delay_sum / c.bursts_delivered
+        return c.delay_sum / c.bursts_delivered if c.bursts_delivered else math.nan
 
     def utilization(self, topology):
-        """Fraction of total data-channel capacity the steady cohort occupied."""
+        """Fraction of total data-channel capacity the steady cohort occupied;
+        NaN if `elapsed <= 0`, which only a hand-built result can have."""
         elapsed = self.elapsed
         if elapsed <= 0:
-            raise UndefinedMetricError("utilization undefined: elapsed must be > 0")
+            return math.nan
         return sum(self.counters.busy_time.values()) / (elapsed * topology.total_data_channels())

@@ -41,7 +41,9 @@ class LazyRoutingTable:
         self._costs = {}  # evidence -> {neighbor: cost} the row is sorted by
 
     def maybe_roll(self, now):
-        epoch = int(now / self.refresh_period)
+        # int(now / period) as a float: a quotient that overflows floors to
+        # NaN, not OverflowError, so every call then starts a new period
+        epoch = now / self.refresh_period // 1.0
         if epoch != self._epoch:
             self._epoch = epoch
             table = self.success
@@ -58,7 +60,7 @@ class LazyRoutingTable:
                     rows[e] = tuple(sorted(table.neighbors, key=cost.__getitem__))
 
     def lookup(self, e, excluded, now):
-        if int(now / self.refresh_period) != self._epoch:
+        if now / self.refresh_period // 1.0 != self._epoch:
             self.maybe_roll(now)
         row = self._rows.get(e)
         if row is None:

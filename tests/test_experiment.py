@@ -1,7 +1,7 @@
 import csv
 import os
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -16,7 +16,9 @@ from obs_gprm.experiment import (
     validate,
     worker_count,
 )
-from obs_gprm.metrics import MAX_BUCKETS
+from obs_gprm.metrics import MAX_BUCKETS, MAX_BURSTS
+from obs_gprm.topology import load_topology
+from obs_gprm.traffic import LoadSpec, arrival_rates, load_matrix
 
 
 def small_scenario(tmp_path, **overrides):
@@ -112,6 +114,18 @@ def test_parse_rejects_unknown_key(tmp_path):
         parse_scenario(path)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("loads 0.3", "expected key = value, got 'loads 0.3'"),
+    ("alpha = high", "bad value for alpha: could not convert string to float: 'high'"),
+    ("seeds = 1, two", "bad value for seeds: invalid literal for int() with base 10: 'two'"),
+], ids=["no-equals-sign", "bad-float", "bad-list-item"])
+def test_parse_rejects_a_malformed_line(tmp_path, line, reason):
+    path = write_scn(tmp_path, f"{line}\n")
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(path)
+    assert exc.value.errors == [f"{path}:1: {reason}"]
+
+
 def test_parse_rejects_a_repeated_key(tmp_path, capsys):
     # a second value for a key must not silently replace the first
     path = write_scn(tmp_path, "loads = 0.3\n# one more load\nloads = 0.5\n")
@@ -136,6 +150,36 @@ def test_validate_caps_the_learning_buckets(tmp_path):
                                    bucket_width=20.0 / MAX_BUCKETS)) == []
     assert validate(small_scenario(tmp_path, duration=20.0, bucket_width=1e-9)) == [
         f"bucket_width: a duration of 20 s makes more than {MAX_BUCKETS} buckets of 1e-09 s"]
+
+
+def test_validate_caps_the_expected_bursts(tmp_path):
+    # a run's bursts are its arrival rates at the highest load times its duration
+    topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
+    caps = {n: topo.egress_capacity(n) for n in topo.nodes}
+    rates = arrival_rates(load_matrix(obs_gprm.data_path("us_ref.matrix")),
+                          LoadSpec(0.5, caps), 3.2e6)
+    longest = MAX_BURSTS / sum(rates.values())
+    assert validate(small_scenario(tmp_path, loads=[0.3, 0.5], duration=0.99 * longest,
+                                   bucket_width=1.0)) == []
+    errors = validate(small_scenario(tmp_path, loads=[0.3, 0.5], duration=1.01 * longest,
+                                     bucket_width=1.0))
+    assert len(errors) == 1 and errors[0].startswith("mean_burst_size: 3.2e+06 bits at load 0.5 ")
+    # each pair's rate is finite, but their sum overflows: the run would never end
+    assert validate(small_scenario(tmp_path, mean_burst_size=1e-300)) == [
+        f"mean_burst_size: 1e-300 bits at load 0.3 makes a 2 s run expect inf bursts, "
+        f"more than {MAX_BURSTS}"]
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"policies": ["sp", "ospf"]}, "policies: unknown policy 'ospf'"),
+    ({"policies": []}, "policies: must not be empty"),
+    ({"seeds": []}, "seeds: must not be empty"),
+    ({"mean_burst_size": 0.0}, "mean_burst_size: must be > 0"),
+    ({"mean_burst_size": -3.2e6}, "mean_burst_size: must be > 0"),
+], ids=["unknown-policy", "no-policy", "no-seed", "zero-burst-size", "negative-burst-size"])
+def test_validate_rejects_a_bad_grid_or_burst_size(tmp_path, overrides, error):
+    # an empty list is reachable through `replace` only: a file's list has an item
+    assert validate(small_scenario(tmp_path, **overrides)) == [error]
 
 
 def test_validate_reports_field_errors(tmp_path):
@@ -558,6 +602,66 @@ def test_cli_run_rejects_a_grid_that_repeats_runs(tmp_path, capsys, grid, key):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {key}: "), lines
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing.scn", "."], ids=["missing", "directory"])
+def test_cli_reports_an_unreadable_scenario(tmp_path, capsys, where):
+    for command in ("validate", "run"):
+        assert main([command, "--scenario", str(tmp_path / where)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read scenario: "), lines
+
+
+def test_cli_failed_run_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # a lossless sp baseline has no relative gain, so the sweep fails after its runs
+    monkeypatch.setenv("OBS_SIM_THREADS", "1")
+    path = write_scn(tmp_path, f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
+                               f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
+                               "loads = 0.01\nduration = 1.5\nwarmup = 0.3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out-dir", str(out), "--trace"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "error: load 0.01: baseline values must be > 0")
+    assert os.listdir(out) == []
+
+
+# finite values that pass `SimConfig.problems()`, but whose quotients
+# (offset / per_hop_processing, now / refresh_period, event times grown by a
+# vanishing signal speed) overflow, or whose burst count does
+EDGE_VALUES = [("per_hop_processing", 5e-324), ("per_hop_processing", 1e-320),
+               ("per_hop_processing", 1e308), ("offset_guard", 1e308),
+               ("refresh_period", 5e-324), ("refresh_period", 1e-320),
+               ("signal_speed", 5e-324), ("signal_speed", 1e-320), ("signal_speed", 1e-300),
+               ("mean_burst_size", 1e-300)]
+
+
+@pytest.mark.parametrize("key, value", EDGE_VALUES, ids=[f"{k}={v!r}" for k, v in EDGE_VALUES])
+def test_an_edge_scenario_is_rejected_or_runs(tmp_path, key, value):
+    shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
+    s = replace(shipped, loads=[0.3], seeds=[1], duration=0.4, warmup=0.1, **{key: value})
+    errors = validate(s)
+    if key == "mean_burst_size":  # its run would not end, so it must not start
+        assert errors and errors[0].startswith("mean_burst_size: 1e-300 bits at load 0.3 ")
+        return
+    if errors:
+        return
+    try:
+        run_experiment(s, out_dir=str(tmp_path / "out"), threads=1)
+    except ValueError as exc:  # the one documented failure of a run that completes
+        assert "baseline values must be > 0" in str(exc)
+
+
+def test_cli_runs_what_it_validates_at_a_vanishing_refresh_period(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setenv("OBS_SIM_THREADS", "1")
+    path = write_scn(tmp_path, f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
+                               f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
+                               "loads = 0.3\nduration = 0.4\nwarmup = 0.1\n"
+                               "offset_guard = 3e-4\nrefresh_period = 5e-324\n")
+    assert main(["validate", "--scenario", path]) == 0
+    assert capsys.readouterr().err.splitlines() == ["scenario ok"]
+    assert main(["run", "--scenario", path, "--out-dir", str(tmp_path / "out")]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_cli_run_small(tmp_path):

@@ -123,6 +123,21 @@ def test_extract_evidence_clamps():
     assert e.offset_class == 15
 
 
+def test_extract_evidence_caps_both_classes():
+    # a quotient that overflows to inf is offset class 15, not OverflowError
+    for remaining, php in ((3e-4, 1e-320), (3e-4, 5e-324), (1e308, 1e-4)):
+        e = extract_evidence(0, 3, remaining_offset=remaining, local_blr=0.0,
+                             hop_counts=hop_table(), blr_low=0.01, blr_high=0.05,
+                             per_hop_processing=php)
+        assert e.offset_class == 15
+    # the hop class is capped from 16 hops on, which takes a path of 17 nodes
+    hops = path_topology(17).hop_counts()
+    for dest, hop_class in ((14, 14), (15, 15), (16, 15)):
+        e = extract_evidence(0, dest, remaining_offset=3e-4, local_blr=0.0, hop_counts=hops,
+                             blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
+        assert e.hop_class == hop_class
+
+
 def test_extract_evidence_cold_start_low():
     e = extract_evidence(1, 3, remaining_offset=2e-4, local_blr=0.0, hop_counts=hop_table(),
                          blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)

@@ -10,7 +10,6 @@ import obs_gprm
 import obs_gprm.signaling as signaling
 from conftest import bidir, path_topology, ring_topology, star_into_chain
 from obs_gprm.gprm import EvidenceVector
-from obs_gprm.metrics import UndefinedMetricError
 from obs_gprm.signaling import ChannelSchedule, SimConfig, Simulator
 from obs_gprm.topology import Topology, load_topology
 from obs_gprm.traffic import ConnectionSpec, LoadSpec, load_matrix, scale_to_load
@@ -325,8 +324,7 @@ def test_zero_traffic_run():
     assert sim.nodes == {}  # min-hop routing keeps no learning state
     res = sim.run(0.5)
     assert res.counters.bursts_sent == 0
-    with pytest.raises(UndefinedMetricError):
-        res.blr()
+    assert math.isnan(res.blr())
     assert res.utilization(topo) == 0.0
     # a misspelled mode must not silently select the other branch, and the
     # learning values and the signal speed are checked here, once, before
@@ -337,6 +335,12 @@ def test_zero_traffic_run():
                        ({"alpha": 1.2}, "alpha"),
                        ({"initial_sp": -0.1}, "initial_sp"),
                        ({"blr_low": 0.5, "blr_high": 0.1}, "blr thresholds"),
+                       ({"warmup": -1.0}, "warmup"),
+                       ({"detour_penalty": 0.0}, "detour_penalty"),
+                       ({"blr_window": 0.0}, "blr_window"),
+                       ({"per_hop_processing": 0.0}, "per_hop_processing"),
+                       ({"offset_guard": -1e-4}, "offset_guard"),
+                       ({"bucket_width": 0.0}, "bucket_width"),
                        *(({"signal_speed": v}, "signal_speed: ")
                          for v in (-2e8, 0.0, math.nan, math.inf))):
         with pytest.raises(ValueError, match=error):
@@ -360,6 +364,19 @@ def test_run_rejects_non_finite_duration(duration):
     sim = Simulator(path_topology(3), [conn(0, 2)], policy="sp", config=SimConfig(warmup=0.0))
     with pytest.raises(ValueError, match="duration must be finite"):
         sim.run(duration)
+
+
+@pytest.mark.parametrize("duration", [0.5, 1.0])
+def test_run_rejects_a_duration_within_the_warmup(duration):
+    # no burst of the steady cohort could be created
+    sim = Simulator(path_topology(3), [conn(0, 2)], policy="sp", config=SimConfig(warmup=1.0))
+    with pytest.raises(ValueError, match="duration must exceed the warm-up interval"):
+        sim.run(duration)
+
+
+def test_unknown_policy_is_rejected():
+    with pytest.raises(ValueError, match="unknown policy 'ospf'"):
+        Simulator(path_topology(3), [conn(0, 2)], policy="ospf")
 
 
 @pytest.mark.parametrize("policy", ["sp", "gprm"])

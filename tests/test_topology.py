@@ -116,6 +116,7 @@ def test_duplicate_link_rejected(tmp_path):
     ("link 0 2 100 2 4 inf", "link 0->2: channel rate must be finite"),
     ("node 1 d", "node 1 is already declared on line 2"),
     ("link 1 7 100 2 4 1e9", "link 1->7 references undeclared node"),
+    ("nodes 3 d", "unknown record 'nodes'"),
     # rejected before any per-channel schedule exists
     ("link 0 2 100 2 1000000000000 1e9",
      f"link 0->2: needs >= 1 control channel and 1..{MAX_DATA_CHANNELS} data channels"),
