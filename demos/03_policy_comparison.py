@@ -1,42 +1,35 @@
 #!/usr/bin/env python3
 """Adaptive (GPRM) vs shortest-path routing on NSFnet, three loads.
 
-A compact version of the shipped comparison scenario: identical workloads
-per seed, steady-state loss / delay / utilization per policy. Writes a PNG
-of the loss curves when matplotlib is available. Expect a couple of minutes.
+The shipped comparison scenario, `nsfnet_paper.scn`, cut to seed 1 at three
+loads: both policies replay one workload per load, and the table shows their
+steady-state loss / delay / utilization from the sweep's gains.csv. Writes a
+PNG of the loss curves when matplotlib is available. It takes about 6 s on
+two cores.
 """
 
+import csv
+import tempfile
+from dataclasses import replace
+
 import obs_gprm
-from obs_gprm.signaling import SimConfig, Simulator
-from obs_gprm.topology import load_topology
-from obs_gprm.traffic import LoadSpec, load_matrix, scale_to_load
-
-LOADS = (0.1, 0.3, 0.5)
-DURATION, WARMUP = 65.0, 5.0
-
-
-def run(topo, conns, policy):
-    cfg = SimConfig(warmup=WARMUP, offset_guard=3e-4, alpha=0.97,
-                    refresh_period=0.02, blr_window=0.3)
-    res = Simulator(topo, conns, policy=policy, config=cfg).run(DURATION)
-    return res.blr(), res.mean_delay(), res.utilization(topo)
+from obs_gprm.experiment import parse_scenario, run_experiment
 
 
 def main():
-    topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
-    matrix = load_matrix(obs_gprm.data_path("us_ref.matrix"))
-    caps = {n: topo.egress_capacity(n) for n in topo.nodes}
-    rows = []
+    scenario = replace(parse_scenario(obs_gprm.data_path("nsfnet_paper.scn")),
+                       loads=[0.1, 0.3, 0.5], seeds=[1], duration=65.0)
+    with tempfile.TemporaryDirectory() as out:
+        with open(run_experiment(scenario, out_dir=out)["gains"]) as fh:
+            # the last two rows are the sum and mean of the gains
+            rows = [{k: float(v) for k, v in r.items()} for r in list(csv.DictReader(fh))[:-2]]
     print(f"{'load':>5} {'BLR sp':>9} {'BLR gprm':>9} {'reduction':>9} "
           f"{'delay diff':>11} {'util sp':>8} {'util gprm':>9}")
-    for load in LOADS:
-        conns = scale_to_load(matrix, LoadSpec(load, caps), 3.2e6, master_seed=1)
-        sp = run(topo, conns, "sp")
-        gp = run(topo, conns, "gprm")
-        rows.append((load, sp, gp))
-        print(f"{load:>5.1f} {sp[0]:>9.5f} {gp[0]:>9.5f} "
-              f"{(sp[0] - gp[0]) / sp[0]:>9.1%} {(gp[1] - sp[1]) * 1e3:>+9.2f}ms "
-              f"{sp[2]:>8.4f} {gp[2]:>9.4f}")
+    for r in rows:
+        print(f"{r['load']:>5.1f} {r['blr_sp']:>9.5f} {r['blr_gprm']:>9.5f} "
+              f"{r['blr_gain_point']:>9.1%} "
+              f"{(r['delay_gprm_s'] - r['delay_sp_s']) * 1e3:>+9.2f}ms "
+              f"{r['util_sp']:>8.4f} {r['util_gprm']:>9.4f}")
 
     try:
         import matplotlib
@@ -44,10 +37,10 @@ def main():
         import matplotlib.pyplot as plt
     except ImportError:
         return
-    loads = [r[0] for r in rows]
+    loads = [r["load"] for r in rows]
     plt.figure(figsize=(5, 3.5))
-    plt.plot(loads, [r[1][0] for r in rows], "o-", label="shortest path")
-    plt.plot(loads, [r[2][0] for r in rows], "s-", label="GPRM")
+    plt.plot(loads, [r["blr_sp"] for r in rows], "o-", label="shortest path")
+    plt.plot(loads, [r["blr_gprm"] for r in rows], "s-", label="GPRM")
     plt.xlabel("offered load")
     plt.ylabel("burst loss ratio")
     plt.legend()

@@ -17,7 +17,7 @@ from typing import get_args, get_origin
 
 from .metrics import DROP_CAUSES, MAX_BUCKETS, MAX_BURSTS, ROLLING_WINDOW_BUCKETS, rolling_ratio
 from .signaling import SimConfig, Simulator
-from .topology import TopologyError, load_topology
+from .topology import TopologyError, load_topology, propagation_delay
 from .traffic import LoadSpec, PairError, arrival_rates, load_matrix, scale_to_load
 
 RESULT_COLUMNS = ("policy", "seed", "load", "blr", "mean_delay_s", "utilization",
@@ -113,8 +113,9 @@ def validate(scenario):
     lacks, an egress capacity that overflows or a weight whose rate a run
     would reject is reported here; of the rate problems, the one at the
     lowest load is reported, with the matrix line of its pair. A run whose
-    learning series would have more than `MAX_BUCKETS` buckets, or that
-    expects more than `MAX_BURSTS` bursts at the highest load, is rejected."""
+    learning series would have more than `MAX_BUCKETS` buckets, counting the
+    drops of bursts that drain after `duration`, or that expects more than
+    `MAX_BURSTS` bursts at the highest load, is rejected."""
     errors = scenario.problems()
     topology = _load(errors, "topology", scenario.topology, load_topology)
     matrix = _load(errors, "matrix", scenario.matrix, load_matrix)
@@ -163,10 +164,19 @@ def validate(scenario):
                           "two runs would write the same files")
     if scenario.duration <= scenario.warmup:
         errors.append("warmup: must be < duration")
-    if (0 < scenario.bucket_width
-            and MAX_BUCKETS * scenario.bucket_width < scenario.duration < math.inf):
-        errors.append(f"bucket_width: a duration of {scenario.duration:g} s makes more than "
-                      f"{MAX_BUCKETS} buckets of {scenario.bucket_width:g} s")
+    # the last drop comes at most N - 1 hops after `duration`: a BHP visits
+    # each node once, and a hop takes its processing and one propagation delay
+    drain = 0.0
+    speed, php = scenario.signal_speed, scenario.per_hop_processing
+    if topology is not None and 0 < speed < math.inf and 0 < php < math.inf:
+        longest = max((propagation_delay(l, speed) for l in topology.links.values()), default=0.0)
+        drain = (len(topology.nodes) - 1) * (php + longest)
+    width = scenario.bucket_width
+    # one bucket of slack for the engine's float sums of event times
+    if (0 < width and scenario.duration < math.inf
+            and MAX_BUCKETS * width < scenario.duration + drain + width):
+        errors.append(f"bucket_width: a duration of {scenario.duration:g} s and a drain of "
+                      f"{drain:.3g} s make more than {MAX_BUCKETS} buckets of {width:g} s")
     if scenario.mean_burst_size <= 0:
         errors.append("mean_burst_size: must be > 0")
     return errors

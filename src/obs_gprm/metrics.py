@@ -76,8 +76,9 @@ class TimeSeries:
 
 # the learning CSVs' `rolling_blr` window: 200 ms at the default 10 ms bucket
 ROLLING_WINDOW_BUCKETS = 20
-# the most learning buckets (`duration / bucket_width`) `validate` allows a
-# scenario: `TimeSeries.arrays` and `rolling_ratio` allocate items for each
+# the most learning buckets `validate` allows a scenario, over `duration` and
+# the drain of the bursts still in flight then, whose drops are bucketed too:
+# `TimeSeries.arrays` and `rolling_ratio` allocate items for each
 MAX_BUCKETS = 1_000_000
 # the most bursts (arrival rates at the highest load times `duration`)
 # `validate` lets one run expect: at the 20-80k bursts/s of one 2-vCPU Xeon

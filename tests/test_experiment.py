@@ -17,7 +17,7 @@ from obs_gprm.experiment import (
     worker_count,
 )
 from obs_gprm.metrics import MAX_BUCKETS, MAX_BURSTS
-from obs_gprm.topology import load_topology
+from obs_gprm.topology import load_topology, propagation_delay
 from obs_gprm.traffic import LoadSpec, arrival_rates, load_matrix
 
 
@@ -145,11 +145,32 @@ def test_shipped_scenario_validates():
 
 
 def test_validate_caps_the_learning_buckets(tmp_path):
-    # validate allocates no bucket; a run of 2e10 buckets would exhaust memory
+    # validate allocates no bucket; a run of 2e10 buckets would exhaust memory.
+    # Drops go on for up to 13 NSFnet hops after the end, each one processing
+    # and at most the longest link's propagation delay
+    topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
+    drain = 13 * (1e-4 + max(propagation_delay(l, 2e8) for l in topo.links.values()))
+    assert drain == pytest.approx(0.1833)
+    finest = (20.0 + drain) / (MAX_BUCKETS - 1)  # one bucket of slack
     assert validate(small_scenario(tmp_path, duration=20.0,
-                                   bucket_width=20.0 / MAX_BUCKETS)) == []
+                                   bucket_width=finest * (1 + 1e-9))) == []
+    errors = validate(small_scenario(tmp_path, duration=20.0, bucket_width=finest * (1 - 1e-9)))
+    assert len(errors) == 1 and errors[0].startswith("bucket_width: ")
     assert validate(small_scenario(tmp_path, duration=20.0, bucket_width=1e-9)) == [
-        f"bucket_width: a duration of 20 s makes more than {MAX_BUCKETS} buckets of 1e-09 s"]
+        f"bucket_width: a duration of 20 s and a drain of 0.183 s make more than "
+        f"{MAX_BUCKETS} buckets of 1e-09 s"]
+
+
+@pytest.mark.parametrize("speed", [1e3, 1.0, 1e-3])
+def test_validate_caps_the_buckets_of_a_slow_signal_drain(speed):
+    # a 0.4 s run whose in-flight bursts drain for up to 13 hops of 2,800 km:
+    # their drops would fall in bucket 50,014 at 1e3 m/s, 5.0e7 at 1 m/s and
+    # 5.0e10 at 1e-3 m/s, and the learning series allocates up to the last one
+    shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
+    s = replace(shipped, loads=[0.3], seeds=[1], duration=0.4, warmup=0.1, signal_speed=speed)
+    errors = validate(s)
+    assert len(errors) == 1, errors
+    assert errors[0].startswith("bucket_width: a duration of 0.4 s and a drain of ")
 
 
 def test_validate_caps_the_expected_bursts(tmp_path):
