@@ -14,9 +14,10 @@ DROP_CAUSES = ("contention", "offset", "noroute", "ingress")
 
 @dataclass
 class RunCounters:
-    """Counts of one cohort of bursts. `busy_time` maps (src, dst, wavelength)
-    to the channel seconds, clipped at the run end, of each delivered burst
-    (util_mode `delivered`) or each reservation (`all`) of the steady cohort."""
+    """Counts of one cohort of bursts, steady or transient, or of their sum.
+    `busy_time` maps (src, dst, wavelength) to the channel seconds, clipped at
+    the run end, of each delivered burst (util_mode `delivered`) or each
+    reservation (`all`) of the steady cohort; it is empty for the others."""
     bursts_sent: int = 0
     bursts_delivered: int = 0
     drops_contention: int = 0
@@ -108,9 +109,9 @@ def rolling_ratio(sent, dropped, window_buckets):
 class RunResult:
     """Everything one simulation run produces.
 
-    `counters` covers the steady-state cohort (bursts created after warm-up);
-    `counters_total` covers every burst including the transient. Only
-    `counters` holds busy time, so utilization covers the steady cohort only.
+    `counters` covers the steady-state cohort (bursts created at or after
+    warm-up), which alone holds busy time; `counters_total` is the field-wise
+    sum of the steady and the transient cohort, so it covers every burst.
     A metric the run cannot define is NaN, as results.csv writes it.
     """
 

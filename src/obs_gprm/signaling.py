@@ -59,13 +59,15 @@ class Bhp:
     nodes are the ones a GPRM hop may not send the burst back to.
     `wavelength` stays None until the source hop reserves one, and until then
     `duration` holds the burst size in bits, which that hop divides by its
-    link's rate. `success` is set when the notification is sent.
+    link's rate. `success` is set when the notification is sent. `cohort`, the
+    run's steady `counters` if the burst was created at or after warm-up and
+    its transient ones otherwise, counts the burst's send, drop and delivery.
     """
 
     __slots__ = ("burst_id", "dest", "wavelength", "duration", "remaining_offset",
-                 "created_at", "path_log", "success")
+                 "created_at", "path_log", "success", "cohort")
 
-    def __init__(self, burst_id, dest, size, offset, created_at):
+    def __init__(self, burst_id, dest, size, offset, created_at, cohort):
         self.burst_id = burst_id
         self.dest = dest
         self.wavelength = None
@@ -74,6 +76,7 @@ class Bhp:
         self.created_at = created_at
         self.path_log = []
         self.success = None
+        self.cohort = cohort
 
 
 def _reserve(lane, start, duration, now):
@@ -237,8 +240,8 @@ class Simulator:
                 success = SuccessTable(n, topology.neighbors[n], cfg.alpha, prior, nb_space)
                 self.nodes[n] = LazyRoutingTable(success, cfg.refresh_period)
                 self._loss[n] = LossRateWindow(cfg.blr_window)
-        self.counters = RunCounters()        # steady-state cohort
-        self.counters_total = RunCounters()  # every burst; no busy time
+        self.counters = RunCounters()    # steady-state cohort
+        self._transient = RunCounters()  # bursts created before warm-up; no busy time
         self.series = TimeSeries(cfg.bucket_width)
         self._duration = None
 
@@ -260,9 +263,7 @@ class Simulator:
 
     def _drop(self, now, bhp, cause, node):
         """Drop `bhp` at `node`; a burst that left its source is NACKed back."""
-        self.counters_total.add_drop(cause)
-        if self._warmup <= bhp.created_at:
-            self.counters.add_drop(cause)
+        bhp.cohort.add_drop(cause)
         self.series.add_drop(now)
         if self._gprm:
             self._loss[node].record_failure(now)
@@ -283,11 +284,10 @@ class Simulator:
         if t_next < self._duration:
             heappush(self._heap, (t_next, next(self._seq), BURST_ARRIVAL, conn_idx, next_size))
         source = conn.src
-        self.counters_total.bursts_sent += 1
-        if self._warmup <= now:
-            self.counters.bursts_sent += 1
+        cohort = self.counters if self._warmup <= now else self._transient
+        cohort.bursts_sent += 1
         self.series.add_sent(now)
-        bhp = Bhp(next(self._burst_ids), conn.dst, size, offset, now)
+        bhp = Bhp(next(self._burst_ids), conn.dst, size, offset, now, cohort)
         if self.trace is not None:
             self.trace(now, "BURST_ARRIVAL", source, bhp.burst_id,
                        f"dest {conn.dst} size {size:.0f}")
@@ -351,7 +351,7 @@ class Simulator:
         bhp.path_log.append((node, evidence, next_hop, start))
         if self._gprm:
             loss.record_forward(now)
-        if self._util_all and self._warmup <= bhp.created_at:
+        if self._util_all and bhp.cohort is self.counters:
             self._add_busy(bhp.path_log[-1:], wavelength, bhp.duration)
         if self.trace is not None and not at_source:
             self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, f"forward {next_hop}")
@@ -359,14 +359,11 @@ class Simulator:
 
     def _on_burst_arrive(self, now, node, bhp):
         """A burst's tail reaches its destination."""
-        delay = now - bhp.created_at
-        self.counters_total.bursts_delivered += 1
-        self.counters_total.delay_sum += delay
-        if self._warmup <= bhp.created_at:
-            self.counters.bursts_delivered += 1
-            self.counters.delay_sum += delay
-            if not self._util_all:
-                self._add_busy(bhp.path_log, bhp.wavelength, bhp.duration)
+        cohort = bhp.cohort
+        cohort.bursts_delivered += 1
+        cohort.delay_sum += now - bhp.created_at
+        if cohort is self.counters and not self._util_all:
+            self._add_busy(bhp.path_log, bhp.wavelength, bhp.duration)
         if self.trace is not None:
             self.trace(now, "BURST_ARRIVE", node, bhp.burst_id, "delivered")
 
@@ -418,5 +415,7 @@ class Simulator:
             handlers[kind](now, a, b)
         for router in self.nodes.values():  # the learned state holds every notification
             router.success.begin_epoch()
-        return RunResult(self.counters, self.counters_total, self.series,
-                         duration, self.config.warmup)
+        steady, transient = self.counters, self._transient  # the sum has no busy time
+        counters_total = RunCounters(**{f.name: getattr(steady, f.name) + getattr(transient, f.name)
+                                        for f in fields(RunCounters) if f.type is not dict})
+        return RunResult(steady, counters_total, self.series, duration, self.config.warmup)

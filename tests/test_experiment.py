@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
+import math
 import os
 import pickle
+import tempfile
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import obs_gprm
 from obs_gprm import experiment
@@ -670,6 +676,49 @@ def test_an_edge_scenario_is_rejected_or_runs(tmp_path, key, value):
         run_experiment(s, out_dir=str(tmp_path / "out"), threads=1)
     except ValueError as exc:  # the one documented failure of a run that completes
         assert "baseline values must be > 0" in str(exc)
+
+
+FLOAT_KEYS = sorted(f.name for f in fields(Scenario) if f.type is float)
+
+
+def scenario_text(scenario):
+    """`scenario` as a scenario file that `parse_scenario` reads back to it
+    (`str` of a float round-trips, `-0.0`, `nan` and `inf` included)."""
+    def text(value):
+        return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
+    return "".join(f"{f.name} = {text(getattr(scenario, f.name))}\n" for f in fields(scenario))
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(FLOAT_KEYS),
+       value=st.sampled_from([0.0, -0.0, 1e-320, 1e308, math.nan, math.inf]),
+       duration=st.floats(0.05, 0.2))
+def test_a_fuzzed_float_key_is_rejected_or_runs(key, value, duration):
+    # the input contract: `validate` exits 0 or 2 and never raises; what it
+    # passes, `run` completes, or fails (exit 1) only on the documented zero
+    # or NaN `sp` baseline, and a failed run leaves no file
+    shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
+    s = replace(shipped, **{"loads": [0.3], "seeds": [1], "duration": duration,
+                            "warmup": duration / 4, key: value})
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        mp.setenv("OBS_SIM_THREADS", "1")
+        path = os.path.join(tmp, "fuzzed.scn")
+        with open(path, "w") as fh:
+            fh.write(scenario_text(s))
+        code = main(["validate", "--scenario", path])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert all(l.startswith("error: ") for l in err.getvalue().splitlines())
+            return
+        out = os.path.join(tmp, "out")
+        code = main(["run", "--scenario", path, "--out-dir", out])
+        if code == 1:
+            assert "baseline values must be > 0" in err.getvalue().splitlines()[-1]
+            assert os.listdir(out) == []
+        else:
+            assert code == 0, err.getvalue()
+            assert "results.csv" in os.listdir(out)
 
 
 def test_cli_runs_what_it_validates_at_a_vanishing_refresh_period(tmp_path, capsys,

@@ -1,6 +1,7 @@
 import heapq
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ import obs_gprm
 import obs_gprm.signaling as signaling
 from conftest import bidir, path_topology, ring_topology, star_into_chain
 from obs_gprm.gprm import EvidenceVector
+from obs_gprm.metrics import RunCounters
 from obs_gprm.signaling import ChannelSchedule, SimConfig, Simulator
 from obs_gprm.topology import Topology, load_topology
 from obs_gprm.traffic import ConnectionSpec, LoadSpec, load_matrix, scale_to_load
@@ -355,7 +357,7 @@ def test_second_run_raises_instead_of_accumulating(arrivals):
     assert sent == 1
     with pytest.raises(RuntimeError, match="already"):
         sim.run(0.01)
-    assert sim.counters_total.bursts_sent == sent
+    assert sim.counters.bursts_sent == sent
 
 
 @pytest.mark.parametrize("duration", [math.nan, math.inf])
@@ -441,6 +443,39 @@ def test_conservation_after_drain(policy, seed):
     assert c.in_flight == 0
     total = res.counters_total
     assert total.bursts_sent == total.bursts_delivered + total.bursts_dropped
+
+
+@pytest.mark.parametrize("policy", ["sp", "gprm"])
+def test_cohort_counts_match_the_trace(policy):
+    # each burst is counted once, in the cohort of its creation time: tally
+    # the trace per burst id (created, then delivered or dropped for a cause)
+    warmup, trace = 1.0, TraceLog()
+    res = nsfnet_sim(policy, seed=12, load=0.8, trace=trace, warmup=warmup).run(3.0)
+    created, steady, every = {}, Counter(), Counter()
+    delay_sum = 0.0  # of the steady cohort, in trace order as the engine sums it
+    for t, _, _, bid, detail in trace.lines:
+        if detail.startswith("dest "):
+            created[bid] = t
+            field = "bursts_sent"
+        elif detail == "delivered":
+            field = "bursts_delivered"
+        elif detail.startswith("drop "):
+            field = "drops_" + detail.removeprefix("drop ")
+        else:
+            continue
+        every[field] += 1
+        if warmup <= created[bid]:
+            steady[field] += 1
+            if field == "bursts_delivered":
+                delay_sum += t - created[bid]
+    ints = [f.name for f in fields(RunCounters) if f.type is int]
+    assert res.counters == RunCounters(**steady, delay_sum=delay_sum,
+                                       busy_time=res.counters.busy_time)
+    total = res.counters_total
+    assert [getattr(total, f) for f in ints] == [every[f] for f in ints]
+    transient = RunCounters(**{f: getattr(total, f) - getattr(res.counters, f) for f in ints})
+    assert transient.bursts_sent > 0 and transient.in_flight == 0
+    assert steady["bursts_sent"] > 0 and steady["bursts_delivered"] > 0
 
 
 class CheckedSchedule(ChannelSchedule):
