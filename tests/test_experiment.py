@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import pathlib
 import pickle
 import tempfile
 from dataclasses import fields, replace
@@ -703,9 +704,7 @@ def test_a_fuzzed_float_key_is_rejected_or_runs(key, value, duration):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         mp.setenv("OBS_SIM_THREADS", "1")
-        path = os.path.join(tmp, "fuzzed.scn")
-        with open(path, "w") as fh:
-            fh.write(scenario_text(s))
+        path = write_scn(pathlib.Path(tmp), scenario_text(s))
         code = main(["validate", "--scenario", path])
         assert code in (0, 2), err.getvalue()
         if code == 2:
