@@ -13,7 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .experiment import ScenarioError, parse_scenario, run_experiment, validate, worker_count
+from .experiment import ScenarioError, parse_scenario, run_experiment, validate
 
 
 def _log(msg):
@@ -44,34 +44,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         scenario = parse_scenario(args.scenario)
-    except ScenarioError as exc:
-        for err in exc.errors:
-            _log(f"error: {err}")
-        return 2
-    except OSError as exc:
-        _log(f"error: cannot read scenario: {exc}")
-        return 2
-    if args.command == "validate":
-        errors = validate(scenario)
-        try:
-            worker_count(1)  # `run` rejects a bad OBS_SIM_THREADS, so validate does too
-        except ScenarioError as exc:
-            errors += exc.errors
-        if errors:
-            for err in errors:
-                _log(f"error: {err}")
-            return 2
-        _log("scenario ok")
-        return 0
-    if args.policy and args.policy != "both":
-        scenario = replace(scenario, policies=[args.policy])
-    if args.seed_override is not None:
-        scenario = replace(scenario, seeds=[args.seed_override])
-    if args.util_mode:
-        scenario = replace(scenario, util_mode=args.util_mode)
-    try:
+        if args.command == "validate":
+            if errors := validate(scenario):
+                raise ScenarioError(errors)
+            _log("scenario ok")
+            return 0
+        if args.policy and args.policy != "both":
+            scenario = replace(scenario, policies=[args.policy])
+        if args.seed_override is not None:
+            scenario = replace(scenario, seeds=[args.seed_override])
+        if args.util_mode:
+            scenario = replace(scenario, util_mode=args.util_mode)
         run_experiment(scenario, out_dir=args.out_dir, trace=args.trace, log=_log)
-    except ScenarioError as exc:
+    except ScenarioError as exc:  # a bad input, found before any run or file
         for err in exc.errors:
             _log(f"error: {err}")
         return 2

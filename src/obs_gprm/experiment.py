@@ -1,6 +1,6 @@
 """Experiment orchestration: scenario files, load/seed sweeps, result CSVs.
 
-A sweep parses its input files once, after the check, and runs every
+A sweep parses its input files once, in its check, and runs every
 (policy, load, seed) combination; both policies of a (load, seed) replay one
 connection list. It emits one results CSV, one learning CSV per run, and a
 per-load gain summary when both policies were run.
@@ -65,27 +65,31 @@ def parse_scenario(path):
     types = {f.name: f.type for f in fields(Scenario)}
     scenario = Scenario()
     set_on = {}  # key -> line that set it
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ScenarioError([f"{path}:{lineno}: expected key = value, got {line!r}"])
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in types:
-                raise ScenarioError([f"{path}:{lineno}: unknown key {key!r}"])
-            if key in set_on:
-                raise ScenarioError([f"{path}:{lineno}: key {key!r} is already set "
-                                     f"on line {set_on[key]}"])
-            set_on[key] = lineno
-            if key in ("topology", "matrix") and value and not os.path.isabs(value):
-                value = os.path.join(base, value)
-            try:
-                setattr(scenario, key, _parse_value(types[key], value))
-            except ValueError as exc:
-                raise ScenarioError([f"{path}:{lineno}: bad value for {key}: {exc}"]) from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError([f"cannot read scenario: {exc}"]) from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ScenarioError([f"{path}:{lineno}: expected key = value, got {line!r}"])
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in types:
+            raise ScenarioError([f"{path}:{lineno}: unknown key {key!r}"])
+        if key in set_on:
+            raise ScenarioError([f"{path}:{lineno}: key {key!r} is already set "
+                                 f"on line {set_on[key]}"])
+        set_on[key] = lineno
+        if key in ("topology", "matrix") and value and not os.path.isabs(value):
+            value = os.path.join(base, value)
+        try:
+            setattr(scenario, key, _parse_value(types[key], value))
+        except ValueError as exc:
+            raise ScenarioError([f"{path}:{lineno}: bad value for {key}: {exc}"]) from exc
     return scenario
 
 
@@ -105,7 +109,13 @@ def _load(errors, key, path, loader):
 
 
 def validate(scenario):
-    """All scenario invariants; returns a list of `field: reason` strings.
+    """The errors of `run_experiment`'s check, as `field: reason` strings."""
+    return _check(scenario)[0]
+
+
+def _check(scenario, threads=None):
+    """The one check of a sweep's inputs: returns (errors, worker count,
+    topology, matrix), the last three None where they are at fault.
 
     Parses the topology and matrix files and scales the matrix to every
     valid load, ascending, through `arrival_rates`, as each run's
@@ -179,7 +189,12 @@ def validate(scenario):
                       f"{drain:.3g} s make more than {MAX_BUCKETS} buckets of {width:g} s")
     if scenario.mean_burst_size <= 0:
         errors.append("mean_burst_size: must be > 0")
-    return errors
+    try:
+        workers = worker_count(
+            len(scenario.policies) * len(scenario.loads) * len(scenario.seeds), threads)
+    except ScenarioError as exc:
+        errors, workers = errors + exc.errors, None
+    return errors, workers, topology, matrix
 
 
 def run_single(scenario, topology, connections, policy, load, seed, trace_path=None):
@@ -291,10 +306,10 @@ def worker_count(n_runs, threads=None):
 def run_experiment(scenario, out_dir=".", trace=False, threads=None, log=None):
     """Run the full sweep and write results.csv, learning CSVs, and gains.csv.
 
-    The topology and matrix are parsed once, after `validate`, and each (load,
-    seed) connection list is built once and run under every policy. The runs
-    start longest first: by load, highest first, and `gprm` before `sp` at equal
-    load. With more than one worker (`worker_count`) they go to a process pool
+    The inputs are parsed once, in the check `validate` runs too, and each
+    (load, seed) connection list is built once and run under every policy.
+    The runs start longest first: by load, highest first, and `gprm` before
+    `sp` at equal load. With more than one worker they go to a process pool
     one run per task, so the slowest run does not start last while the other
     workers sit idle; with one they run in this process in the same order. The
     outcomes are put back in grid order (policy, load, seed), so every output
@@ -308,12 +323,9 @@ def run_experiment(scenario, out_dir=".", trace=False, threads=None, log=None):
     A bad scenario or worker count raises ScenarioError before any run or
     file; a zero or undefined (NaN) `sp` baseline raises ValueError.
     """
-    errors = validate(scenario)
+    errors, workers, topology, matrix = _check(scenario, threads)
     if errors:
         raise ScenarioError(errors)
-    workers = worker_count(
-        len(scenario.policies) * len(scenario.loads) * len(scenario.seeds), threads)
-    topology, matrix = load_topology(scenario.topology), load_matrix(scenario.matrix)
     capacities = {n: topology.egress_capacity(n) for n in topology.nodes}
     connections = {(load, seed): scale_to_load(matrix, LoadSpec(load, capacities),
                                                scenario.mean_burst_size, master_seed=seed)

@@ -322,8 +322,8 @@ def test_one_worker_runs_in_process(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_sweep_reads_each_input_file_twice(tmp_path, monkeypatch, threads):
-    # once for the check, once for the runs: never once per run
+def test_a_sweep_reads_each_input_file_once(tmp_path, monkeypatch, threads):
+    # the check parses them, and the runs get what it parsed
     monkeypatch.setattr(experiment, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "calls", [])
     reads = {"topology": 0, "matrix": 0}
@@ -340,7 +340,7 @@ def test_a_sweep_reads_each_input_file_twice(tmp_path, monkeypatch, threads):
     s = small_scenario(tmp_path, loads=[0.2, 0.4], seeds=[1, 2], duration=0.5, warmup=0.2)
     run_experiment(s, out_dir=str(tmp_path / "out"), threads=threads)
     assert len(RecordingPool.calls) == (threads > 1)
-    assert reads == {"topology": 2, "matrix": 2}
+    assert reads == {"topology": 1, "matrix": 1}
 
 
 def test_both_policies_of_a_load_and_seed_share_one_connection_list(tmp_path, monkeypatch):
@@ -411,6 +411,30 @@ def test_trace_flag_writes_stable_trace(tmp_path):
     assert t1 == t2
     first = t1.splitlines()[0].split()
     assert len(first) >= 5  # time kind node burst_id detail
+
+
+@pytest.mark.parametrize("alpha, threads_env, n_errors", [
+    ("7", "", 1), ("0.1", "two", 1), ("7", "two", 2),
+], ids=["bad-key", "bad-threads", "both"])
+def test_run_rejects_what_validate_reports(tmp_path, monkeypatch, capsys, alpha, threads_env,
+                                           n_errors):
+    # one check: the library and both commands give the same errors, in order
+    monkeypatch.setenv("OBS_SIM_THREADS", threads_env)
+    path = write_scn(tmp_path, f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
+                               f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
+                               f"loads = 0.3\nduration = 1\nwarmup = 0.2\nalpha = {alpha}\n")
+    s = parse_scenario(path)
+    errors = validate(s)
+    assert len(errors) == n_errors, errors
+    out = tmp_path / "out"
+    with pytest.raises(ScenarioError) as exc:
+        run_experiment(s, out_dir=str(out))
+    assert exc.value.errors == errors
+    for argv in (["validate", "--scenario", path],
+                 ["run", "--scenario", path, "--out-dir", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {e}" for e in errors]
+    assert not out.exists()
 
 
 def test_invalid_scenario_raises_and_writes_nothing(tmp_path):
