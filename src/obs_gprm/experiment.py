@@ -68,8 +68,10 @@ def parse_scenario(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:  # its text names the path
         raise ScenarioError([f"cannot read scenario: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"cannot read scenario: {path}: {exc}"]) from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,6 +105,8 @@ def _load(errors, key, path, loader):
         return loader(path)
     except FileNotFoundError:
         errors.append(f"{key}: file not found: {path}")
+    except UnicodeDecodeError as exc:  # its text names no file
+        errors.append(f"{key}: {path}: {exc}")
     except (OSError, ValueError, TopologyError) as exc:
         errors.append(f"{key}: {exc}")
     return None
@@ -172,7 +176,8 @@ def _check(scenario, threads=None):
         if repeated:
             errors.append(f"{key}: {', '.join(repeated)} repeated; "
                           "two runs would write the same files")
-    if scenario.duration <= scenario.warmup:
+    # a non-finite value is reported alone, as in `SimConfig.problems()`
+    if -math.inf < scenario.duration <= scenario.warmup < math.inf:
         errors.append("warmup: must be < duration")
     # the last drop comes at most N - 1 hops after `duration`: a BHP visits
     # each node once, and a hop takes its processing and one propagation delay

@@ -71,7 +71,7 @@ def load_matrix(path):
     """Parse a matrix file: lines `src dst weight`, `#` comments; missing
     pairs default to weight 0, and a pair listed twice raises ValueError."""
     weights, linenos = {}, {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -120,8 +120,9 @@ def arrival_rates(matrix, target, mean_burst_size):
         denom += w * mean_burst_size / capacity[i]
     if not 0 < denom < math.inf:
         i, j = max(matrix.weights, key=lambda p: matrix.weights[p] / capacity[p[0]])
-        raise PairError((i, j), f"pair {i} {j}: weight {matrix.weights[(i, j)]:g} makes the "
-                                f"offered load {'overflow' if denom else 'underflow to 0'}")
+        raise PairError((i, j), f"pair {i} {j}: weight {matrix.weights[(i, j)]:g} and "
+                                f"mean_burst_size {mean_burst_size:g} make the offered load "
+                                f"{'overflow' if denom else 'underflow to 0'}")
     scale = target.target_load / denom
     rates = {pair: scale * w for pair, w in sorted(matrix.weights.items())}
     for (i, j), rate in rates.items():

@@ -198,6 +198,15 @@ def test_validate_caps_the_expected_bursts(tmp_path):
         f"more than {MAX_BURSTS}"]
 
 
+@pytest.mark.parametrize("size, outcome", [(1e308, "overflow"), (1e-320, "underflow to 0")])
+def test_validate_names_a_burst_size_whose_offered_load_overflows(size, outcome):
+    # the pair with the largest term is blamed, and so is the burst size
+    shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
+    assert validate(replace(shipped, loads=[0.3], mean_burst_size=size)) == [
+        f"matrix: {shipped.matrix}:119: at load 0.3, pair 7 11: weight 185.25 and "
+        f"mean_burst_size {size:g} make the offered load {outcome}"]
+
+
 @pytest.mark.parametrize("overrides, error", [
     ({"policies": ["sp", "ospf"]}, "policies: unknown policy 'ospf'"),
     ({"policies": []}, "policies: must not be empty"),
@@ -559,6 +568,7 @@ def test_cli_validate_bad(tmp_path):
     ("blr_window", "nan"), ("bucket_width", "nan"), ("offset_guard", "nan"),
     ("duration", "inf"), ("duration", "nan"), ("mean_burst_size", "nan"),
     ("signal_speed", "inf"), ("loads", "nan"), ("loads", "0.3, inf"),
+    ("warmup", "inf"), ("duration", "-inf"),  # no `warmup: must be < duration` too
 ])
 def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
     # NaN compares false with every bound, so `x <= 0` checks let it through
@@ -584,8 +594,8 @@ def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
     ("link 0 1 100 2 4 nan", "", "topology: {topo}:3: link 0->1: channel rate must be finite"),
     ("link 0 1 100 2 4 inf", "", "topology: {topo}:3: link 0->1: channel rate must be finite"),
     # finite inputs whose products overflow: every arrival rate would be 0
-    ("", "0 1 1e308", "matrix: {matrix}:2: at load 0.3, pair 0 1: weight 1e+308 makes the "
-                      "offered load overflow"),
+    ("", "0 1 1e308", "matrix: {matrix}:2: at load 0.3, pair 0 1: weight 1e+308 and "
+                      "mean_burst_size 3.2e+06 make the offered load overflow"),
     ("link 0 1 100 2 4 1e308", "", "topology: egress capacity of nodes [0, 1] overflows"),
     # a node name is one word, and a link has exactly seven fields
     ("node 2 New York", "", "topology: {topo}:3: malformed line"),
@@ -656,12 +666,33 @@ def test_cli_run_rejects_a_grid_that_repeats_runs(tmp_path, capsys, grid, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("where", ["missing.scn", "."], ids=["missing", "directory"])
+@pytest.mark.parametrize("where", ["missing.scn", ".", "latin1.scn"],
+                         ids=["missing", "directory", "not-utf8"])
 def test_cli_reports_an_unreadable_scenario(tmp_path, capsys, where):
-    for command in ("validate", "run"):
-        assert main([command, "--scenario", str(tmp_path / where)]) == 2
+    (tmp_path / "latin1.scn").write_bytes(b"loads = 0.3  # caf\xe9\n")
+    path = str(tmp_path / where)
+    for argv in (["validate", "--scenario", path],
+                 ["run", "--scenario", path, "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot read scenario: "), lines
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["topology", "matrix"])
+def test_cli_names_an_input_file_that_is_not_utf8(tmp_path, capsys, key):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# caf\xe9\n")
+    keys = {"topology": obs_gprm.data_path("nsfnet.topo"),
+            "matrix": obs_gprm.data_path("us_ref.matrix"), "loads": "0.3", key: bad}
+    path = write_scn(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    for argv in (["validate", "--scenario", path],
+                 ["run", "--scenario", path, "--out-dir", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: {key}: {bad}: 'utf-8' codec can't decode byte 0xe9"), lines
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_failed_run_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -704,37 +735,53 @@ def test_an_edge_scenario_is_rejected_or_runs(tmp_path, key, value):
 
 
 FLOAT_KEYS = sorted(f.name for f in fields(Scenario) if f.type is float)
+WORD_KEYS = ["policies", "loads", "seeds", "initial_mode", "util_mode"]
+# a float key gets an edge value; a list or string key an empty value, its
+# first item repeated, an unknown word or `nan` (`{0}` is its first item)
+KEY_EDITS = st.one_of(
+    st.tuples(st.sampled_from(FLOAT_KEYS),
+              st.sampled_from([0.0, -0.0, 1e-320, 1e308, math.nan, math.inf]).map(str)),
+    st.tuples(st.sampled_from(WORD_KEYS), st.sampled_from(["", "{0}, {0}", "bogus", "nan"])))
 
 
-def scenario_text(scenario):
+def scenario_text(scenario, **raw):
     """`scenario` as a scenario file that `parse_scenario` reads back to it
-    (`str` of a float round-trips, `-0.0`, `nan` and `inf` included)."""
+    (`str` of a float round-trips, `-0.0`, `nan` and `inf` included), with
+    the value text of each key in `raw` written in place of its own."""
     def text(value):
         return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
-    return "".join(f"{f.name} = {text(getattr(scenario, f.name))}\n" for f in fields(scenario))
+    return "".join(f"{f.name} = {raw.get(f.name, text(getattr(scenario, f.name)))}\n"
+                   for f in fields(scenario))
 
 
-@settings(max_examples=100, deadline=None)
-@given(key=st.sampled_from(FLOAT_KEYS),
-       value=st.sampled_from([0.0, -0.0, 1e-320, 1e308, math.nan, math.inf]),
-       duration=st.floats(0.05, 0.2))
-def test_a_fuzzed_float_key_is_rejected_or_runs(key, value, duration):
+@settings(max_examples=150, deadline=None)
+@given(edit=KEY_EDITS, duration=st.floats(0.05, 0.2))
+def test_a_fuzzed_scenario_key_is_rejected_or_runs(edit, duration):
     # the input contract: `validate` exits 0 or 2 and never raises; what it
+    # rejects, `run` rejects with the same lines and no file; what it
     # passes, `run` completes, or fails (exit 1) only on the documented zero
     # or NaN `sp` baseline, and a failed run leaves no file
+    key, value = edit
     shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
-    s = replace(shipped, **{"loads": [0.3], "seeds": [1], "duration": duration,
-                            "warmup": duration / 4, key: value})
+    s = replace(shipped, loads=[0.3], seeds=[1], duration=duration, warmup=duration / 4)
+    first = getattr(s, key)
+    value = value.format(first[0] if isinstance(first, list) else first)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         mp.setenv("OBS_SIM_THREADS", "1")
-        path = write_scn(pathlib.Path(tmp), scenario_text(s))
+        path = write_scn(pathlib.Path(tmp), scenario_text(s, **{key: value}))
         code = main(["validate", "--scenario", path])
         assert code in (0, 2), err.getvalue()
-        if code == 2:
-            assert all(l.startswith("error: ") for l in err.getvalue().splitlines())
-            return
         out = os.path.join(tmp, "out")
+        if code == 2:
+            rejected = err.getvalue()
+            assert all(l.startswith("error: ") for l in rejected.splitlines())
+            err.seek(0)
+            err.truncate()
+            assert main(["run", "--scenario", path, "--out-dir", out]) == 2
+            assert err.getvalue() == rejected
+            assert not os.path.exists(out)
+            return
         code = main(["run", "--scenario", path, "--out-dir", out])
         if code == 1:
             assert "baseline values must be > 0" in err.getvalue().splitlines()[-1]

@@ -105,9 +105,10 @@ def test_scale_to_load_shipped_matrix_round_trip():
 @pytest.mark.parametrize("weights, target, message", [
     # the overflow makes every rate 0; the error names the pair that caused it
     ({(0, 1): 1.0, (1, 2): 1e308, (2, 0): 1.0}, 0.2,
-     "pair 1 2: weight 1e+308 makes the offered load overflow"),
+     "pair 1 2: weight 1e+308 and mean_burst_size 3.2e+06 make the offered load overflow"),
     ({(0, 1): 5e-324, (1, 0): 5e-324}, 0.2,
-     "pair 0 1: weight 4.94066e-324 makes the offered load underflow to 0"),
+     "pair 0 1: weight 4.94066e-324 and mean_burst_size 3.2e+06 make the offered load "
+     "underflow to 0"),
     ({(0, 1): 1.0, (1, 0): 5e-324}, 1e-4,
      "pair 1 0: weight 4.94066e-324 gives arrival rate 0, which must be finite and > 0"),
 ], ids=["load-overflow", "load-underflow", "rate-underflow"])
