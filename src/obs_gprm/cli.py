@@ -11,9 +11,9 @@ worker pool.
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from .experiment import ScenarioError, parse_scenario, run_experiment, validate
+from .experiment import Scenario, ScenarioError, parse_scenario, run_experiment, validate
 
 
 def _log(msg):
@@ -21,6 +21,7 @@ def _log(msg):
 
 
 def build_parser():
+    rules = {f.name: f.metadata.get("rule") for f in fields(Scenario)}
     parser = argparse.ArgumentParser(prog="obs-gprm-sim",
                                      description="OBS network simulator with "
                                                  "adaptive (GPRM) and min-hop routing")
@@ -29,11 +30,11 @@ def build_parser():
     run_p.add_argument("--scenario", required=True, help="scenario file")
     run_p.add_argument("--out-dir", default=".", help="directory for result files")
     run_p.add_argument("--trace", action="store_true", help="write per-run event traces")
-    run_p.add_argument("--util-mode", choices=("all", "delivered"), default=None,
+    run_p.add_argument("--util-mode", choices=rules["util_mode"], default=None,
                        help="count all reserved occupancy or delivered bursts only")
     run_p.add_argument("--seed-override", type=int, default=None,
                        help="replace the scenario's seed list with one seed")
-    run_p.add_argument("--policy", choices=("sp", "gprm", "both"), default=None,
+    run_p.add_argument("--policy", choices=(*rules["policies"], "both"), default=None,
                        help="restrict the sweep to one policy")
     val_p = sub.add_parser("validate", help="check a scenario file")
     val_p.add_argument("--scenario", required=True, help="scenario file")

@@ -10,13 +10,13 @@ import csv
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import starmap
 from multiprocessing import Pool
 from typing import get_args, get_origin
 
 from .metrics import DROP_CAUSES, MAX_BUCKETS, MAX_BURSTS, ROLLING_WINDOW_BUCKETS, rolling_ratio
-from .signaling import SimConfig, Simulator
+from .signaling import POLICIES, Interval, SimConfig, Simulator, key
 from .topology import TopologyError, load_topology, propagation_delay
 from .traffic import LoadSpec, PairError, arrival_rates, load_matrix, scale_to_load
 
@@ -38,15 +38,17 @@ class ScenarioError(Exception):
 @dataclass
 class Scenario(SimConfig):
     """A sweep: the simulator settings it inherits, plus the network, the
-    workload and the (policy, load, seed) grid. Every field is a scenario key."""
+    workload and the (policy, load, seed) grid. Every field is a scenario
+    key; the two file keys have no rule, as `_check` parses their files."""
 
     topology: str = ""
     matrix: str = ""
-    policies: list[str] = field(default_factory=lambda: ["sp", "gprm"])
-    loads: list[float] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=lambda: [1])
-    duration: float = 20.0
-    mean_burst_size: float = 3.2e6
+    policies: list[str] = POLICIES
+    loads: list[float] = key([], Interval("(0, inf)"))
+    # `traffic.connection_seed` keeps 63 bits, so a larger seed would alias
+    seeds: list[int] = key([1], Interval(f"[0, {2**63})"))
+    duration: float = key(20.0, Interval("(0, inf)"))
+    mean_burst_size: float = key(3.2e6, Interval("(0, inf)"))
 
 
 def _parse_value(kind, value):
@@ -121,19 +123,21 @@ def _check(scenario, threads=None):
     """The one check of a sweep's inputs: returns (errors, worker count,
     topology, matrix), the last three None where they are at fault.
 
-    Parses the topology and matrix files and scales the matrix to every
-    valid load, ascending, through `arrival_rates`, as each run's
-    `scale_to_load` will, so that a bad record, a matrix node the topology
-    lacks, an egress capacity that overflows or a weight whose rate a run
-    would reject is reported here; of the rate problems, the one at the
-    lowest load is reported, with the matrix line of its pair. A run whose
-    learning series would have more than `MAX_BUCKETS` buckets, counting the
-    drops of bursts that drain after `duration`, or that expects more than
-    `MAX_BURSTS` bursts at the highest load, is rejected."""
+    Checks each key by its rule, in `scenario.problems()`, and parses the
+    topology and matrix files. Then it scales the matrix to every load,
+    ascending, through `arrival_rates`, as each run's `scale_to_load` will,
+    so that a matrix node the topology lacks, an egress capacity that
+    overflows or a weight whose rate a run would reject is reported here;
+    of the rate problems, the one at the lowest load, with the matrix line
+    of its pair. A run whose learning series would have more than
+    `MAX_BUCKETS` buckets, counting the drops of bursts that drain after
+    `duration`, or that expects more than `MAX_BURSTS` bursts, is rejected.
+    Each such rule of several keys runs only if each passed its own rule."""
     errors = scenario.problems()
     topology = _load(errors, "topology", scenario.topology, load_topology)
     matrix = _load(errors, "matrix", scenario.matrix, load_matrix)
-    if topology is not None and matrix is not None:
+    passed = {e.partition(":")[0] for e in errors}.isdisjoint  # passed(keys): no error names one
+    if passed({"topology", "matrix"}):
         missing = sorted({n for pair in matrix.weights for n in pair} - set(topology.nodes))
         capacities = {n: topology.egress_capacity(n) for n in topology.nodes}
         overflow = [n for n, c in capacities.items() if c == math.inf]
@@ -141,10 +145,8 @@ def _check(scenario, threads=None):
             errors.append(f"matrix: nodes {missing} are not in the topology")
         elif overflow:
             errors.append(f"topology: egress capacity of nodes {overflow} overflows")
-        elif 0 < scenario.mean_burst_size < math.inf:
-            # the other loads are `loads:` errors
-            rates = {}
-            for load in sorted(l for l in scenario.loads if 0 < l < math.inf):
+        elif passed({"loads", "mean_burst_size"}):
+            for load in sorted(scenario.loads):
                 try:
                     rates = arrival_rates(matrix, LoadSpec(load, capacities),
                                           scenario.mean_burst_size)
@@ -154,46 +156,23 @@ def _check(scenario, threads=None):
                     break
             else:  # `rates` are the highest load's
                 bursts = sum(rates.values()) * scenario.duration
-                if bursts > MAX_BURSTS and scenario.duration < math.inf:
+                if passed({"duration"}) and bursts > MAX_BURSTS:
                     errors.append(f"mean_burst_size: {scenario.mean_burst_size:g} bits at load "
                                   f"{load:g} makes a {scenario.duration:g} s run expect "
                                   f"{bursts:.3g} bursts, more than {MAX_BURSTS}")
-    for p in scenario.policies:
-        if p not in ("sp", "gprm"):
-            errors.append(f"policies: unknown policy {p!r}")
-    if not scenario.policies:
-        errors.append("policies: must not be empty")
-    if not scenario.loads:
-        errors.append("loads: must not be empty")
-    if not all(0 < l < math.inf for l in scenario.loads):
-        errors.append("loads: every load must be finite and > 0")
-    if not scenario.seeds:
-        errors.append("seeds: must not be empty")
-    # a run's output files are named by its policy, load tag and seed
-    for key, tags in (("policies", scenario.policies), ("seeds", scenario.seeds),
-                      ("loads", [f"{l:g}" for l in scenario.loads])):
-        repeated = sorted({str(t) for t in tags if tags.count(t) > 1})
-        if repeated:
-            errors.append(f"{key}: {', '.join(repeated)} repeated; "
-                          "two runs would write the same files")
-    # a non-finite value is reported alone, as in `SimConfig.problems()`
-    if -math.inf < scenario.duration <= scenario.warmup < math.inf:
+    if passed({"warmup", "duration"}) and scenario.duration <= scenario.warmup:
         errors.append("warmup: must be < duration")
-    # the last drop comes at most N - 1 hops after `duration`: a BHP visits
-    # each node once, and a hop takes its processing and one propagation delay
-    drain = 0.0
-    speed, php = scenario.signal_speed, scenario.per_hop_processing
-    if topology is not None and 0 < speed < math.inf and 0 < php < math.inf:
-        longest = max((propagation_delay(l, speed) for l in topology.links.values()), default=0.0)
-        drain = (len(topology.nodes) - 1) * (php + longest)
-    width = scenario.bucket_width
-    # one bucket of slack for the engine's float sums of event times
-    if (0 < width and scenario.duration < math.inf
-            and MAX_BUCKETS * width < scenario.duration + drain + width):
-        errors.append(f"bucket_width: a duration of {scenario.duration:g} s and a drain of "
-                      f"{drain:.3g} s make more than {MAX_BUCKETS} buckets of {width:g} s")
-    if scenario.mean_burst_size <= 0:
-        errors.append("mean_burst_size: must be > 0")
+    if passed({"topology", "signal_speed", "per_hop_processing", "bucket_width", "duration"}):
+        # the last drop comes at most N - 1 hops after `duration`: a BHP visits
+        # each node once, and a hop takes its processing and one propagation delay
+        longest = max((propagation_delay(l, scenario.signal_speed)
+                       for l in topology.links.values()), default=0.0)
+        drain = (len(topology.nodes) - 1) * (scenario.per_hop_processing + longest)
+        width = scenario.bucket_width
+        # one bucket of slack for the engine's float sums of event times
+        if MAX_BUCKETS * width < scenario.duration + drain + width:
+            errors.append(f"bucket_width: a duration of {scenario.duration:g} s and a drain "
+                          f"of {drain:.3g} s make more than {MAX_BUCKETS} buckets of {width:g} s")
     try:
         workers = worker_count(
             len(scenario.policies) * len(scenario.loads) * len(scenario.seeds), threads)

@@ -68,7 +68,8 @@ def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_lo
     The offset class counts how many per-hop processing budgets remain; the
     small epsilon keeps exact multiples from flooring down a class. The loss
     class is 0 below `blr_low`, 1 below `blr_high` and 2 from there on; the
-    thresholds are checked once, by `SimConfig.problems()`.
+    thresholds are checked once, by their `SimConfig` field rules and
+    `SimConfig.problems()`.
     """
     q = remaining_offset / per_hop_processing + 1e-9
     # capped before int(), which raises on a quotient that overflowed to inf
@@ -122,10 +123,10 @@ class SuccessTable:
     """Learned P(success | evidence) for each neighbor of one node.
 
     `alpha` is the smoothing factor (1.0 freezes the table) and `prior(k, e)`
-    the success probability of an unseen pair; `SimConfig.problems()` checks
-    the settings they come from. Naive Bayes is on exactly when `nb_space`,
-    the number of states of each evidence field, is given (cold starts): the
-    table counts outcomes per field, and an evidence vector never observed
+    the success probability of an unseen pair; the rules declared on the
+    `SimConfig` fields they come from check them. Naive Bayes is on exactly
+    when `nb_space`, the number of states of each evidence field, is given
+    (cold starts): the table counts outcomes per field, and a vector never observed
     for a neighbor is scored by naive Bayes instead of the prior as soon as
     that neighbor has any recorded outcome. Without it (warm starts) no
     counts are kept and unseen vectors always get the prior.

@@ -23,7 +23,7 @@ event queue, so identical inputs replay bit-identically.
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
 
 from .gprm import (
@@ -135,58 +135,74 @@ class ChannelSchedule:
         return list(zip(starts, ends))
 
 
+class Interval(str):
+    """A key's rule, written as in mathematics: "(0, 1]" holds the numbers
+    above 0 and up to 1, 1 included. NaN is in no interval."""
+
+    def __init__(self, text):
+        self.low, self.high = map(float, text[1:-1].split(","))
+
+    def __contains__(self, x):
+        return ((self.low <= x if self[0] == "[" else self.low < x)
+                and (x <= self.high if self[-1] == "]" else x < self.high))
+
+
+def key(default, rule):
+    """The field of a scenario key: its default, and its rule, an `Interval`
+    or a tuple of words, which applies to each item of a list key."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata={"rule": rule})
+    return field(default=default, metadata={"rule": rule})
+
+
+# `experiment.Scenario.policies`, whose words are the policies `Simulator` takes
+POLICIES = key(["sp", "gprm"], ("sp", "gprm"))
+
+
 @dataclass
 class SimConfig:
-    per_hop_processing: float = 1e-4  # BHP processing per node, seconds
-    offset_guard: float = 0.0         # extra initial offset beyond hop budget
-    alpha: float = 0.9
-    initial_sp: float = 0.5
-    refresh_period: float = 0.1
-    initial_mode: str = "warm"        # "warm" | "cold"
-    detour_penalty: float = 0.8       # warm-prior multiplier per extra hop
-    blr_low: float = 0.01
-    blr_high: float = 0.05
-    blr_window: float = 0.1
-    util_mode: str = "delivered"      # "delivered" | "all"
-    bucket_width: float = 0.01
-    warmup: float = 2.0
-    signal_speed: float = 2.0e8       # m/s, light in fiber
+    per_hop_processing: float = key(1e-4, Interval("(0, inf)"))  # BHP processing per node, s
+    offset_guard: float = key(0.0, Interval("[0, inf)"))  # extra offset beyond the hop budget
+    alpha: float = key(0.9, Interval("[0, 1]"))
+    initial_sp: float = key(0.5, Interval("[0, 1]"))
+    refresh_period: float = key(0.1, Interval("(0, inf)"))
+    initial_mode: str = key("warm", ("warm", "cold"))
+    detour_penalty: float = key(0.8, Interval("(0, 1]"))  # warm-prior multiplier per extra hop
+    blr_low: float = key(0.01, Interval("(0, 1)"))
+    blr_high: float = key(0.05, Interval("(0, 1)"))
+    blr_window: float = key(0.1, Interval("(0, inf)"))
+    util_mode: str = key("delivered", ("delivered", "all"))
+    bucket_width: float = key(0.01, Interval("(0, inf)"))
+    warmup: float = key(2.0, Interval("[0, inf)"))
+    signal_speed: float = key(2.0e8, Interval("(0, inf)"))  # m/s, light in fiber
 
     def problems(self):
-        """Every invalid field, as a list of `field: reason` strings.
-
-        Non-finite float fields are reported alone: NaN passes every `x <= 0`
-        check below, and a range check would report the same field again."""
-        errors = [f"{f.name}: must be a finite number" for f in fields(self)
-                  if f.type is float and not math.isfinite(getattr(self, f.name))]
-        if errors:
-            return errors
-        if self.warmup < 0:
-            errors.append("warmup: must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            errors.append("alpha: out of [0,1]")
-        if not 0.0 <= self.initial_sp <= 1.0:
-            errors.append("initial_sp: out of [0,1]")
-        if self.refresh_period <= 0:
-            errors.append("refresh_period: must be > 0")
-        if self.initial_mode not in ("warm", "cold"):
-            errors.append(f"initial_mode: expected warm or cold, got {self.initial_mode!r}")
-        if not 0.0 < self.detour_penalty <= 1.0:
-            errors.append("detour_penalty: must be in (0,1]")
-        if not 0.0 < self.blr_low < self.blr_high < 1.0:
-            errors.append("blr thresholds: need 0 < low < high < 1")
-        if self.blr_window <= 0:
-            errors.append("blr_window: must be > 0")
-        if self.per_hop_processing <= 0:
-            errors.append("per_hop_processing: must be > 0")
-        if self.offset_guard < 0:
-            errors.append("offset_guard: must be >= 0")
-        if self.bucket_width <= 0:
-            errors.append("bucket_width: must be > 0")
-        if self.signal_speed <= 0:
-            errors.append("signal_speed: must be > 0")
-        if self.util_mode not in ("delivered", "all"):
-            errors.append(f"util_mode: expected delivered or all, got {self.util_mode!r}")
+        """Every invalid field, as a list of `field: reason` strings: at most
+        one per field, by its rule, then `blr_low < blr_high` if both passed.
+        A list key must have items, each passing the rule, and no two giving
+        the same tag, as the tags name a run's output files."""
+        errors = []
+        for f in fields(self):
+            rule = f.metadata.get("rule")
+            if rule is None:
+                continue
+            value = getattr(self, f.name)
+            items = value if isinstance(value, list) else [value]
+            bad = list(itertools.filterfalse(rule.__contains__, items))
+            if not items:
+                errors.append(f"{f.name}: must not be empty")
+            elif bad:
+                expected = " or ".join(rule) if isinstance(rule, tuple) else f"in {rule}"
+                errors.append(f"{f.name}: must be {expected}, got {bad[0]!r}")
+            elif len(items) > 1:
+                tags = [f"{v:g}" if isinstance(v, float) else str(v) for v in items]
+                if repeated := sorted({t for t in tags if tags.count(t) > 1}):
+                    errors.append(f"{f.name}: {', '.join(repeated)} repeated; "
+                                  "two runs would write the same files")
+        failed = {e.partition(":")[0] for e in errors}
+        if not failed & {"blr_low", "blr_high"} and self.blr_low >= self.blr_high:
+            errors.append(f"blr_high: must be > blr_low, got {self.blr_high!r} "
+                          f"<= {self.blr_low!r}")
         return errors
 
 
@@ -194,7 +210,7 @@ class Simulator:
     """One simulation run: a topology, a connection set, and one policy."""
 
     def __init__(self, topology, connections, policy="sp", config=None, trace=None):
-        if policy not in ("sp", "gprm"):
+        if policy not in POLICIES.metadata["rule"]:
             raise ValueError(f"unknown policy {policy!r}")
         self.topology = topology
         self.connections = list(connections)

@@ -5,12 +5,10 @@ import math
 import os
 import pathlib
 import pickle
-import tempfile
 from dataclasses import fields, replace
+from typing import get_args, get_origin
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import obs_gprm
 from obs_gprm import experiment
@@ -25,7 +23,7 @@ from obs_gprm.experiment import (
 )
 from obs_gprm.metrics import MAX_BUCKETS, MAX_BURSTS
 from obs_gprm.topology import load_topology, propagation_delay
-from obs_gprm.traffic import LoadSpec, arrival_rates, load_matrix
+from obs_gprm.traffic import LoadSpec, arrival_rates, connection_seed, load_matrix
 
 
 def small_scenario(tmp_path, **overrides):
@@ -208,15 +206,54 @@ def test_validate_names_a_burst_size_whose_offered_load_overflows(size, outcome)
 
 
 @pytest.mark.parametrize("overrides, error", [
-    ({"policies": ["sp", "ospf"]}, "policies: unknown policy 'ospf'"),
+    ({"policies": ["sp", "ospf"]}, "policies: must be sp or gprm, got 'ospf'"),
     ({"policies": []}, "policies: must not be empty"),
     ({"seeds": []}, "seeds: must not be empty"),
-    ({"mean_burst_size": 0.0}, "mean_burst_size: must be > 0"),
-    ({"mean_burst_size": -3.2e6}, "mean_burst_size: must be > 0"),
-], ids=["unknown-policy", "no-policy", "no-seed", "zero-burst-size", "negative-burst-size"])
+    ({"mean_burst_size": 0.0}, "mean_burst_size: must be in (0, inf), got 0.0"),
+    ({"mean_burst_size": -3.2e6}, "mean_burst_size: must be in (0, inf), got -3200000.0"),
+    # the key at fault is named, and `warmup < duration` is not checked
+    ({"duration": 0.0}, "duration: must be in (0, inf), got 0.0"),
+], ids=["unknown-policy", "no-policy", "no-seed", "zero-burst-size", "negative-burst-size",
+        "zero-duration"])
 def test_validate_rejects_a_bad_grid_or_burst_size(tmp_path, overrides, error):
     # an empty list is reachable through `replace` only: a file's list has an item
     assert validate(small_scenario(tmp_path, **overrides)) == [error]
+
+
+@pytest.mark.parametrize("seeds, bad", [([1, 1 + 2**63], 1 + 2**63), ([-1, 2**63 - 1], -1)],
+                         ids=["above", "negative"])
+def test_validate_rejects_a_seed_that_would_alias_another(seeds, bad):
+    # a connection keeps 63 bits of its seed: these two seeds would replay the
+    # same traffic, and the seed mean would count one run twice
+    assert connection_seed(seeds[0], 3, 6) == connection_seed(seeds[1], 3, 6)
+    shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
+    assert validate(replace(shipped, seeds=seeds, loads=[0.3])) == [
+        f"seeds: must be in [0, {2**63}), got {bad}"]
+    assert validate(replace(shipped, seeds=[0, 2**63 - 1], loads=[0.3])) == []
+
+
+def test_readme_key_table_gives_every_scenario_key_its_default_and_rule():
+    # one row per key in field order; a row `a / b` gives two adjacent keys
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | rule | meaning |\n|---|---|---|---|\n", 1)[1]
+    rows = []
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        cells = [c.strip().replace("`", "").split(" / ") for c in line.split("|")[1:4]]
+        rows += zip(*cells, strict=True)
+    by_name = {f.name: f for f in fields(Scenario)}
+    assert [key for key, _, _ in rows] == list(by_name)
+    for key, default, rule_text in rows:
+        f = by_name[key]
+        assert getattr(Scenario(), key) == (
+            experiment._parse_value(f.type, default) if default else f.type()), key
+        rule = f.metadata.get("rule")
+        expected = ("a file" if rule is None else
+                    " or ".join(rule) if isinstance(rule, tuple) else f"in {rule}")
+        if get_origin(f.type) is list:
+            expected = f"each {expected}"
+        assert rule_text == expected, key
 
 
 def test_validate_reports_field_errors(tmp_path):
@@ -734,14 +771,34 @@ def test_an_edge_scenario_is_rejected_or_runs(tmp_path, key, value):
         assert "baseline values must be > 0" in str(exc)
 
 
-FLOAT_KEYS = sorted(f.name for f in fields(Scenario) if f.type is float)
-WORD_KEYS = ["policies", "loads", "seeds", "initial_mode", "util_mode"]
-# a float key gets an edge value; a list or string key an empty value, its
-# first item repeated, an unknown word or `nan` (`{0}` is its first item)
-KEY_EDITS = st.one_of(
-    st.tuples(st.sampled_from(FLOAT_KEYS),
-              st.sampled_from([0.0, -0.0, 1e-320, 1e308, math.nan, math.inf]).map(str)),
-    st.tuples(st.sampled_from(WORD_KEYS), st.sampled_from(["", "{0}, {0}", "bogus", "nan"])))
+def rule_values(rule, kind):
+    """The values a key, or an item of a list key, of type `kind` is fuzzed
+    with: each word of a word rule and a wrong one; or each end of an
+    interval, the values just inside and just outside it, -0.0, nan and inf."""
+    if isinstance(rule, tuple):
+        return [*rule, "bogus"]
+    values = [-0.0, math.nan, math.inf]
+    for end in (rule.low, rule.high):
+        if kind is int:  # an integer's neighbours; its ends are finite
+            values += [int(end) - 1, int(end), int(end) + 1]
+        else:
+            values += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+    return values
+
+
+def fuzzed_edits():
+    """(key, value text) for every scenario key but the two files, drawn
+    from its rule; a list key is also set empty and to its first item twice
+    (`{0}` stands for that item)."""
+    edits = []
+    for f in fields(Scenario):
+        if f.name in ("topology", "matrix"):  # `_check` parses their files
+            continue
+        is_list = get_origin(f.type) is list
+        kind = get_args(f.type)[0] if is_list else f.type
+        texts = [str(v) for v in rule_values(f.metadata["rule"], kind)]
+        edits += [(f.name, t) for t in dict.fromkeys(texts + ["", "{0}, {0}"] * is_list)]
+    return edits
 
 
 def scenario_text(scenario, **raw):
@@ -754,41 +811,41 @@ def scenario_text(scenario, **raw):
                    for f in fields(scenario))
 
 
-@settings(max_examples=150, deadline=None)
-@given(edit=KEY_EDITS, duration=st.floats(0.05, 0.2))
-def test_a_fuzzed_scenario_key_is_rejected_or_runs(edit, duration):
+def test_a_fuzzed_scenario_key_is_rejected_or_runs(tmp_path, monkeypatch):
     # the input contract: `validate` exits 0 or 2 and never raises; what it
     # rejects, `run` rejects with the same lines and no file; what it
     # passes, `run` completes, or fails (exit 1) only on the documented zero
     # or NaN `sp` baseline, and a failed run leaves no file
-    key, value = edit
+    monkeypatch.setenv("OBS_SIM_THREADS", "1")
     shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
-    s = replace(shipped, loads=[0.3], seeds=[1], duration=duration, warmup=duration / 4)
-    first = getattr(s, key)
-    value = value.format(first[0] if isinstance(first, list) else first)
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        mp.setenv("OBS_SIM_THREADS", "1")
-        path = write_scn(pathlib.Path(tmp), scenario_text(s, **{key: value}))
-        code = main(["validate", "--scenario", path])
-        assert code in (0, 2), err.getvalue()
-        out = os.path.join(tmp, "out")
-        if code == 2:
-            rejected = err.getvalue()
-            assert all(l.startswith("error: ") for l in rejected.splitlines())
-            err.seek(0)
-            err.truncate()
-            assert main(["run", "--scenario", path, "--out-dir", out]) == 2
-            assert err.getvalue() == rejected
-            assert not os.path.exists(out)
-            return
-        code = main(["run", "--scenario", path, "--out-dir", out])
+    for i, (key, value) in enumerate(fuzzed_edits()):
+        duration = (0.05, 0.1, 0.2)[i % 3]
+        s = replace(shipped, loads=[0.3], seeds=[1], duration=duration, warmup=duration / 4)
+        first = getattr(s, key)
+        value = value.format(first[0] if isinstance(first, list) else first)
+        (tmp_path / str(i)).mkdir()
+        path = write_scn(tmp_path / str(i), scenario_text(s, **{key: value}))
+        out = str(tmp_path / str(i) / "out")
+        case = f"{key} = {value}"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["validate", "--scenario", path])
+            assert code in (0, 2), (case, err.getvalue())
+            if code == 2:
+                rejected = err.getvalue()
+                assert all(l.startswith("error: ") for l in rejected.splitlines()), case
+                err.seek(0)
+                err.truncate()
+                assert main(["run", "--scenario", path, "--out-dir", out]) == 2, case
+                assert err.getvalue() == rejected, case
+                assert not os.path.exists(out), case
+                continue
+            code = main(["run", "--scenario", path, "--out-dir", out])
         if code == 1:
-            assert "baseline values must be > 0" in err.getvalue().splitlines()[-1]
-            assert os.listdir(out) == []
+            assert "baseline values must be > 0" in err.getvalue().splitlines()[-1], case
+            assert os.listdir(out) == [], case
         else:
-            assert code == 0, err.getvalue()
-            assert "results.csv" in os.listdir(out)
+            assert code == 0, (case, err.getvalue())
+            assert "results.csv" in os.listdir(out), case
 
 
 def test_cli_runs_what_it_validates_at_a_vanishing_refresh_period(tmp_path, capsys,

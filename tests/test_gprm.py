@@ -97,9 +97,13 @@ def test_blr_class_monotone(a, b):
 def test_config_rejects_bad_blr_thresholds():
     # the thresholds are checked once, by the config they are read from
     cfg = SimConfig(blr_low=0.5, blr_high=0.1)
-    assert any(p.startswith("blr thresholds") for p in cfg.problems())
-    with pytest.raises(ValueError, match="blr thresholds"):
+    assert cfg.problems() == ["blr_high: must be > blr_low, got 0.1 <= 0.5"]
+    with pytest.raises(ValueError, match="blr_high: must be > blr_low"):
         Simulator(path_topology(2), [], policy="gprm", config=cfg)
+    # a threshold out of (0, 1) is named alone: the order of the two is not checked
+    assert SimConfig(blr_low=0.0, blr_high=0.0).problems() == [
+        "blr_low: must be in (0, 1), got 0.0", "blr_high: must be in (0, 1), got 0.0"]
+    assert SimConfig(blr_high=1.0).problems() == ["blr_high: must be in (0, 1), got 1.0"]
 
 
 def hop_table():

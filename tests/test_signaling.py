@@ -336,7 +336,7 @@ def test_zero_traffic_run():
                        ({"refresh_period": 0}, "refresh_period"),
                        ({"alpha": 1.2}, "alpha"),
                        ({"initial_sp": -0.1}, "initial_sp"),
-                       ({"blr_low": 0.5, "blr_high": 0.1}, "blr thresholds"),
+                       ({"blr_low": 0.5, "blr_high": 0.1}, "blr_high: must be > blr_low"),
                        ({"warmup": -1.0}, "warmup"),
                        ({"detour_penalty": 0.0}, "detour_penalty"),
                        ({"blr_window": 0.0}, "blr_window"),
