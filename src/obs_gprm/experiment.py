@@ -155,8 +155,8 @@ def _check(scenario, threads=None):
                                   f"at load {load:g}, {exc}")
                     break
             else:  # `rates` are the highest load's
-                bursts = sum(rates.values()) * scenario.duration
-                if passed({"duration"}) and bursts > MAX_BURSTS:
+                if passed({"duration"}) and (
+                        bursts := sum(rates.values()) * scenario.duration) > MAX_BURSTS:
                     errors.append(f"mean_burst_size: {scenario.mean_burst_size:g} bits at load "
                                   f"{load:g} makes a {scenario.duration:g} s run expect "
                                   f"{bursts:.3g} bursts, more than {MAX_BURSTS}")
@@ -173,9 +173,10 @@ def _check(scenario, threads=None):
         if MAX_BUCKETS * width < scenario.duration + drain + width:
             errors.append(f"bucket_width: a duration of {scenario.duration:g} s and a drain "
                           f"of {drain:.3g} s make more than {MAX_BUCKETS} buckets of {width:g} s")
+    runs = (len(scenario.policies) * len(scenario.loads) * len(scenario.seeds)
+            if passed({"policies", "loads", "seeds"}) else 1)
     try:
-        workers = worker_count(
-            len(scenario.policies) * len(scenario.loads) * len(scenario.seeds), threads)
+        workers = worker_count(runs, threads)
     except ScenarioError as exc:
         errors, workers = errors + exc.errors, None
     return errors, workers, topology, matrix

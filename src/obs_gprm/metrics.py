@@ -138,8 +138,9 @@ class RunResult:
 
     def utilization(self, topology):
         """Fraction of total data-channel capacity the steady cohort occupied;
-        NaN if `elapsed <= 0`, which only a hand-built result can have."""
-        elapsed = self.elapsed
-        if elapsed <= 0:
+        NaN if the topology has no data channel, or if `elapsed <= 0`, which
+        only a hand-built result can have."""
+        capacity = self.elapsed * topology.total_data_channels()
+        if capacity <= 0:
             return math.nan
-        return sum(self.counters.busy_time.values()) / (elapsed * topology.total_data_channels())
+        return sum(self.counters.busy_time.values()) / capacity

@@ -23,8 +23,10 @@ event queue, so identical inputs replay bit-identically.
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
+from typing import get_args, get_origin
 
 from .gprm import (
     BLR_CLASSES,
@@ -155,6 +157,14 @@ def key(default, rule):
     return field(default=default, metadata={"rule": rule})
 
 
+def _is_a(kind, x):
+    """Whether `x` is a value of type `kind`: a bool is not a number, and an
+    int is a float only if it converts to one."""
+    if kind is float and type(x) is int:
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, kind) and type(x) is not bool
+
+
 # `experiment.Scenario.policies`, whose words are the policies `Simulator` takes
 POLICIES = key(["sp", "gprm"], ("sp", "gprm"))
 
@@ -178,8 +188,9 @@ class SimConfig:
 
     def problems(self):
         """Every invalid field, as a list of `field: reason` strings: at most
-        one per field, by its rule, then `blr_low < blr_high` if both passed.
-        A list key must have items, each passing the rule, and no two giving
+        one per field, by its declared type and its rule, then
+        `blr_low < blr_high` if both passed. A list key must be a `list` with
+        items, each of the item type and passing the rule, and no two giving
         the same tag, as the tags name a run's output files."""
         errors = []
         for f in fields(self):
@@ -187,11 +198,16 @@ class SimConfig:
             if rule is None:
                 continue
             value = getattr(self, f.name)
-            items = value if isinstance(value, list) else [value]
-            bad = list(itertools.filterfalse(rule.__contains__, items))
-            if not items:
+            listed = get_origin(f.type) is list
+            kind = (get_args(f.type) or (f.type,))[0]
+            items = value if listed else [value]
+            if listed and not isinstance(value, list):
+                errors.append(f"{f.name}: must be of type list, got {value!r}")
+            elif wrong := [x for x in items if not _is_a(kind, x)]:
+                errors.append(f"{f.name}: must be of type {kind.__name__}, got {wrong[0]!r}")
+            elif not items:
                 errors.append(f"{f.name}: must not be empty")
-            elif bad:
+            elif bad := list(itertools.filterfalse(rule.__contains__, items)):
                 expected = " or ".join(rule) if isinstance(rule, tuple) else f"in {rule}"
                 errors.append(f"{f.name}: must be {expected}, got {bad[0]!r}")
             elif len(items) > 1:

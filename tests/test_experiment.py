@@ -1,6 +1,4 @@
-import contextlib
 import csv
-import io
 import math
 import os
 import pathlib
@@ -167,7 +165,7 @@ def test_validate_caps_the_learning_buckets(tmp_path):
 
 
 @pytest.mark.parametrize("speed", [1e3, 1.0, 1e-3])
-def test_validate_caps_the_buckets_of_a_slow_signal_drain(speed):
+def test_validate_caps_the_buckets_of_a_slow_signal_drain(tmp_path, capsys, speed):
     # a 0.4 s run whose in-flight bursts drain for up to 13 hops of 2,800 km:
     # their drops would fall in bucket 50,014 at 1e3 m/s, 5.0e7 at 1 m/s and
     # 5.0e10 at 1e-3 m/s, and the learning series allocates up to the last one
@@ -176,6 +174,12 @@ def test_validate_caps_the_buckets_of_a_slow_signal_drain(speed):
     errors = validate(s)
     assert len(errors) == 1, errors
     assert errors[0].startswith("bucket_width: a duration of 0.4 s and a drain of ")
+    # `run` rejects it too, before it makes the out-dir or its staging directory
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", write_scn(tmp_path, scenario_text(s)),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {errors[0]}"]
+    assert not out.exists()
 
 
 def test_validate_caps_the_expected_bursts(tmp_path):
@@ -218,6 +222,24 @@ def test_validate_names_a_burst_size_whose_offered_load_overflows(size, outcome)
 def test_validate_rejects_a_bad_grid_or_burst_size(tmp_path, overrides, error):
     # an empty list is reachable through `replace` only: a file's list has an item
     assert validate(small_scenario(tmp_path, **overrides)) == [error]
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"seeds": [1.5]}, "seeds: must be of type int, got 1.5"),
+    ({"seeds": [True]}, "seeds: must be of type int, got True"),
+    ({"warmup": True}, "warmup: must be of type float, got True"),
+    ({"initial_mode": ["warm"]}, "initial_mode: must be of type str, got ['warm']"),
+    ({"policies": "sp"}, "policies: must be of type list, got 'sp'"),
+    ({"alpha": "0.5"}, "alpha: must be of type float, got '0.5'"),
+    ({"loads": (0.3,)}, "loads: must be of type list, got (0.3,)"),
+    ({"duration": 10**400}, f"duration: must be of type float, got {10**400}"),
+], ids=["float-seed", "bool-seed", "bool-warmup", "listed-word", "unlisted-policy",
+        "text-alpha", "tuple-loads", "int-beyond-float"])
+def test_validate_names_a_value_of_the_wrong_type(overrides, error):
+    # a file's values are parsed to each field's type, but a scenario built in
+    # code is not: a bool is not a number, and only a list key takes a list
+    shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
+    assert validate(replace(shipped, **{"loads": [0.3], **overrides})) == [error]
 
 
 @pytest.mark.parametrize("seeds, bad", [([1, 1 + 2**63], 1 + 2**63), ([-1, 2**63 - 1], -1)],
@@ -745,36 +767,14 @@ def test_cli_failed_run_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch
     assert os.listdir(out) == []
 
 
-# finite values that pass `SimConfig.problems()`, but whose quotients
-# (offset / per_hop_processing, now / refresh_period, event times grown by a
-# vanishing signal speed) overflow, or whose burst count does
-EDGE_VALUES = [("per_hop_processing", 5e-324), ("per_hop_processing", 1e-320),
-               ("per_hop_processing", 1e308), ("offset_guard", 1e308),
-               ("refresh_period", 5e-324), ("refresh_period", 1e-320),
-               ("signal_speed", 5e-324), ("signal_speed", 1e-320), ("signal_speed", 1e-300),
-               ("mean_burst_size", 1e-300)]
-
-
-@pytest.mark.parametrize("key, value", EDGE_VALUES, ids=[f"{k}={v!r}" for k, v in EDGE_VALUES])
-def test_an_edge_scenario_is_rejected_or_runs(tmp_path, key, value):
-    shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
-    s = replace(shipped, loads=[0.3], seeds=[1], duration=0.4, warmup=0.1, **{key: value})
-    errors = validate(s)
-    if key == "mean_burst_size":  # its run would not end, so it must not start
-        assert errors and errors[0].startswith("mean_burst_size: 1e-300 bits at load 0.3 ")
-        return
-    if errors:
-        return
-    try:
-        run_experiment(s, out_dir=str(tmp_path / "out"), threads=1)
-    except ValueError as exc:  # the one documented failure of a run that completes
-        assert "baseline values must be > 0" in str(exc)
-
-
 def rule_values(rule, kind):
     """The values a key, or an item of a list key, of type `kind` is fuzzed
     with: each word of a word rule and a wrong one; or each end of an
-    interval, the values just inside and just outside it, -0.0, nan and inf."""
+    interval, the values just inside and just outside it, -0.0, nan and inf,
+    and for a float also 1e-320, 1e-300 and 1e308. These finite values pass
+    most rules, but their quotients (offset / per_hop_processing, now /
+    refresh_period, event times grown by a vanishing signal speed) overflow,
+    or their burst count does."""
     if isinstance(rule, tuple):
         return [*rule, "bogus"]
     values = [-0.0, math.nan, math.inf]
@@ -783,7 +783,7 @@ def rule_values(rule, kind):
             values += [int(end) - 1, int(end), int(end) + 1]
         else:
             values += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
-    return values
+    return values + [1e-320, 1e-300, 1e308] * (kind is float)
 
 
 def fuzzed_edits():
@@ -811,41 +811,41 @@ def scenario_text(scenario, **raw):
                    for f in fields(scenario))
 
 
-def test_a_fuzzed_scenario_key_is_rejected_or_runs(tmp_path, monkeypatch):
+EDITS = fuzzed_edits()
+
+
+@pytest.mark.parametrize("key, value, duration",
+                         [(k, v, (0.05, 0.1, 0.2)[i % 3]) for i, (k, v) in enumerate(EDITS)],
+                         ids=[f"{k}={v}" for k, v in EDITS])
+def test_an_edge_scenario_is_rejected_or_runs(tmp_path, monkeypatch, capsys, key, value,
+                                              duration):
     # the input contract: `validate` exits 0 or 2 and never raises; what it
     # rejects, `run` rejects with the same lines and no file; what it
     # passes, `run` completes, or fails (exit 1) only on the documented zero
     # or NaN `sp` baseline, and a failed run leaves no file
     monkeypatch.setenv("OBS_SIM_THREADS", "1")
     shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
-    for i, (key, value) in enumerate(fuzzed_edits()):
-        duration = (0.05, 0.1, 0.2)[i % 3]
-        s = replace(shipped, loads=[0.3], seeds=[1], duration=duration, warmup=duration / 4)
-        first = getattr(s, key)
-        value = value.format(first[0] if isinstance(first, list) else first)
-        (tmp_path / str(i)).mkdir()
-        path = write_scn(tmp_path / str(i), scenario_text(s, **{key: value}))
-        out = str(tmp_path / str(i) / "out")
-        case = f"{key} = {value}"
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(["validate", "--scenario", path])
-            assert code in (0, 2), (case, err.getvalue())
-            if code == 2:
-                rejected = err.getvalue()
-                assert all(l.startswith("error: ") for l in rejected.splitlines()), case
-                err.seek(0)
-                err.truncate()
-                assert main(["run", "--scenario", path, "--out-dir", out]) == 2, case
-                assert err.getvalue() == rejected, case
-                assert not os.path.exists(out), case
-                continue
-            code = main(["run", "--scenario", path, "--out-dir", out])
-        if code == 1:
-            assert "baseline values must be > 0" in err.getvalue().splitlines()[-1], case
-            assert os.listdir(out) == [], case
-        else:
-            assert code == 0, (case, err.getvalue())
-            assert "results.csv" in os.listdir(out), case
+    s = replace(shipped, loads=[0.3], seeds=[1], duration=duration, warmup=duration / 4)
+    first = getattr(s, key)
+    value = value.format(first[0] if isinstance(first, list) else first)
+    path = write_scn(tmp_path, scenario_text(s, **{key: value}))
+    out = str(tmp_path / "out")
+    code = main(["validate", "--scenario", path])
+    assert code in (0, 2)
+    if code == 2:
+        rejected = capsys.readouterr().err
+        assert all(l.startswith("error: ") for l in rejected.splitlines())
+        assert main(["run", "--scenario", path, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == rejected
+        assert not os.path.exists(out)
+        return
+    code = main(["run", "--scenario", path, "--out-dir", out])
+    if code == 1:
+        assert "baseline values must be > 0" in capsys.readouterr().err.splitlines()[-1]
+        assert os.listdir(out) == []
+    else:
+        assert code == 0, capsys.readouterr().err
+        assert "results.csv" in os.listdir(out)
 
 
 def test_cli_runs_what_it_validates_at_a_vanishing_refresh_period(tmp_path, capsys,

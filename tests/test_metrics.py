@@ -73,6 +73,8 @@ def test_utilization_bounds():
         c.add_busy((1, 0, w), 1.0)
     assert result(c).utilization(topo) == pytest.approx(1.0)
     assert math.isnan(result(c, elapsed=0.0).utilization(topo))
+    # a topology without a data channel has no capacity to occupy
+    assert math.isnan(result(c).utilization(Topology([0], [])))
 
 
 def gains(column, sp, gprm):
