@@ -39,7 +39,8 @@ class ScenarioError(Exception):
 class Scenario(SimConfig):
     """A sweep: the simulator settings it inherits, plus the network, the
     workload and the (policy, load, seed) grid. Every field is a scenario
-    key; the two file keys have no rule, as `_check` parses their files."""
+    key; the two file keys take a `str` and have no rule, as `_check`
+    parses each file once its key has passed."""
 
     topology: str = ""
     matrix: str = ""
@@ -98,8 +99,11 @@ def parse_scenario(path):
 
 
 def _load(errors, key, path, loader):
-    """Parse one input file of a scenario; on failure add a `key:` error
-    (with the loader's `path:line` where it has one) and return None."""
+    """Parse one input file of a scenario if its key passed its type check
+    in `errors`; on failure add a `key:` error (with the loader's
+    `path:line` where it has one) and return None."""
+    if any(e.startswith(f"{key}:") for e in errors):
+        return None
     if not path:
         errors.append(f"{key}: missing")
         return None
@@ -123,16 +127,17 @@ def _check(scenario, threads=None):
     """The one check of a sweep's inputs: returns (errors, worker count,
     topology, matrix), the last three None where they are at fault.
 
-    Checks each key by its rule, in `scenario.problems()`, and parses the
-    topology and matrix files. Then it scales the matrix to every load,
-    ascending, through `arrival_rates`, as each run's `scale_to_load` will,
-    so that a matrix node the topology lacks, an egress capacity that
-    overflows or a weight whose rate a run would reject is reported here;
-    of the rate problems, the one at the lowest load, with the matrix line
-    of its pair. A run whose learning series would have more than
-    `MAX_BUCKETS` buckets, counting the drops of bursts that drain after
-    `duration`, or that expects more than `MAX_BURSTS` bursts, is rejected.
-    Each such rule of several keys runs only if each passed its own rule."""
+    Checks each key by its type and rule, in `scenario.problems()`, and
+    parses the topology and matrix files whose keys passed. Then it scales
+    the matrix to every load, ascending, through `arrival_rates`, as each
+    run's `scale_to_load` will, so that a matrix node the topology lacks,
+    an egress capacity that overflows or a weight whose rate a run would
+    reject is reported here; of the rate problems, the one at the lowest
+    load, with the matrix line of its pair. A run whose learning series
+    would have more than `MAX_BUCKETS` buckets, counting the drops of
+    bursts that drain after `duration`, or that expects more than
+    `MAX_BURSTS` bursts, is rejected. Each such rule of several keys runs
+    only if each passed its own rule."""
     errors = scenario.problems()
     topology = _load(errors, "topology", scenario.topology, load_topology)
     matrix = _load(errors, "matrix", scenario.matrix, load_matrix)

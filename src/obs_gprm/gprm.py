@@ -27,10 +27,6 @@ class EvidenceVector(NamedTuple):
     dest: int           # destination node id
 
 
-class UnknownNeighborError(KeyError):
-    """Query or update for a node that is not a neighbor of the table owner."""
-
-
 class LossRateWindow:
     """Sliding-window loss ratio seen by one node as a forwarder.
 
@@ -131,12 +127,13 @@ class SuccessTable:
     that neighbor has any recorded outcome. Without it (warm starts) no
     counts are kept and unseen vectors always get the prior.
 
-    Precondition under naive Bayes: each evidence field value ``e[f]`` lies
-    in ``range(nb_space[f])``, since the counts of field f are a list of
-    that length. The engine keeps to it: offset and hop classes are capped
-    at 15, the loss class is at most 2, and destinations are node ids, which
-    are below the node count. A larger value raises IndexError when it is
-    scored or counted.
+    Preconditions: every ``k`` passed in is one of ``neighbors``, which the
+    engine keeps to by choosing each next hop from them; and under naive
+    Bayes each evidence field value ``e[f]`` lies in ``range(nb_space[f])``,
+    since the counts of field f are a list of that length. The engine keeps
+    to that too: offset and hop classes are capped at 15, the loss class is
+    at most 2, and destinations are node ids, which are below the node
+    count. A larger value raises IndexError when it is scored or counted.
 
     The learned state is the routing view of the current refresh period:
     ``sp_update`` queues a notification, and updates take effect at the next
@@ -146,7 +143,6 @@ class SuccessTable:
     def __init__(self, owner, neighbors, alpha, prior, nb_space=None):
         self.owner = owner
         self.neighbors = tuple(sorted(neighbors))
-        self._neighbor_set = frozenset(neighbors)
         self.alpha = alpha
         self._prior = prior
         # (offset states, blr states, hop states, destination states), or None
@@ -171,8 +167,6 @@ class SuccessTable:
     def sp_update(self, k, e, success):
         """Queue the notification of one forwarding outcome via `k` under `e`,
         `success` True for an ACK; ``begin_epoch`` applies it."""
-        if k not in self._neighbor_set:
-            raise UnknownNeighborError(f"{k} is not a neighbor of node {self.owner}")
         self._pending.append((k, e, success))
 
     def _nb_scores(self, k, e):

@@ -188,15 +188,14 @@ class SimConfig:
 
     def problems(self):
         """Every invalid field, as a list of `field: reason` strings: at most
-        one per field, by its declared type and its rule, then
-        `blr_low < blr_high` if both passed. A list key must be a `list` with
-        items, each of the item type and passing the rule, and no two giving
-        the same tag, as the tags name a run's output files."""
+        one per field, by its declared type and then its rule, where it
+        declares one, then `blr_low < blr_high` if both passed. A list key
+        must be a `list` with items, each of the item type and passing the
+        rule, and no two giving the same tag, as the tags name a run's output
+        files."""
         errors = []
         for f in fields(self):
             rule = f.metadata.get("rule")
-            if rule is None:
-                continue
             value = getattr(self, f.name)
             listed = get_origin(f.type) is list
             kind = (get_args(f.type) or (f.type,))[0]
@@ -207,7 +206,7 @@ class SimConfig:
                 errors.append(f"{f.name}: must be of type {kind.__name__}, got {wrong[0]!r}")
             elif not items:
                 errors.append(f"{f.name}: must not be empty")
-            elif bad := list(itertools.filterfalse(rule.__contains__, items)):
+            elif rule and (bad := list(itertools.filterfalse(rule.__contains__, items))):
                 expected = " or ".join(rule) if isinstance(rule, tuple) else f"in {rule}"
                 errors.append(f"{f.name}: must be {expected}, got {bad[0]!r}")
             elif len(items) > 1:

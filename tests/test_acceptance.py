@@ -9,27 +9,20 @@ import csv
 import math
 import random
 import time
-from collections import defaultdict
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
 import obs_gprm
-from conftest import flat, offered_load, update_and_read, walk_row
+from conftest import (TraceLog, flat, nb_oracle, nsfnet_workload, offered_load, path_topology,
+                      update_and_read, walk_row)
 from obs_gprm.experiment import parse_scenario, run_experiment
 from obs_gprm.gprm import EvidenceVector, SuccessTable
 from obs_gprm.metrics import ROLLING_WINDOW_BUCKETS, rolling_ratio
 from obs_gprm.routing import LazyRoutingTable
 from obs_gprm.signaling import SimConfig, Simulator
-from obs_gprm.topology import Link, Topology, load_topology
-from obs_gprm.traffic import (
-    ConnectionSpec,
-    LoadSpec,
-    TrafficMatrix,
-    load_matrix,
-    scale_to_load,
-)
+from obs_gprm.traffic import ConnectionSpec, LoadSpec, TrafficMatrix, scale_to_load
 
 LOADS = (0.1, 0.2, 0.3, 0.4, 0.5)
 SEEDS = (1, 2, 3)
@@ -50,8 +43,7 @@ def erlang_b(servers, offered):
 # -- criterion 1: Erlang-B oracle on a single link ---------------------------
 
 def test_criterion_1_erlang_b():
-    links = [Link(0, 1, 200.0, 2, 4, 1e9), Link(1, 0, 200.0, 2, 4, 1e9)]
-    topo = Topology([0, 1], links)
+    topo = path_topology(2, km=200.0)
     duration_mean = MEAN_BURST / 1e9
     lam = 2.0 / duration_mean  # 2 erlangs offered on the 4 data channels
     conns = [ConnectionSpec(0, 1, lam, MEAN_BURST, seed=42)]
@@ -120,14 +112,9 @@ def test_criterion_5_cold_start_learning():
     # Finer burst granularity (40 KB) at the same offered load: one simulated
     # second then carries enough notifications to learn from; the reference
     # steady-state SP BLR is measured on the identical workload.
-    topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
-    matrix = load_matrix(obs_gprm.data_path("us_ref.matrix"))
-    caps = {n: topo.egress_capacity(n) for n in topo.nodes}
-    mean_burst = 3.2e5
     crossings = []
     for seed in SEEDS:
-        conns = scale_to_load(matrix, LoadSpec(0.4, caps), mean_burst,
-                              master_seed=seed)
+        topo, _, conns = nsfnet_workload(0.4, seed, mean_burst_size=3.2e5)
         sp = Simulator(topo, conns, policy="sp",
                        config=SimConfig(warmup=2.0, offset_guard=3e-4)).run(12.0)
         threshold = 1.1 * sp.blr()
@@ -183,16 +170,9 @@ def _props_sort_and_rows():
 
 
 def _props_conservation_and_loops():
-    topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
-    matrix = load_matrix(obs_gprm.data_path("us_ref.matrix"))
-    caps = {n: topo.egress_capacity(n) for n in topo.nodes}
     for policy, mode, seed in (("sp", "warm", 11), ("gprm", "cold", 12)):
-        conns = scale_to_load(matrix, LoadSpec(0.4, caps), MEAN_BURST,
-                              master_seed=seed)
-        forwards = defaultdict(list)
-        trace = (lambda t, kind, node, bid, detail:
-                 forwards[bid].append(node)
-                 if kind == "BHP_ARRIVE" and detail.startswith("forward") else None)
+        topo, _, conns = nsfnet_workload(0.4, seed, MEAN_BURST)
+        trace = TraceLog()
         cfg = SimConfig(warmup=0.0, offset_guard=3e-4, initial_mode=mode)
         res = Simulator(topo, conns, policy=policy, config=cfg, trace=trace).run(8.0)
         c = res.counters
@@ -200,24 +180,20 @@ def _props_conservation_and_loops():
             return False
         if c.bursts_sent != c.bursts_delivered + c.bursts_dropped or c.in_flight != 0:
             return False
-        for nodes in forwards.values():
+        for nodes in trace.forwards().values():
             if len(nodes) != len(set(nodes)):
                 return False
     return True
 
 
 def _props_replay():
-    topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
-    matrix = load_matrix(obs_gprm.data_path("us_ref.matrix"))
-    caps = {n: topo.egress_capacity(n) for n in topo.nodes}
-    conns = scale_to_load(matrix, LoadSpec(0.3, caps), MEAN_BURST, master_seed=21)
+    topo, _, conns = nsfnet_workload(0.3, 21, MEAN_BURST)
     logs = []
     for _ in range(2):
-        lines = []
+        trace = TraceLog()
         cfg = SimConfig(warmup=0.5, offset_guard=3e-4, initial_mode="warm")
-        res = Simulator(topo, conns, policy="gprm", config=cfg,
-                        trace=lambda *a: lines.append(a)).run(4.0)
-        logs.append((lines, res.counters, res.mean_delay()))
+        res = Simulator(topo, conns, policy="gprm", config=cfg, trace=trace).run(4.0)
+        logs.append((trace.lines, res.counters, res.mean_delay()))
     return logs[0] == logs[1]
 
 
@@ -244,14 +220,7 @@ def _props_nb_exhaustive():
             history.append((e, ok))
         for combo in product(range(2), repeat=4):
             e = EvidenceVector(*combo)
-            scores = []  # [success, failure], counted from the history
-            for outcome in (True, False):
-                seen = [h for h, ok in history if ok == outcome]
-                p = (len(seen) + 1) / (len(history) + 2)
-                for f in range(4):
-                    c = sum(1 for h in seen if h[f] == e[f])
-                    p *= (c + 1) / (len(seen) + counts[f])
-                scores.append(p)
+            scores = nb_oracle(history, e, counts)
             got = t._nb_scores(1, e)
             if any(abs(g - s) > 1e-12 for g, s in zip(got, scores)):
                 return False

@@ -9,6 +9,7 @@ from typing import get_args, get_origin
 import pytest
 
 import obs_gprm
+from conftest import nsfnet_workload
 from obs_gprm import experiment
 from obs_gprm.cli import main
 from obs_gprm.experiment import (
@@ -21,7 +22,7 @@ from obs_gprm.experiment import (
 )
 from obs_gprm.metrics import MAX_BUCKETS, MAX_BURSTS
 from obs_gprm.topology import load_topology, propagation_delay
-from obs_gprm.traffic import LoadSpec, arrival_rates, connection_seed, load_matrix
+from obs_gprm.traffic import connection_seed
 
 
 def small_scenario(tmp_path, **overrides):
@@ -43,6 +44,19 @@ def write_scn(tmp_path, text):
     path = tmp_path / "test.scn"
     path.write_text(text)
     return str(path)
+
+
+def rejected_by_both(capsys, path, out):
+    """Run `validate` and `run` on the scenario file `path`: each must exit
+    2 with the same stderr lines, and `out` must not exist; returns the lines."""
+    lines = []
+    for argv in (["validate", "--scenario", path],
+                 ["run", "--scenario", path, "--out-dir", str(out)]):
+        assert main(argv) == 2
+        lines.append(capsys.readouterr().err.splitlines())
+    assert lines[0] == lines[1], lines
+    assert not os.path.exists(out)
+    return lines[0]
 
 
 def test_parse_scenario_file(tmp_path):
@@ -129,15 +143,25 @@ def test_parse_rejects_a_malformed_line(tmp_path, line, reason):
     assert exc.value.errors == [f"{path}:1: {reason}"]
 
 
-def test_parse_rejects_a_repeated_key(tmp_path, capsys):
+def test_parse_rejects_a_repeated_key(tmp_path):
     # a second value for a key must not silently replace the first
     path = write_scn(tmp_path, "loads = 0.3\n# one more load\nloads = 0.5\n")
-    error = f"{path}:3: key 'loads' is already set on line 1"
     with pytest.raises(ScenarioError) as exc:
         parse_scenario(path)
-    assert exc.value.errors == [error]
-    assert main(["validate", "--scenario", path]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert exc.value.errors == [f"{path}:3: key 'loads' is already set on line 1"]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("loads = 0.3\n# one more load\nloads = 0.5\n", "3: key 'loads' is already set on line 1"),
+    ("loads = 0.3\nloads 0.5\n", "2: expected key = value, got 'loads 0.5'"),
+    ("loads = 0.3\nnonsense = 4\n", "2: unknown key 'nonsense'"),
+    ("loads = 0.3\nseeds = 1.5\n",
+     "2: bad value for seeds: invalid literal for int() with base 10: '1.5'"),
+    ("loads = a\n", "1: bad value for loads: could not convert string to float: 'a'"),
+], ids=["repeated-key", "no-equals-sign", "unknown-key", "float-seed", "text-load"])
+def test_cli_names_the_line_of_a_malformed_scenario_file(tmp_path, capsys, text, error):
+    path = write_scn(tmp_path, text)
+    assert rejected_by_both(capsys, path, tmp_path / "out") == [f"error: {path}:{error}"]
 
 
 def test_shipped_scenario_validates():
@@ -175,20 +199,14 @@ def test_validate_caps_the_buckets_of_a_slow_signal_drain(tmp_path, capsys, spee
     assert len(errors) == 1, errors
     assert errors[0].startswith("bucket_width: a duration of 0.4 s and a drain of ")
     # `run` rejects it too, before it makes the out-dir or its staging directory
-    out = tmp_path / "out"
-    assert main(["run", "--scenario", write_scn(tmp_path, scenario_text(s)),
-                 "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {errors[0]}"]
-    assert not out.exists()
+    path = write_scn(tmp_path, scenario_text(s))
+    assert rejected_by_both(capsys, path, tmp_path / "out") == [f"error: {errors[0]}"]
 
 
 def test_validate_caps_the_expected_bursts(tmp_path):
     # a run's bursts are its arrival rates at the highest load times its duration
-    topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
-    caps = {n: topo.egress_capacity(n) for n in topo.nodes}
-    rates = arrival_rates(load_matrix(obs_gprm.data_path("us_ref.matrix")),
-                          LoadSpec(0.5, caps), 3.2e6)
-    longest = MAX_BURSTS / sum(rates.values())
+    _, _, connections = nsfnet_workload(0.5, seed=1)
+    longest = MAX_BURSTS / sum(c.lambda_ for c in connections)
     assert validate(small_scenario(tmp_path, loads=[0.3, 0.5], duration=0.99 * longest,
                                    bucket_width=1.0)) == []
     errors = validate(small_scenario(tmp_path, loads=[0.3, 0.5], duration=1.01 * longest,
@@ -233,8 +251,17 @@ def test_validate_rejects_a_bad_grid_or_burst_size(tmp_path, overrides, error):
     ({"alpha": "0.5"}, "alpha: must be of type float, got '0.5'"),
     ({"loads": (0.3,)}, "loads: must be of type list, got (0.3,)"),
     ({"duration": 10**400}, f"duration: must be of type float, got {10**400}"),
+    # a file key is never opened unless it is a `str`: open() takes an int as a
+    # file descriptor, and a bool as 0 or 1
+    ({"topology": 1.5}, "topology: must be of type str, got 1.5"),
+    ({"matrix": True}, "matrix: must be of type str, got True"),
+    ({"matrix": 2}, "matrix: must be of type str, got 2"),
+    ({"topology": None}, "topology: must be of type str, got None"),
+    ({"matrix": pathlib.PurePosixPath("m")}, "matrix: must be of type str, "
+                                             "got PurePosixPath('m')"),
 ], ids=["float-seed", "bool-seed", "bool-warmup", "listed-word", "unlisted-policy",
-        "text-alpha", "tuple-loads", "int-beyond-float"])
+        "text-alpha", "tuple-loads", "int-beyond-float", "float-topology", "bool-matrix",
+        "int-matrix", "none-topology", "path-matrix"])
 def test_validate_names_a_value_of_the_wrong_type(overrides, error):
     # a file's values are parsed to each field's type, but a scenario built in
     # code is not: a bool is not a number, and only a list key takes a list
@@ -430,11 +457,7 @@ def test_both_policies_of_a_load_and_seed_share_one_connection_list(tmp_path, mo
 @pytest.mark.parametrize("policy", ["sp", "gprm"])
 def test_run_single_leaves_its_inputs_reusable(tmp_path, policy):
     s = small_scenario(tmp_path, duration=1.0, warmup=0.2)
-    topology = experiment.load_topology(s.topology)
-    caps = {n: topology.egress_capacity(n) for n in topology.nodes}
-    connections = experiment.scale_to_load(experiment.load_matrix(s.matrix),
-                                           experiment.LoadSpec(0.3, caps),
-                                           s.mean_burst_size, master_seed=1)
+    topology, _, connections = nsfnet_workload(0.3, seed=1)  # the scenario's inputs
     before = pickle.dumps((topology, connections))
     first = experiment.run_single(s, topology, connections, policy, 0.3, 1)
     second = experiment.run_single(s, topology, connections, policy, 0.3, 1)
@@ -498,11 +521,7 @@ def test_run_rejects_what_validate_reports(tmp_path, monkeypatch, capsys, alpha,
     with pytest.raises(ScenarioError) as exc:
         run_experiment(s, out_dir=str(out))
     assert exc.value.errors == errors
-    for argv in (["validate", "--scenario", path],
-                 ["run", "--scenario", path, "--out-dir", str(out)]):
-        assert main(argv) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: {e}" for e in errors]
-    assert not out.exists()
+    assert rejected_by_both(capsys, path, out) == [f"error: {e}" for e in errors]
 
 
 def test_invalid_scenario_raises_and_writes_nothing(tmp_path):
@@ -671,12 +690,8 @@ def test_cli_validate_parses_topology_and_matrix(tmp_path, capsys, topo_line, ma
     matrix.write_text(f"1 0 1.0\n{matrix_line}\n")
     path = write_scn(tmp_path, "topology = net.topo\nmatrix = m.matrix\nloads = 0.3\n")
     expected = expected.format(topo=topo, matrix=matrix)
-    for argv in (["validate", "--scenario", path],
-                 ["run", "--scenario", path, "--out-dir", str(tmp_path / "out")]):
-        assert main(argv) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {expected}"), lines
-    assert not (tmp_path / "out").exists()
+    lines = rejected_by_both(capsys, path, tmp_path / "out")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {expected}"), lines
 
 
 @pytest.mark.parametrize("key", ["topology", "matrix"])
@@ -685,11 +700,7 @@ def test_cli_reports_an_empty_file_key_as_missing(tmp_path, capsys, key):
     keys = {"topology": obs_gprm.data_path("nsfnet.topo"),
             "matrix": obs_gprm.data_path("us_ref.matrix"), "loads": "0.3", key: ""}
     path = write_scn(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
-    for argv in (["validate", "--scenario", path],
-                 ["run", "--scenario", path, "--out-dir", str(tmp_path / "out")]):
-        assert main(argv) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: {key}: missing"]
-    assert not (tmp_path / "out").exists()
+    assert rejected_by_both(capsys, path, tmp_path / "out") == [f"error: {key}: missing"]
 
 
 @pytest.mark.parametrize("text, where, reason", [
@@ -729,13 +740,8 @@ def test_cli_run_rejects_a_grid_that_repeats_runs(tmp_path, capsys, grid, key):
                          ids=["missing", "directory", "not-utf8"])
 def test_cli_reports_an_unreadable_scenario(tmp_path, capsys, where):
     (tmp_path / "latin1.scn").write_bytes(b"loads = 0.3  # caf\xe9\n")
-    path = str(tmp_path / where)
-    for argv in (["validate", "--scenario", path],
-                 ["run", "--scenario", path, "--out-dir", str(tmp_path / "out")]):
-        assert main(argv) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: cannot read scenario: "), lines
-    assert not (tmp_path / "out").exists()
+    lines = rejected_by_both(capsys, str(tmp_path / where), tmp_path / "out")
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read scenario: "), lines
 
 
 @pytest.mark.parametrize("key", ["topology", "matrix"])
@@ -745,13 +751,9 @@ def test_cli_names_an_input_file_that_is_not_utf8(tmp_path, capsys, key):
     keys = {"topology": obs_gprm.data_path("nsfnet.topo"),
             "matrix": obs_gprm.data_path("us_ref.matrix"), "loads": "0.3", key: bad}
     path = write_scn(tmp_path, "".join(f"{k} = {v}\n" for k, v in keys.items()))
-    for argv in (["validate", "--scenario", path],
-                 ["run", "--scenario", path, "--out-dir", str(tmp_path / "out")]):
-        assert main(argv) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(
-            f"error: {key}: {bad}: 'utf-8' codec can't decode byte 0xe9"), lines
-    assert not (tmp_path / "out").exists()
+    lines = rejected_by_both(capsys, path, tmp_path / "out")
+    assert len(lines) == 1 and lines[0].startswith(
+        f"error: {key}: {bad}: 'utf-8' codec can't decode byte 0xe9"), lines
 
 
 def test_cli_failed_run_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -787,12 +789,13 @@ def rule_values(rule, kind):
 
 
 def fuzzed_edits():
-    """(key, value text) for every scenario key but the two files, drawn
-    from its rule; a list key is also set empty and to its first item twice
-    (`{0}` stands for that item)."""
+    """(key, value text) for every scenario key with a rule, drawn from that
+    rule; a list key is also set empty and to its first item twice (`{0}`
+    stands for that item). The two file keys have no rule: a file's text is
+    always a `str`, and `_check` parses the file it names."""
     edits = []
     for f in fields(Scenario):
-        if f.name in ("topology", "matrix"):  # `_check` parses their files
+        if "rule" not in f.metadata:
             continue
         is_list = get_origin(f.type) is list
         kind = get_args(f.type)[0] if is_list else f.type

@@ -15,10 +15,9 @@ from dataclasses import replace
 import pytest
 
 import obs_gprm
+from conftest import nsfnet_workload
 from obs_gprm.experiment import parse_scenario, run_experiment
 from obs_gprm.signaling import Simulator
-from obs_gprm.topology import load_topology
-from obs_gprm.traffic import LoadSpec, load_matrix, scale_to_load
 
 GOLDEN = {
     "warm": {
@@ -113,10 +112,7 @@ def learned_state_digest(sim):
 def test_learned_state_matches_golden_digest(initial_mode):
     scenario = replace(parse_scenario(obs_gprm.data_path("nsfnet_paper.scn")),
                        duration=1.5, warmup=0.3, initial_mode=initial_mode)
-    topology = load_topology(scenario.topology)
-    capacities = {n: topology.egress_capacity(n) for n in topology.nodes}
-    connections = scale_to_load(load_matrix(scenario.matrix), LoadSpec(0.4, capacities),
-                                scenario.mean_burst_size, master_seed=1)
+    topology, _, connections = nsfnet_workload(0.4, seed=1)  # the scenario's files and burst size
     sim = Simulator(topology, connections, policy="gprm", config=scenario)
     sim.run(scenario.duration)
     assert learned_state_digest(sim) == LEARNED_GOLDEN[initial_mode]

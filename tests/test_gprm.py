@@ -8,16 +8,16 @@ from obs_gprm.gprm import (
     EvidenceVector,
     LossRateWindow,
     SuccessTable,
-    UnknownNeighborError,
     extract_evidence,
     warm_start_prior,
 )
-from conftest import flat, path_topology, update_and_read
+from conftest import flat, nb_oracle, path_topology, update_and_read
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import load_topology
 
 EV = EvidenceVector(3, 0, 3, 2)
 STATE_COUNTS = (16, 3, 16, 8)
+HOPS = path_topology(4).hop_counts()  # the path graph 0-1-2-3
 
 
 def fresh_table(alpha=0.9, initial=0.5, neighbors=(1, 2), nb_space=None):
@@ -51,12 +51,6 @@ def test_alpha_one_freezes():
     assert update_and_read(t, 1, EV, False) == pytest.approx(0.7)
 
 
-def test_unknown_neighbor_raises():
-    t = fresh_table()
-    with pytest.raises(UnknownNeighborError):
-        t.sp_update(9, EV, True)
-
-
 @given(st.floats(0.0, 1.0), st.lists(st.booleans(), min_size=1, max_size=60))
 def test_update_closure_property(alpha, outcomes):
     t = fresh_table(alpha=alpha)
@@ -77,7 +71,7 @@ def test_alternating_stream_settles_in_band():
 def blr_class(local_blr):
     """Loss class `extract_evidence` gives at the default thresholds."""
     cfg = SimConfig()
-    return extract_evidence(0, 3, 3e-4, local_blr, hop_table(), cfg.blr_low, cfg.blr_high,
+    return extract_evidence(0, 3, 3e-4, local_blr, HOPS, cfg.blr_low, cfg.blr_high,
                             1e-4).blr_class
 
 
@@ -106,23 +100,14 @@ def test_config_rejects_bad_blr_thresholds():
     assert SimConfig(blr_high=1.0).problems() == ["blr_high: must be in (0, 1), got 1.0"]
 
 
-def hop_table():
-    # path graph 0-1-2-3
-    hops = {}
-    for i in range(4):
-        for j in range(4):
-            hops[(i, j)] = abs(i - j)
-    return hops
-
-
 def test_extract_evidence_exact_multiples():
-    e = extract_evidence(0, 3, remaining_offset=3e-4, local_blr=0.0, hop_counts=hop_table(),
+    e = extract_evidence(0, 3, remaining_offset=3e-4, local_blr=0.0, hop_counts=HOPS,
                          blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
     assert e == EvidenceVector(3, 0, 3, 3)
 
 
 def test_extract_evidence_clamps():
-    e = extract_evidence(0, 3, remaining_offset=40e-4, local_blr=0.0, hop_counts=hop_table(),
+    e = extract_evidence(0, 3, remaining_offset=40e-4, local_blr=0.0, hop_counts=HOPS,
                          blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
     assert e.offset_class == 15
 
@@ -131,7 +116,7 @@ def test_extract_evidence_caps_both_classes():
     # a quotient that overflows to inf is offset class 15, not OverflowError
     for remaining, php in ((3e-4, 1e-320), (3e-4, 5e-324), (1e308, 1e-4)):
         e = extract_evidence(0, 3, remaining_offset=remaining, local_blr=0.0,
-                             hop_counts=hop_table(), blr_low=0.01, blr_high=0.05,
+                             hop_counts=HOPS, blr_low=0.01, blr_high=0.05,
                              per_hop_processing=php)
         assert e.offset_class == 15
     # the hop class is capped from 16 hops on, which takes a path of 17 nodes
@@ -143,7 +128,7 @@ def test_extract_evidence_caps_both_classes():
 
 
 def test_extract_evidence_cold_start_low():
-    e = extract_evidence(1, 3, remaining_offset=2e-4, local_blr=0.0, hop_counts=hop_table(),
+    e = extract_evidence(1, 3, remaining_offset=2e-4, local_blr=0.0, hop_counts=HOPS,
                          blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
     assert e.blr_class == 0
 
@@ -159,26 +144,11 @@ def blr_class_oracle(local_blr, low=0.01, high=0.05):
 def test_extract_evidence_ranges(node, dest, rem, blr_value):
     if node == dest:
         return
-    e = extract_evidence(node, dest, rem, blr_value, hop_table(), 0.01, 0.05, 1e-4)
+    e = extract_evidence(node, dest, rem, blr_value, HOPS, 0.01, 0.05, 1e-4)
     assert 0 <= e.offset_class <= 15
     assert e.blr_class == blr_class_oracle(blr_value)
     assert 0 <= e.hop_class <= 15
     assert e.dest == dest
-
-
-def nb_oracle(history, e, nb_space):
-    """Brute-force evaluation of the smoothed independence product, counted
-    from the `(evidence, success)` history the table was fed:
-    [success score, failure score]."""
-    scores = []
-    for outcome in (True, False):
-        seen = [h for h, ok in history if ok == outcome]
-        p = (len(seen) + 1) / (len(history) + 2)
-        for f in range(4):
-            c = sum(1 for h in seen if h[f] == e[f])
-            p *= (c + 1) / (len(seen) + nb_space[f])
-        scores.append(p)
-    return scores
 
 
 def nb_scores(table, k, e):
@@ -289,8 +259,7 @@ def test_naive_bayes_refresh_bases_each_entry_on_the_earlier_ones():
 
 
 def test_warm_start_prior_prefers_min_hop():
-    hops = hop_table()
-    prior = warm_start_prior(hops, owner=1, detour_base=0.8)
+    prior = warm_start_prior(HOPS, owner=1, detour_base=0.8)
     e_far = EvidenceVector(10, 0, 2, 3)  # plenty of offset budget
     assert prior(2, e_far) == pytest.approx(1.0)       # 2 is on the shortest path 1-2-3
     assert prior(0, e_far) < prior(2, e_far)           # 0 walks away from 3

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obs_gprm
-from conftest import bidir, flat, update_and_read, walk_row
+from conftest import bidir, flat, triangle, update_and_read, walk_row
 from obs_gprm.gprm import (INFEASIBLE_SP, EvidenceVector, SuccessTable, cold_start_prior,
                            warm_start_prior)
 from obs_gprm.routing import LazyRoutingTable, shortest_path_table
-from obs_gprm.topology import Link, Topology, load_topology
+from obs_gprm.topology import Topology, load_topology
 
 SMALL = (2, 3, 4, 5)
 
@@ -208,21 +208,14 @@ def test_lazy_table_matches_snapshot_argmin(ops, naive_bayes, prior):
         assert lazy.lookup(e, excluded, now) == expect, (op, e, now)
 
 
-def triangle():
-    def bidir(u, v):
-        return [Link(u, v, 100.0, 2, 4, 1e9), Link(v, u, 100.0, 2, 4, 1e9)]
-    return Topology([0, 1, 2], bidir(0, 1) + bidir(1, 2) + bidir(0, 2))
-
-
 def test_sp_next_hop_adjacent():
     assert shortest_path_table(triangle())[(0, 1)] == 1
 
 
 def test_sp_next_hop_tie_break():
     # square 0-2, 0-5 ... renumber: nodes 0..3 with two equal paths 0-1-3, 0-2-3
-    def bidir(u, v):
-        return [Link(u, v, 100.0, 2, 4, 1e9), Link(v, u, 100.0, 2, 4, 1e9)]
-    t = Topology([0, 1, 2, 3], bidir(0, 1) + bidir(0, 2) + bidir(1, 3) + bidir(2, 3))
+    t = Topology([0, 1, 2, 3], bidir(0, 1, km=100.0) + bidir(0, 2, km=100.0)
+                 + bidir(1, 3, km=100.0) + bidir(2, 3, km=100.0))
     assert shortest_path_table(t)[(0, 3)] == 1  # min id among {1, 2}
 
 

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import obs_gprm
 import obs_gprm.signaling as signaling
-from conftest import bidir, path_topology, ring_topology, star_into_chain
+from conftest import TraceLog, bidir, nsfnet_workload, path_topology, ring_topology, star_into_chain
 from obs_gprm.gprm import EvidenceVector
 from obs_gprm.metrics import RunCounters
 from obs_gprm.signaling import ChannelSchedule, SimConfig, Simulator
-from obs_gprm.topology import Topology, load_topology
-from obs_gprm.traffic import ConnectionSpec, LoadSpec, load_matrix, scale_to_load
+from obs_gprm.topology import Topology
+from obs_gprm.traffic import ConnectionSpec
 
 MS = 1e-3
 
@@ -157,17 +156,6 @@ def arrivals(monkeypatch):
 
 def conn(src, dst, seed=1):
     return ConnectionSpec(src, dst, lambda_=1.0, mean_burst_size=1e6, seed=seed)
-
-
-class TraceLog:
-    def __init__(self):
-        self.lines = []
-
-    def __call__(self, t, kind, node, burst_id, detail):
-        self.lines.append((t, kind, node, burst_id, detail))
-
-    def of_kind(self, kind):
-        return [l for l in self.lines if l[1] == kind]
 
 
 def test_single_burst_end_to_end_timing(arrivals):
@@ -394,10 +382,7 @@ def test_unroutable_connection_is_rejected(policy, src, dst, error):
 def nsfnet_sim(policy, seed, load=0.4, trace=None, simulator=Simulator, **config):
     """A `simulator` on the shipped NSFnet and gravity matrix; `config` overrides
     SimConfig fields (no warm-up and a 0.3 ms offset guard by default)."""
-    topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
-    matrix = load_matrix(obs_gprm.data_path("us_ref.matrix"))
-    caps = {n: topo.egress_capacity(n) for n in topo.nodes}
-    conns = scale_to_load(matrix, LoadSpec(load, caps), 3.2e6, master_seed=seed)
+    topo, _, conns = nsfnet_workload(load, seed)
     cfg = SimConfig(**{"warmup": 0.0, "offset_guard": 3e-4, **config})
     return simulator(topo, conns, policy=policy, config=cfg, trace=trace)
 
@@ -436,12 +421,12 @@ def untraced_and_traced(policy, heap_pops, util_mode="delivered"):
 @pytest.mark.parametrize("policy", ["sp", "gprm"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_conservation_after_drain(policy, seed):
-    res, _ = run_nsfnet(policy, seed)
-    c = res.counters
-    assert c.bursts_sent > 8000
+    # the warm-up puts bursts in both cohorts, so the whole run is checked too
+    res = nsfnet_sim(policy, seed, warmup=1.0).run(6.0)
+    c, total = res.counters, res.counters_total
+    assert total.bursts_sent > 8000 and total.bursts_sent > c.bursts_sent > 0
     assert c.bursts_sent == c.bursts_delivered + c.bursts_dropped
     assert c.in_flight == 0
-    total = res.counters_total
     assert total.bursts_sent == total.bursts_delivered + total.bursts_dropped
 
 
@@ -512,15 +497,12 @@ class CheckedSchedule(ChannelSchedule):
 
 @pytest.mark.parametrize("policy", ["sp", "gprm"])
 def test_loop_freedom_and_schedule_integrity(policy):
-    forwards = defaultdict(list)
-    trace = (lambda t, kind, node, bid, detail:
-             forwards[bid].append(node) if kind == "BHP_ARRIVE" and
-             detail.startswith("forward") else None)
+    trace = TraceLog()
     sim = nsfnet_sim(policy, seed=3, load=0.4, trace=trace, initial_mode="cold")
     channels = {uv: l.data_channels for uv, l in sim.topology.links.items()}
     sim.schedule = schedule = CheckedSchedule(channels)
     res = sim.run(4.0)
-    for bid, nodes in forwards.items():
+    for bid, nodes in trace.forwards().items():
         assert len(nodes) == len(set(nodes)), f"burst {bid} revisited a node"
     assert schedule.checks > res.counters.bursts_sent
     for (u, v), n in channels.items():
@@ -569,8 +551,10 @@ def test_untraced_sp_run_skips_exactly_its_acks(policy, heap_pops):
 
 
 def test_series_buckets_match_counters():
-    res, _ = run_nsfnet("sp", seed=5, duration=4.0)
+    # the series counts both cohorts, and the warm-up puts bursts in each
+    res = nsfnet_sim("sp", seed=5, warmup=1.0).run(4.0)
     _, sent, dropped = res.series.arrays()
+    assert res.counters_total.bursts_sent > res.counters.bursts_sent > 0
     assert sum(sent) == res.counters_total.bursts_sent
     assert sum(dropped) == res.counters_total.bursts_dropped
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obs_gprm
+from conftest import bidir, triangle
 from obs_gprm.topology import (
     MAX_DATA_CHANNELS,
     Link,
@@ -14,15 +15,6 @@ from obs_gprm.topology import (
     load_topology,
     propagation_delay,
 )
-
-
-def bidir(u, v, km=100.0, ctrl=2, data=4, rate=1e9):
-    return [Link(u, v, km, ctrl, data, rate), Link(v, u, km, ctrl, data, rate)]
-
-
-def triangle():
-    links = bidir(0, 1) + bidir(1, 2) + bidir(0, 2)
-    return Topology([0, 1, 2], links)
 
 
 def floyd_warshall_hops(nodes, links):
@@ -71,7 +63,7 @@ def test_undeclared_endpoint_rejected(tmp_path):
 
 
 def test_disconnected_rejected():
-    links = bidir(0, 1) + bidir(2, 3)
+    links = bidir(0, 1, km=100.0) + bidir(2, 3, km=100.0)
     with pytest.raises(TopologyError, match="disconnected"):
         Topology([0, 1, 2, 3], links)
 
@@ -83,7 +75,7 @@ def test_missing_reverse_link_rejected():
 
 
 def test_non_dense_ids_rejected():
-    links = bidir(0, 5)
+    links = bidir(0, 5, km=100.0)
     with pytest.raises(TopologyError, match="dense"):
         Topology([0, 5], links)
 
@@ -98,7 +90,7 @@ def test_malformed_line_rejected(tmp_path):
 def test_duplicate_link_rejected(tmp_path):
     # a repeated directed link used to keep its last declaration silently
     with pytest.raises(TopologyError, match="link 0->1 is declared twice"):
-        Topology([0, 1], bidir(0, 1) + bidir(0, 1, km=500.0, data=1))
+        Topology([0, 1], bidir(0, 1, km=100.0) + bidir(0, 1, km=500.0, data=1))
     path = tmp_path / "dup.topo"
     path.write_text("node 0 a\nnode 1 b\nlink 0 1 100 2 4 1e9\nlink 1 0 500 2 1 1e9\n")
     with pytest.raises(TopologyError,

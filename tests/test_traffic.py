@@ -3,8 +3,7 @@ import re
 
 import pytest
 
-import obs_gprm
-from conftest import offered_load
+from conftest import nsfnet_workload, offered_load
 from obs_gprm.traffic import (
     ConnectionSpec,
     LoadSpec,
@@ -92,12 +91,7 @@ def test_scale_to_load_proportionality():
 
 
 def test_scale_to_load_shipped_matrix_round_trip():
-    from obs_gprm.topology import load_topology
-
-    topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
-    m = load_matrix(obs_gprm.data_path("us_ref.matrix"))
-    caps = {n: topo.egress_capacity(n) for n in topo.nodes}
-    conns = scale_to_load(m, LoadSpec(0.3, caps), L)
+    _, caps, conns = nsfnet_workload(0.3, seed=0, mean_burst_size=L)
     assert offered_load(conns, caps) == pytest.approx(0.3, rel=1e-9)
     assert all(c.src != c.dst for c in conns)
 
