@@ -257,7 +257,11 @@ class Simulator:
         self._heap = []
         self._seq = itertools.count(1)  # event tie-break, in push order
         self._burst_ids = itertools.count(1)
-        self._sp_next = None if self._gprm else shortest_path_table(topology)
+        # min-hop (node, dest) -> (next hop,) + that link's `_links` record, so
+        # an `sp` hop reads its link with the same lookup that picks it
+        self._sp_hops = None if self._gprm else {
+            (node, dest): (next_hop,) + self._links[(node, next_hop)]
+            for (node, dest), next_hop in shortest_path_table(topology).items()}
         self.nodes = {}  # GPRM node -> its router, which owns its success table
         self._loss = {}  # GPRM node -> its loss window
         if self._gprm:
@@ -355,15 +359,15 @@ class Simulator:
             if next_hop is None:
                 self._drop(now, bhp, "noroute", node)
                 return
+            rate, prop, _ = self._links[(node, next_hop)]
         else:
             evidence = None
-            next_hop = self._sp_next[(node, bhp.dest)]
+            next_hop, rate, prop, _ = self._sp_hops[(node, bhp.dest)]
         remaining = offset - php
         if remaining < -OFFSET_EPS:
             self._drop(now, bhp, "offset", node)
             return
         start = now + offset  # burst reaches this node then
-        rate, prop, _ = self._links[(node, next_hop)]
         wavelength = bhp.wavelength
         at_source = wavelength is None
         if at_source:  # the lowest free wavelength; none is an ingress drop

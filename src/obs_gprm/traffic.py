@@ -4,6 +4,7 @@ offered-load accounting used to scale a traffic matrix to a target load.
 
 import math
 import random
+from math import log
 from dataclasses import dataclass
 
 
@@ -93,10 +94,18 @@ def load_matrix(path):
 
 
 def next_arrival(conn, rng):
-    """Draw (inter-arrival gap, burst size in bits) from a connection's stream."""
-    dt = rng.expovariate(conn.lambda_)
-    size = max(1.0, rng.expovariate(1.0 / conn.mean_burst_size))
-    return dt, size
+    """Draw (inter-arrival gap, burst size in bits) from a connection's stream.
+
+    Both are exponential, drawn by inversion from two uniforms in turn:
+    the gap is `-log(1 - u1) / lambda_` and the size
+    `-log(1 - u2) / (1 / mean_burst_size)`, floored at 1 bit. The formula is
+    written here rather than left to `random.expovariate`, so a seed's stream
+    is the package's own; it is the float expression `expovariate` evaluates
+    on Python 3.10-3.13, without its two calls per burst.
+    """
+    dt = -log(1.0 - rng.random()) / conn.lambda_
+    size = -log(1.0 - rng.random()) / (1.0 / conn.mean_burst_size)
+    return dt, (size if size > 1.0 else 1.0)
 
 
 def connection_seed(master_seed, src, dst):

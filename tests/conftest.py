@@ -78,9 +78,11 @@ def flat(p):
 
 def walk_row(router, e, now=0.0):
     """The next hops of one routing row in lookup order: each lookup excludes
-    the hops already returned, until none is left."""
+    the hops already returned, until none is left. A hop returned twice fails
+    at once, rather than walking without end."""
     hops = []
     while (k := router.lookup(e, hops, now)) is not None:
+        assert k not in hops, f"lookup returned {k} again, with {hops} excluded"
         hops.append(k)
     return hops
 

@@ -15,13 +15,14 @@ from itertools import product
 import pytest
 
 import obs_gprm
-from conftest import (TraceLog, flat, nb_oracle, nsfnet_workload, offered_load, path_topology,
-                      update_and_read, walk_row)
+from conftest import (TraceLog, bidir, flat, nb_oracle, nsfnet_workload, offered_load,
+                      path_topology, update_and_read, walk_row)
 from obs_gprm.experiment import parse_scenario, run_experiment
 from obs_gprm.gprm import EvidenceVector, SuccessTable
 from obs_gprm.metrics import ROLLING_WINDOW_BUCKETS, rolling_ratio
 from obs_gprm.routing import LazyRoutingTable
 from obs_gprm.signaling import SimConfig, Simulator
+from obs_gprm.topology import Topology
 from obs_gprm.traffic import ConnectionSpec, LoadSpec, TrafficMatrix, scale_to_load
 
 LOADS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -57,6 +58,32 @@ def test_criterion_1_erlang_b():
           and wall < 10.0)
     _report(1, ok, f"single-link BLR {measured:.5f} vs ErlangB {expect:.5f} "
                    f"(tol 0.005), {res.counters.bursts_sent} bursts, {wall:.1f}s wall")
+
+
+# With end-to-end traffic only on a path, every hop reserves the first hop's
+# interval shifted by one propagation sum, so no burst is lost past the source
+# and the path is one Erlang loss system of C wavelengths. Both policies have
+# one candidate per hop there, so they must count alike. Per case: the link
+# lengths in km, C and the offered erlangs; each a gives a loss of 1.5-9 %,
+# which 20k bursts measure to within a standard deviation of about 0.0015.
+PATH_ORACLE_CASES = (((0.2, 1200.0), 1, 0.1),
+                     ((350.0, 0.2, 47.0), 2, 0.3),
+                     ((1200.0, 0.2, 800.0, 13.7), 4, 1.0))
+
+
+@pytest.mark.parametrize("kms, channels, erlangs", PATH_ORACLE_CASES,
+                         ids=[f"{len(kms) + 1}-nodes-C{c}" for kms, c, _ in PATH_ORACLE_CASES])
+def test_path_oracle_multi_hop_erlang_b(kms, channels, erlangs):
+    links = [l for i, km in enumerate(kms) for l in bidir(i, i + 1, km=km, data=channels)]
+    topo = Topology(list(range(len(kms) + 1)), links)
+    lam = erlangs / (MEAN_BURST / 1e9)
+    conns = [ConnectionSpec(0, len(kms), lam, MEAN_BURST, seed=1)]
+    sp, gprm = (Simulator(topo, conns, policy=policy, config=SimConfig(warmup=0.1))
+                .run(0.1 + 2e4 / lam) for policy in ("sp", "gprm"))
+    c = sp.counters_total
+    assert (c.drops_contention, c.drops_offset, c.drops_noroute) == (0, 0, 0)
+    assert (gprm.counters, gprm.counters_total) == (sp.counters, sp.counters_total)
+    assert abs(sp.blr() - erlang_b(channels, erlangs)) <= 0.005
 
 
 # -- criteria 2-4: policy comparison sweep on shipped NSFnet + gravity -------

@@ -58,6 +58,20 @@ def test_sizes_floored_at_one_bit():
     assert all(next_arrival(conn, rng)[1] >= 1.0 for _ in range(100))
 
 
+@pytest.mark.parametrize("lambda_, mean_size", [(10.0, L), (250.0, 0.5)])
+def test_draws_are_the_expovariate_stream(lambda_, mean_size):
+    # the golden digests were recorded on `random.expovariate`'s stream; the
+    # second connection's mean is below 1 bit, so the floor fires too
+    conn = ConnectionSpec(0, 1, lambda_, mean_size, seed=7)
+    ours, ref = conn.make_rng(), conn.make_rng()
+    floored = 0
+    for _ in range(10_000):
+        want = (ref.expovariate(lambda_), max(1.0, ref.expovariate(1.0 / mean_size)))
+        assert [x.hex() for x in next_arrival(conn, ours)] == [x.hex() for x in want]
+        floored += want[1] == 1.0
+    assert floored or mean_size >= 1.0
+
+
 def test_same_seed_same_stream():
     conn = ConnectionSpec(0, 1, 5.0, L, seed=99)
     a = [next_arrival(conn, conn.make_rng()) for _ in range(1)]
