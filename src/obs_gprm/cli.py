@@ -1,19 +1,17 @@
 """Command-line experiment runner.
 
     obs-gprm-sim run --scenario <file> [--out-dir <dir>] [--trace]
-                     [--util-mode all|delivered] [--seed-override <n>]
-                     [--policy sp|gprm|both]
     obs-gprm-sim validate --scenario <file>
 
-Progress goes to stderr; data only to files. OBS_SIM_THREADS caps the
-worker pool.
+The scenario file holds every run setting, so `run` runs exactly the
+scenario `validate` checks. Progress goes to stderr; data only to files.
+OBS_SIM_THREADS caps the worker pool.
 """
 
 import argparse
 import sys
-from dataclasses import fields, replace
 
-from .experiment import Scenario, ScenarioError, parse_scenario, run_experiment, validate
+from .experiment import ScenarioError, parse_scenario, run_experiment, validate
 
 
 def _log(msg):
@@ -21,7 +19,6 @@ def _log(msg):
 
 
 def build_parser():
-    rules = {f.name: f.metadata.get("rule") for f in fields(Scenario)}
     parser = argparse.ArgumentParser(prog="obs-gprm-sim",
                                      description="OBS network simulator with "
                                                  "adaptive (GPRM) and min-hop routing")
@@ -30,12 +27,6 @@ def build_parser():
     run_p.add_argument("--scenario", required=True, help="scenario file")
     run_p.add_argument("--out-dir", default=".", help="directory for result files")
     run_p.add_argument("--trace", action="store_true", help="write per-run event traces")
-    run_p.add_argument("--util-mode", choices=rules["util_mode"], default=None,
-                       help="count all reserved occupancy or delivered bursts only")
-    run_p.add_argument("--seed-override", type=int, default=None,
-                       help="replace the scenario's seed list with one seed")
-    run_p.add_argument("--policy", choices=(*rules["policies"], "both"), default=None,
-                       help="restrict the sweep to one policy")
     val_p = sub.add_parser("validate", help="check a scenario file")
     val_p.add_argument("--scenario", required=True, help="scenario file")
     return parser
@@ -50,12 +41,6 @@ def main(argv=None):
                 raise ScenarioError(errors)
             _log("scenario ok")
             return 0
-        if args.policy and args.policy != "both":
-            scenario = replace(scenario, policies=[args.policy])
-        if args.seed_override is not None:
-            scenario = replace(scenario, seeds=[args.seed_override])
-        if args.util_mode:
-            scenario = replace(scenario, util_mode=args.util_mode)
         run_experiment(scenario, out_dir=args.out_dir, trace=args.trace, log=_log)
     except ScenarioError as exc:  # a bad input, found before any run or file
         for err in exc.errors:

@@ -476,16 +476,16 @@ def test_learning_csv_columns(tmp_path):
     assert sum(int(r["sent"]) for r in rows) > 0
 
 
-def test_seed_and_policy_overrides(tmp_path):
+def test_cli_runs_the_policy_and_seed_the_scenario_lists(tmp_path):
     scn = tmp_path / "mini.scn"
     scn.write_text(
         f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
         f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
-        "loads = 0.3\nseeds = 1, 2\nduration = 1.0\nwarmup = 0.2\noffset_guard = 3e-4\n"
+        "policies = sp\nloads = 0.3\nseeds = 7\nduration = 1.0\nwarmup = 0.2\n"
+        "offset_guard = 3e-4\n"
     )
     out = tmp_path / "out"
-    assert main(["run", "--scenario", str(scn), "--out-dir", str(out),
-                 "--policy", "sp", "--seed-override", "7"]) == 0
+    assert main(["run", "--scenario", str(scn), "--out-dir", str(out)]) == 0
     with open(out / "results.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["policy"], int(r["seed"])) for r in rows] == [("sp", 7)]
@@ -876,18 +876,33 @@ def test_cli_run_small(tmp_path):
     assert (out / "results.csv").exists()
 
 
-def test_cli_util_mode_changes_result(tmp_path):
-    scn = tmp_path / "mini.scn"
-    scn.write_text(
-        f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
-        f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
-        "policies = sp\nloads = 0.4\nseeds = 4\nduration = 1.5\nwarmup = 0.2\n"
-    )
+@pytest.mark.parametrize("flag", [["--policy", "sp"], ["--seed-override", "7"],
+                                  ["--util-mode", "all"]], ids=lambda f: f[0])
+def test_run_takes_every_setting_from_the_scenario(tmp_path, capsys, flag):
+    # the scenario file is the one place for policies, seeds and util_mode, so
+    # `run` gets no second way to set them that `validate` would not check
+    path = write_scn(tmp_path, scenario_text(small_scenario(tmp_path, duration=0.4,
+                                                           warmup=0.1)))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", path, "--out-dir", str(out), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_util_mode_key_changes_result(tmp_path):
     utils = {}
     for mode in ("delivered", "all"):
+        scn = tmp_path / f"{mode}.scn"
+        scn.write_text(
+            f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
+            f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
+            "policies = sp\nloads = 0.4\nseeds = 4\nduration = 1.5\nwarmup = 0.2\n"
+            f"util_mode = {mode}\n"
+        )
         out = tmp_path / mode
-        assert main(["run", "--scenario", str(scn), "--out-dir", str(out),
-                     "--util-mode", mode]) == 0
+        assert main(["run", "--scenario", str(scn), "--out-dir", str(out)]) == 0
         with open(out / "results.csv") as fh:
             utils[mode] = float(list(csv.DictReader(fh))[0]["utilization"])
     assert utils["all"] > utils["delivered"]
