@@ -69,7 +69,7 @@ def parse_scenario(path):
     scenario = Scenario()
     set_on = {}  # key -> line that set it
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:  # its text names the path
         raise ScenarioError([f"cannot read scenario: {exc}"]) from exc

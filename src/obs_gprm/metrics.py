@@ -16,8 +16,9 @@ DROP_CAUSES = ("contention", "offset", "noroute", "ingress")
 class RunCounters:
     """Counts of one cohort of bursts, steady or transient, or of their sum.
     `busy_time` maps (src, dst, wavelength) to the channel seconds, clipped at
-    the run end, of each delivered burst (util_mode `delivered`) or each
-    reservation (`all`) of the steady cohort; it is empty for the others."""
+    the run end, that the steady cohort's delivered bursts held on each hop;
+    it is empty for the others. A delivered burst's reservations are never
+    released, so no channel second is counted twice."""
     bursts_sent: int = 0
     bursts_delivered: int = 0
     drops_contention: int = 0
@@ -110,8 +111,9 @@ class RunResult:
     """Everything one simulation run produces.
 
     `counters` covers the steady-state cohort (bursts created at or after
-    warm-up), which alone holds busy time; `counters_total` is the field-wise
-    sum of the steady and the transient cohort, so it covers every burst.
+    warm-up), which alone holds busy time: the channel time its delivered
+    bursts held. `counters_total` is the field-wise sum of the steady and
+    the transient cohort, so it covers every burst.
     A metric the run cannot define is NaN, as results.csv writes it.
     """
 
@@ -137,9 +139,9 @@ class RunResult:
         return c.delay_sum / c.bursts_delivered if c.bursts_delivered else math.nan
 
     def utilization(self, topology):
-        """Fraction of total data-channel capacity the steady cohort occupied;
-        NaN if the topology has no data channel, or if `elapsed <= 0`, which
-        only a hand-built result can have."""
+        """Fraction of total data-channel capacity the steady cohort's
+        delivered bursts occupied; NaN if the topology has no data channel,
+        or if `elapsed <= 0`, which only a hand-built result can have."""
         capacity = self.elapsed * topology.total_data_channels()
         if capacity <= 0:
             return math.nan

@@ -181,7 +181,6 @@ class SimConfig:
     blr_low: float = key(0.01, Interval("(0, 1)"))
     blr_high: float = key(0.05, Interval("(0, 1)"))
     blr_window: float = key(0.1, Interval("(0, inf)"))
-    util_mode: str = key("delivered", ("delivered", "all"))
     bucket_width: float = key(0.01, Interval("(0, inf)"))
     warmup: float = key(2.0, Interval("[0, inf)"))
     signal_speed: float = key(2.0e8, Interval("(0, inf)"))  # m/s, light in fiber
@@ -246,7 +245,6 @@ class Simulator:
         self._gprm = policy == "gprm"
         self._php = php = cfg.per_hop_processing
         self._warmup = cfg.warmup
-        self._util_all = cfg.util_mode == "all"
         # directed link -> (channel rate, propagation, processing + propagation):
         # a BHP hop adds the two delays to the clock in turn and a notification
         # hop adds their sum; the golden outputs fix that float order
@@ -281,15 +279,6 @@ class Simulator:
         self._duration = None
 
     # -- helpers -----------------------------------------------------------
-
-    def _add_busy(self, hops, wavelength, duration):
-        """Count one steady burst's `hops` (path log entries, so past warm-up) to the run end."""
-        run_end = self._duration
-        for node, _, next_hop, start in hops:
-            end = start + duration
-            busy = (run_end if run_end < end else end) - start  # min() without the call
-            if busy > 0:
-                self.counters.add_busy((node, next_hop, wavelength), busy)
 
     def _notify(self, now, node, bhp, idx):
         """Send the ACK/NACK of `bhp` from `node` to the forwarding node at `path_log[idx]`."""
@@ -386,8 +375,6 @@ class Simulator:
         bhp.path_log.append((node, evidence, next_hop, start))
         if self._gprm:
             loss.record_forward(now)
-        if self._util_all and bhp.cohort is self.counters:
-            self._add_busy(bhp.path_log[-1:], wavelength, bhp.duration)
         if self.trace is not None and not at_source:
             self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, f"forward {next_hop}")
         heappush(self._heap, (now + php + prop, next(self._seq), BHP_ARRIVE, next_hop, bhp))
@@ -397,8 +384,13 @@ class Simulator:
         cohort = bhp.cohort
         cohort.bursts_delivered += 1
         cohort.delay_sum += now - bhp.created_at
-        if cohort is self.counters and not self._util_all:
-            self._add_busy(bhp.path_log, bhp.wavelength, bhp.duration)
+        if cohort is self.counters:  # its hops' channel time, clipped at the run end
+            run_end, duration, wavelength = self._duration, bhp.duration, bhp.wavelength
+            for hop, _, next_hop, start in bhp.path_log:
+                end = start + duration
+                busy = (run_end if run_end < end else end) - start  # min() without the call
+                if busy > 0:
+                    cohort.add_busy((hop, next_hop, wavelength), busy)
         if self.trace is not None:
             self.trace(now, "BURST_ARRIVE", node, bhp.burst_id, "delivered")
 

@@ -130,7 +130,7 @@ def load_topology(path):
     links = []
     node_lines = {}  # node id -> line number of its declaration
     link_lines = {}  # directed link -> line number of its declaration
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

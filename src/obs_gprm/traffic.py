@@ -72,7 +72,7 @@ def load_matrix(path):
     """Parse a matrix file: lines `src dst weight`, `#` comments; missing
     pairs default to weight 0, and a pair listed twice raises ValueError."""
     weights, linenos = {}, {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -83,7 +83,8 @@ def load_matrix(path):
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed matrix line {line!r}") from exc
             if pair in weights:
-                raise ValueError(f"{path}:{lineno}: pair {s} {d} is listed twice")
+                raise ValueError(f"{path}:{lineno}: pair {s} {d} is already listed "
+                                 f"on line {linenos[pair]}")
             weights[pair], linenos[pair] = weight, lineno
     try:
         matrix = TrafficMatrix(weights)

@@ -100,7 +100,6 @@ SCENARIO_KEYS = [
     ("mean_burst_size", "1e5", 1e5),
     ("signal_speed", "3e8", 3e8),
     ("bucket_width", "0.05", 0.05),
-    ("util_mode", "all", "all"),
 ]
 
 
@@ -756,6 +755,19 @@ def test_cli_names_an_input_file_that_is_not_utf8(tmp_path, capsys, key):
         f"error: {key}: {bad}: 'utf-8' codec can't decode byte 0xe9"), lines
 
 
+@pytest.mark.parametrize("kind", ["scenario", "topology", "matrix"])
+def test_cli_reads_an_input_file_saved_with_a_bom(tmp_path, capsys, kind):
+    # some editors start a UTF-8 file with a byte order mark; it is no part
+    # of the first record
+    files = {"topology": ("net.topo", "node 0 a\nnode 1 b\nlink 0 1 100 2 4 1e9\n"),
+             "matrix": ("m.matrix", "0 1 1.0\n1 0 1.0\n"),
+             "scenario": ("test.scn", "loads = 0.3\ntopology = net.topo\nmatrix = m.matrix\n")}
+    for key, (name, text) in files.items():
+        (tmp_path / name).write_text("\ufeff" * (key == kind) + text, encoding="utf-8")
+    assert main(["validate", "--scenario", str(tmp_path / "test.scn")]) == 0
+    assert capsys.readouterr().err.splitlines() == ["scenario ok"]
+
+
 def test_cli_failed_run_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
     # a lossless sp baseline has no relative gain, so the sweep fails after its runs
     monkeypatch.setenv("OBS_SIM_THREADS", "1")
@@ -879,8 +891,8 @@ def test_cli_run_small(tmp_path):
 @pytest.mark.parametrize("flag", [["--policy", "sp"], ["--seed-override", "7"],
                                   ["--util-mode", "all"]], ids=lambda f: f[0])
 def test_run_takes_every_setting_from_the_scenario(tmp_path, capsys, flag):
-    # the scenario file is the one place for policies, seeds and util_mode, so
-    # `run` gets no second way to set them that `validate` would not check
+    # the scenario file is the one place for every run setting, so `run`
+    # gets no second way to set one that `validate` would not check
     path = write_scn(tmp_path, scenario_text(small_scenario(tmp_path, duration=0.4,
                                                            warmup=0.1)))
     out = tmp_path / "out"
@@ -891,18 +903,9 @@ def test_run_takes_every_setting_from_the_scenario(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-def test_cli_util_mode_key_changes_result(tmp_path):
-    utils = {}
-    for mode in ("delivered", "all"):
-        scn = tmp_path / f"{mode}.scn"
-        scn.write_text(
-            f"topology = {obs_gprm.data_path('nsfnet.topo')}\n"
-            f"matrix = {obs_gprm.data_path('us_ref.matrix')}\n"
-            "policies = sp\nloads = 0.4\nseeds = 4\nduration = 1.5\nwarmup = 0.2\n"
-            f"util_mode = {mode}\n"
-        )
-        out = tmp_path / mode
-        assert main(["run", "--scenario", str(scn), "--out-dir", str(out)]) == 0
-        with open(out / "results.csv") as fh:
-            utils[mode] = float(list(csv.DictReader(fh))[0]["utilization"])
-    assert utils["all"] > utils["delivered"]
+def test_cli_rejects_the_retired_util_mode_key(tmp_path, capsys):
+    # utilization counts delivered bursts only; a file that still picks a
+    # mode must fail, not run with the other accounting
+    path = write_scn(tmp_path, scenario_text(small_scenario(tmp_path)) + "util_mode = all\n")
+    lines = rejected_by_both(capsys, path, tmp_path / "out")
+    assert lines == [f"error: {path}:{len(fields(Scenario)) + 1}: unknown key 'util_mode'"]

@@ -3,12 +3,13 @@ SHA-256 digests byte for byte.
 
 A refactor that claims "no output change" is checked here: every result
 file of a traced sweep (both policies, two loads, two seeds) is hashed, once
-with a warm and once with a cold start, and once more with a warm start that
-counts the channel time of every reservation (`util_mode = all`). A digest
+with a warm and once with a cold start; the warm sweep must also give its
+digests whichever way `multiprocessing` starts its pool workers. A digest
 may change only with a deliberate change of the model or of a file format.
 """
 
 import hashlib
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ import pytest
 
 import obs_gprm
 from conftest import nsfnet_workload
+from obs_gprm import experiment
 from obs_gprm.experiment import parse_scenario, run_experiment
 from obs_gprm.signaling import Simulator
 
@@ -39,17 +41,6 @@ GOLDEN = {
             "1c5a702dcaae022988db107f36914cf7",
         "traces": "60036362f85d0e1b83ad044feedf1992"
             "6cdfc0f9757a5794867b4fb5c8309381",
-    },
-    # only the utilization columns differ from "warm"
-    "warm-util-all": {
-        "results": "ad49be1f26699d8ea460f3bb2f0a61c1"
-            "53cd6e3b6d7f012ee2c16bc310840e25",
-        "learning": "b66ce5fbf6a6dd45c3258606a80cecab"
-            "ba89ba333de555ce4741bbfadad3dfc5",
-        "gains": "e45e94ece902d35568043de3af7ed756"
-            "f4b917e7ad1cb3e26bcbfe1206ae1e48",
-        "traces": "c0e105c161d6ebbdea28184d5dcba92f"
-            "09e8b9615d0cedf3dba12c21a9dbbb76",
     },
 }
 
@@ -75,18 +66,27 @@ def output_digests(out_dir):
     return {kind: h.hexdigest() for kind, h in digests.items()}
 
 
-@pytest.mark.parametrize("initial_mode, util_mode", [
-    pytest.param("warm", "delivered", id="warm"),
-    pytest.param("cold", "delivered", id="cold"),
-    pytest.param("warm", "all", id="warm-util-all"),
-])
-def test_small_paper_sweep_matches_golden_digests(request, tmp_path, initial_mode, util_mode):
+def small_paper_sweep(out_dir, initial_mode):
+    """The digests of the traced sweep cut from the shipped scenario, run on
+    two pool workers."""
     scenario = replace(parse_scenario(obs_gprm.data_path("nsfnet_paper.scn")),
                        policies=["sp", "gprm"], loads=[0.3, 0.6], seeds=[1, 2],
-                       duration=1.5, warmup=0.3, initial_mode=initial_mode,
-                       util_mode=util_mode)
-    run_experiment(scenario, out_dir=str(tmp_path), trace=True, threads=2)
-    assert output_digests(tmp_path) == GOLDEN[request.node.callspec.id]
+                       duration=1.5, warmup=0.3, initial_mode=initial_mode)
+    run_experiment(scenario, out_dir=str(out_dir), trace=True, threads=2)
+    return output_digests(out_dir)
+
+
+@pytest.mark.parametrize("initial_mode", ["warm", "cold"])
+def test_small_paper_sweep_matches_golden_digests(tmp_path, initial_mode):
+    assert small_paper_sweep(tmp_path, initial_mode) == GOLDEN[initial_mode]
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_golden_sweep_does_not_depend_on_the_start_method(tmp_path, monkeypatch, method):
+    # a worker that started from a fresh interpreter, not a fork of this one,
+    # inherits no module state, and must still write the same bytes
+    monkeypatch.setattr(experiment, "Pool", multiprocessing.get_context(method).Pool)
+    assert small_paper_sweep(tmp_path, "warm") == GOLDEN["warm"]
 
 
 # the learned success values of every node after one short adaptive run, as

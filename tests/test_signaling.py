@@ -319,8 +319,7 @@ def test_zero_traffic_run():
     # a misspelled mode must not silently select the other branch, and the
     # learning values and the signal speed are checked here, once, before
     # any table or link delay is built
-    for bad, error in (({"util_mode": "deliverd"}, "util_mode"),
-                       ({"initial_mode": "Warm"}, "initial_mode"),
+    for bad, error in (({"initial_mode": "Warm"}, "initial_mode"),
                        ({"refresh_period": 0}, "refresh_period"),
                        ({"alpha": 1.2}, "alpha"),
                        ({"initial_sp": -0.1}, "initial_sp"),
@@ -405,13 +404,12 @@ def heap_pops(monkeypatch):
     return pops
 
 
-def untraced_and_traced(policy, heap_pops, util_mode="delivered"):
+def untraced_and_traced(policy, heap_pops):
     """One run without and one with a trace hook, each as (simulator, result,
     heap pops, trace log or None)."""
     runs = []
     for trace in (None, TraceLog()):
-        sim = nsfnet_sim(policy, seed=11, load=0.8, trace=trace, warmup=1.0,
-                         util_mode=util_mode)
+        sim = nsfnet_sim(policy, seed=11, load=0.8, trace=trace, warmup=1.0)
         heap_pops[0] = 0
         res = sim.run(3.0)
         runs.append((sim, res, heap_pops[0], trace))
@@ -524,12 +522,11 @@ def test_trace_calls_are_events_plus_ingress_drops(policy, heap_pops):
                 if l[4].startswith("forward") and l[2] == source[l[3]]]
 
 
-@pytest.mark.parametrize("util_mode", ["delivered", "all"])
 @pytest.mark.parametrize("policy", ["sp", "gprm"])
-def test_untraced_run_computes_what_traced_does(policy, util_mode, heap_pops):
+def test_untraced_run_computes_what_traced_does(policy, heap_pops):
     # an untraced `sp` run sends no ACK; every counter, busy time, series
     # bucket and learned value must still equal the traced run's
-    (sim, res, _, _), (tsim, tres, _, _) = untraced_and_traced(policy, heap_pops, util_mode)
+    (sim, res, _, _), (tsim, tres, _, _) = untraced_and_traced(policy, heap_pops)
     assert res.counters == tres.counters
     assert res.counters_total == tres.counters_total
     assert res.counters.busy_time and res.counters.delay_sum > 0
@@ -566,28 +563,18 @@ def test_busy_time_bounded_by_elapsed():
 
 
 class ReservationLog(Simulator):
-    """A Simulator that logs, in event order, every reservation its util mode
-    counts: all of a burst's when it is delivered (`delivered`), or each one
-    when it is made (`all`), as (lane, start, duration, created_at)."""
+    """A Simulator that logs, in event order, the reservations of each
+    delivered burst when its tail arrives, as (lane, start, duration,
+    created_at)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.reservations = []
 
-    def _log(self, bhp, hops):
-        self.reservations += [((node, next_hop, bhp.wavelength), start, bhp.duration,
-                               bhp.created_at) for node, _, next_hop, start in hops]
-
-    def _on_bhp(self, now, node, bhp):
-        made = len(bhp.path_log)
-        super()._on_bhp(now, node, bhp)
-        if self.config.util_mode == "all" and len(bhp.path_log) > made:
-            self._log(bhp, bhp.path_log[-1:])
-
     def _on_burst_arrive(self, now, node, bhp):
         super()._on_burst_arrive(now, node, bhp)
-        if self.config.util_mode == "delivered":
-            self._log(bhp, bhp.path_log)
+        self.reservations += [((hop, next_hop, bhp.wavelength), start, bhp.duration,
+                               bhp.created_at) for hop, _, next_hop, start in bhp.path_log]
 
 
 def clipped_busy_time(reservations, warmup, run_end):
@@ -602,34 +589,27 @@ def clipped_busy_time(reservations, warmup, run_end):
     return busy
 
 
-@pytest.mark.parametrize("util_mode", ["delivered", "all"])
 @pytest.mark.parametrize("policy", ["sp", "gprm"])
-def test_busy_time_is_the_steady_reservations_clipped_at_both_ends(policy, util_mode):
+def test_busy_time_is_the_steady_reservations_clipped_at_both_ends(policy):
     warmup, run_end = 1.0, 3.0
-    sim = nsfnet_sim(policy, seed=8, load=0.8, warmup=warmup, util_mode=util_mode,
-                     simulator=ReservationLog)
+    sim = nsfnet_sim(policy, seed=8, load=0.8, warmup=warmup, simulator=ReservationLog)
     res = sim.run(run_end)
     # the log holds bursts from before warm-up and reservations past the run end
     assert any(created_at < warmup for *_, created_at in sim.reservations)
     assert any(start + duration > run_end and created_at >= warmup
                for _, start, duration, created_at in sim.reservations)
+    # a lane's logged reservations never overlap, so it is busy at most
+    # `elapsed` seconds: utilization is an occupancy, counting no time twice
+    lanes = defaultdict(list)
+    for lane, start, duration, _ in sim.reservations:
+        lanes[lane].append((start, start + duration))
+    for intervals in lanes.values():
+        intervals.sort()
+        assert all(end <= start for (_, end), (start, _) in zip(intervals, intervals[1:]))
     # same lanes, in the same order, with bit-identical sums
     expected = clipped_busy_time(sim.reservations, warmup, run_end)
     assert list(res.counters.busy_time.items()) == list(expected.items())
     assert res.counters_total.busy_time == {}
-
-
-def test_busy_time_of_every_reservation_covers_that_of_the_delivered():
-    busy = {}
-    for util_mode in ("delivered", "all"):
-        sim = nsfnet_sim("gprm", seed=9, load=0.8, warmup=1.0, util_mode=util_mode)
-        busy[util_mode] = sim.run(3.0).counters.busy_time
-    assert busy["delivered"].keys() <= busy["all"].keys()
-    # `all` adds the same terms and those of dropped bursts' hops, but in the
-    # order the reservations were made, so a lane with no drop may differ by ulps
-    for lane, seconds in busy["delivered"].items():
-        assert busy["all"][lane] >= seconds * (1 - 1e-12)
-    assert sum(busy["all"].values()) > sum(busy["delivered"].values())
 
 
 def test_replay_is_bit_identical():

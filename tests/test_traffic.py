@@ -148,5 +148,5 @@ def test_load_matrix_rejects_duplicate_pair(tmp_path):
     # a repeated pair used to keep its last weight silently
     path = tmp_path / "m.matrix"
     path.write_text("0 1 1.0\n1 0 1.0\n0 1 5.0\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:3: pair 0 1 is listed twice")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: pair 0 1 is already listed on line 1")):
         load_matrix(str(path))
