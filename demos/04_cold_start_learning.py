@@ -10,7 +10,7 @@ the network organizes itself within a second.
 """
 
 import obs_gprm
-from obs_gprm.metrics import ROLLING_WINDOW_BUCKETS, rolling_ratio
+from obs_gprm.metrics import BUCKET_WIDTH, rolling_ratio
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import load_topology
 from obs_gprm.traffic import LoadSpec, load_matrix, scale_to_load
@@ -31,14 +31,14 @@ def main():
 
     cfg = SimConfig(warmup=0.5, offset_guard=3e-4, initial_mode="cold",
                     alpha=0.75, refresh_period=0.01, blr_window=1.0,
-                    blr_low=0.05, blr_high=0.15, bucket_width=0.01)
+                    blr_low=0.05, blr_high=0.15)
     res = Simulator(topo, conns, policy="gprm", config=cfg).run(4.0)
     times, sent, dropped = res.series.arrays()
-    rolling = rolling_ratio(sent, dropped, ROLLING_WINDOW_BUCKETS)
+    rolling = rolling_ratio(sent, dropped)
 
     print("cold-start rolling BLR (200 ms window):")
     for t in (0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0):
-        print(f"  t = {t:4.2f} s   {rolling[int(t / 0.01)]:.4f}")
+        print(f"  t = {t:4.2f} s   {rolling[int(t / BUCKET_WIDTH)]:.4f}")
     threshold = 1.1 * sp.blr()
     for t, r in zip(times, rolling):
         if r <= threshold and t >= 0.2:

@@ -10,12 +10,13 @@ import csv
 import math
 import os
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import starmap
 from multiprocessing import Pool
 from typing import get_args, get_origin
 
-from .metrics import DROP_CAUSES, MAX_BUCKETS, MAX_BURSTS, ROLLING_WINDOW_BUCKETS, rolling_ratio
+from .metrics import BUCKET_WIDTH, DROP_CAUSES, MAX_BUCKETS, MAX_BURSTS, rolling_ratio
 from .signaling import POLICIES, Interval, SimConfig, Simulator, key
 from .topology import TopologyError, load_topology, propagation_delay
 from .traffic import LoadSpec, PairError, arrival_rates, load_matrix, scale_to_load
@@ -167,17 +168,17 @@ def _check(scenario, threads=None):
                                   f"{bursts:.3g} bursts, more than {MAX_BURSTS}")
     if passed({"warmup", "duration"}) and scenario.duration <= scenario.warmup:
         errors.append("warmup: must be < duration")
-    if passed({"topology", "signal_speed", "per_hop_processing", "bucket_width", "duration"}):
+    if passed({"topology", "signal_speed", "per_hop_processing", "duration"}):
         # the last drop comes at most N - 1 hops after `duration`: a BHP visits
         # each node once, and a hop takes its processing and one propagation delay
         longest = max((propagation_delay(l, scenario.signal_speed)
                        for l in topology.links.values()), default=0.0)
         drain = (len(topology.nodes) - 1) * (scenario.per_hop_processing + longest)
-        width = scenario.bucket_width
         # one bucket of slack for the engine's float sums of event times
-        if MAX_BUCKETS * width < scenario.duration + drain + width:
-            errors.append(f"bucket_width: a duration of {scenario.duration:g} s and a drain "
-                          f"of {drain:.3g} s make more than {MAX_BUCKETS} buckets of {width:g} s")
+        if MAX_BUCKETS * BUCKET_WIDTH < scenario.duration + drain + BUCKET_WIDTH:
+            errors.append(f"duration: a duration of {scenario.duration:g} s and a drain of "
+                          f"{drain:.3g} s make more than {MAX_BUCKETS} buckets of "
+                          f"{BUCKET_WIDTH:g} s")
     runs = (len(scenario.policies) * len(scenario.loads) * len(scenario.seeds)
             if passed({"policies", "loads", "seeds"}) else 1)
     try:
@@ -190,19 +191,11 @@ def _check(scenario, threads=None):
 def run_single(scenario, topology, connections, policy, load, seed, trace_path=None):
     """One simulation run on parsed inputs, left unchanged; returns (row, learning arrays).
     The row's metrics are `RunResult`'s, so an undefined one is NaN."""
-    trace_fh = None
-    trace = None
-    if trace_path:
-        trace_fh = open(trace_path, "w")
-        trace = lambda t, kind, node, bid, detail: trace_fh.write(
+    with open(trace_path, "w") if trace_path else nullcontext() as fh:
+        trace = None if fh is None else lambda t, kind, node, bid, detail: fh.write(
             f"{t:.9f} {kind} {node} {bid} {detail}\n")
-    try:
-        sim = Simulator(topology, connections, policy=policy,
-                        config=scenario, trace=trace)
-        result = sim.run(scenario.duration)
-    finally:
-        if trace_fh:
-            trace_fh.close()
+        result = Simulator(topology, connections, policy=policy, config=scenario,
+                           trace=trace).run(scenario.duration)
     counters = result.counters
     row = {
         "policy": policy,
@@ -214,7 +207,7 @@ def run_single(scenario, topology, connections, policy, load, seed, trace_path=N
         **{f"drops_{cause}": getattr(counters, f"drops_{cause}") for cause in DROP_CAUSES},
     }
     times, sent, dropped = result.series.arrays()
-    return row, (times, sent, dropped, rolling_ratio(sent, dropped, ROLLING_WINDOW_BUCKETS))
+    return row, (times, sent, dropped, rolling_ratio(sent, dropped))
 
 
 def _write_csv(path, header, rows):

@@ -46,24 +46,21 @@ class RunCounters:
 class TimeSeries:
     """Per-bucket sent/dropped counts for the learning-curve output."""
 
-    def __init__(self, bucket_width):
-        if not 0 < bucket_width < float("inf"):  # NaN fails this too
-            raise ValueError(f"bucket width must be finite and > 0, got {bucket_width}")
-        self.bucket_width = bucket_width
+    def __init__(self):
         self._sent = {}
         self._dropped = {}
 
     def add_sent(self, t):
-        i = int(t / self.bucket_width)
+        i = int(t / BUCKET_WIDTH)
         self._sent[i] = self._sent.get(i, 0) + 1
 
     def add_drop(self, t):
-        i = int(t / self.bucket_width)
+        i = int(t / BUCKET_WIDTH)
         self._dropped[i] = self._dropped.get(i, 0) + 1
 
     def arrays(self):
         """(bucket start times, sent, dropped) as dense `array.array`s: times
-        `i * bucket_width` ("d"), counts ("q"), one item per bucket up to the
+        `i * BUCKET_WIDTH` ("d"), counts ("q"), one item per bucket up to the
         last one that saw a burst sent or dropped; all empty if none did."""
         n = 1 + max(chain(self._sent, self._dropped), default=-1)
         sent = array("q", [0]) * n
@@ -72,15 +69,17 @@ class TimeSeries:
             sent[i] = c
         for i, c in self._dropped.items():
             dropped[i] = c
-        width = self.bucket_width
-        return array("d", [i * width for i in range(n)]), sent, dropped
+        return array("d", [i * BUCKET_WIDTH for i in range(n)]), sent, dropped
 
 
-# the learning CSVs' `rolling_blr` window: 200 ms at the default 10 ms bucket
+# the learning series' bucket (s); the golden outputs fix the float
+# expressions `int(t / BUCKET_WIDTH)` and `i * BUCKET_WIDTH`, not `t * 100`
+BUCKET_WIDTH = 0.01
+# the learning CSVs' `rolling_blr` window: 20 buckets, 200 ms
 ROLLING_WINDOW_BUCKETS = 20
 # the most learning buckets `validate` allows a scenario, over `duration` and
 # the drain of the bursts still in flight then, whose drops are bucketed too:
-# `TimeSeries.arrays` and `rolling_ratio` allocate items for each
+# `TimeSeries.arrays` and `rolling_ratio` allocate items for each; that is 10,000 s
 MAX_BUCKETS = 1_000_000
 # the most bursts (arrival rates at the highest load times `duration`)
 # `validate` lets one run expect: at the 20-80k bursts/s of one 2-vCPU Xeon
@@ -88,14 +87,12 @@ MAX_BUCKETS = 1_000_000
 MAX_BURSTS = 10_000_000
 
 
-def rolling_ratio(sent, dropped, window_buckets):
-    """dropped / sent over the last `window_buckets` buckets up to each one,
-    as an `array.array("d")`; buckets whose window saw no traffic report 0."""
-    if window_buckets < 1:
-        raise ValueError(f"window_buckets must be >= 1, got {window_buckets}")
-    # each bucket leaves the window `window_buckets` buckets after it entered
-    sent_out = chain(repeat(0, window_buckets), sent)
-    dropped_out = chain(repeat(0, window_buckets), dropped)
+def rolling_ratio(sent, dropped):
+    """dropped / sent over the last `ROLLING_WINDOW_BUCKETS` buckets up to each
+    one, as an `array.array("d")`; buckets whose window saw no traffic report 0."""
+    # each bucket leaves the window `ROLLING_WINDOW_BUCKETS` buckets after it entered
+    sent_out = chain(repeat(0, ROLLING_WINDOW_BUCKETS), sent)
+    dropped_out = chain(repeat(0, ROLLING_WINDOW_BUCKETS), dropped)
     wsent = wdrop = 0
     out = []
     # the window sums are exact ints, so each ratio is one correctly rounded division

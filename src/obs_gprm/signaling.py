@@ -181,7 +181,6 @@ class SimConfig:
     blr_low: float = key(0.01, Interval("(0, 1)"))
     blr_high: float = key(0.05, Interval("(0, 1)"))
     blr_window: float = key(0.1, Interval("(0, inf)"))
-    bucket_width: float = key(0.01, Interval("(0, inf)"))
     warmup: float = key(2.0, Interval("[0, inf)"))
     signal_speed: float = key(2.0e8, Interval("(0, inf)"))  # m/s, light in fiber
 
@@ -275,7 +274,7 @@ class Simulator:
                 self._loss[n] = LossRateWindow(cfg.blr_window)
         self.counters = RunCounters()    # steady-state cohort
         self._transient = RunCounters()  # bursts created before warm-up; no busy time
-        self.series = TimeSeries(cfg.bucket_width)
+        self.series = TimeSeries()
         self._duration = None
 
     # -- helpers -----------------------------------------------------------

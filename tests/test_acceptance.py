@@ -19,7 +19,7 @@ from conftest import (TraceLog, bidir, flat, nb_oracle, nsfnet_workload, offered
                       path_topology, update_and_read, walk_row)
 from obs_gprm.experiment import parse_scenario, run_experiment
 from obs_gprm.gprm import EvidenceVector, SuccessTable
-from obs_gprm.metrics import ROLLING_WINDOW_BUCKETS, rolling_ratio
+from obs_gprm.metrics import rolling_ratio
 from obs_gprm.routing import LazyRoutingTable
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import Topology
@@ -147,10 +147,10 @@ def test_criterion_5_cold_start_learning():
         threshold = 1.1 * sp.blr()
         cfg = SimConfig(warmup=0.5, offset_guard=3e-4, initial_mode="cold",
                         alpha=0.75, refresh_period=0.01, blr_window=1.0,
-                        blr_low=0.05, blr_high=0.15, bucket_width=0.01)
+                        blr_low=0.05, blr_high=0.15)
         res = Simulator(topo, conns, policy="gprm", config=cfg).run(3.0)
         times, sent, dropped = res.series.arrays()
-        rolling = rolling_ratio(sent, dropped, ROLLING_WINDOW_BUCKETS)
+        rolling = rolling_ratio(sent, dropped)
         hit = [t for t, r in zip(times, rolling) if r <= threshold and t >= 0.2]
         crossings.append(hit[0] if hit else math.inf)
     worst = max(crossings)

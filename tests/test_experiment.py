@@ -20,7 +20,7 @@ from obs_gprm.experiment import (
     validate,
     worker_count,
 )
-from obs_gprm.metrics import MAX_BUCKETS, MAX_BURSTS
+from obs_gprm.metrics import BUCKET_WIDTH, MAX_BUCKETS, MAX_BURSTS
 from obs_gprm.topology import load_topology, propagation_delay
 from obs_gprm.traffic import connection_seed
 
@@ -57,6 +57,30 @@ def rejected_by_both(capsys, path, out):
     assert lines[0] == lines[1], lines
     assert not os.path.exists(out)
     return lines[0]
+
+
+def rejected_or_runs(capsys, path, out):
+    """The input contract on the scenario file `path`: `validate` exits 0 or
+    2 and never raises; what it rejects, `run` rejects with the same lines
+    and no file; what it passes, `run` completes, or fails (exit 1) only on
+    the documented zero or NaN `sp` baseline, and a failed run leaves no
+    file."""
+    code = main(["validate", "--scenario", path])
+    assert code in (0, 2)
+    if code == 2:
+        rejected = capsys.readouterr().err
+        assert all(l.startswith("error: ") for l in rejected.splitlines())
+        assert main(["run", "--scenario", path, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == rejected
+        assert not os.path.exists(out)
+        return
+    code = main(["run", "--scenario", path, "--out-dir", out])
+    if code == 1:
+        assert "baseline values must be > 0" in capsys.readouterr().err.splitlines()[-1]
+        assert os.listdir(out) == []
+    else:
+        assert code == 0, capsys.readouterr().err
+        assert "results.csv" in os.listdir(out)
 
 
 def test_parse_scenario_file(tmp_path):
@@ -99,7 +123,6 @@ SCENARIO_KEYS = [
     ("offset_guard", "3e-4", 3e-4),
     ("mean_burst_size", "1e5", 1e5),
     ("signal_speed", "3e8", 3e8),
-    ("bucket_width", "0.05", 0.05),
 ]
 
 
@@ -173,18 +196,20 @@ def test_shipped_scenario_validates():
 def test_validate_caps_the_learning_buckets(tmp_path):
     # validate allocates no bucket; a run of 2e10 buckets would exhaust memory.
     # Drops go on for up to 13 NSFnet hops after the end, each one processing
-    # and at most the longest link's propagation delay
+    # and at most the longest link's propagation delay. Bursts 10x the
+    # default size keep a 10,000 s run under `MAX_BURSTS`
     topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
     drain = 13 * (1e-4 + max(propagation_delay(l, 2e8) for l in topo.links.values()))
     assert drain == pytest.approx(0.1833)
-    finest = (20.0 + drain) / (MAX_BUCKETS - 1)  # one bucket of slack
-    assert validate(small_scenario(tmp_path, duration=20.0,
-                                   bucket_width=finest * (1 + 1e-9))) == []
-    errors = validate(small_scenario(tmp_path, duration=20.0, bucket_width=finest * (1 - 1e-9)))
-    assert len(errors) == 1 and errors[0].startswith("bucket_width: ")
-    assert validate(small_scenario(tmp_path, duration=20.0, bucket_width=1e-9)) == [
-        f"bucket_width: a duration of 20 s and a drain of 0.183 s make more than "
-        f"{MAX_BUCKETS} buckets of 1e-09 s"]
+    longest = MAX_BUCKETS * BUCKET_WIDTH - drain - BUCKET_WIDTH  # one bucket of slack
+    assert validate(small_scenario(tmp_path, duration=longest * (1 - 1e-9),
+                                   mean_burst_size=3.2e7)) == []
+    errors = validate(small_scenario(tmp_path, duration=longest * (1 + 1e-9),
+                                     mean_burst_size=3.2e7))
+    assert len(errors) == 1 and errors[0].startswith("duration: "), errors
+    assert validate(small_scenario(tmp_path, duration=2e4, mean_burst_size=3.2e7)) == [
+        f"duration: a duration of 20000 s and a drain of 0.183 s make more than "
+        f"{MAX_BUCKETS} buckets of 0.01 s"]
 
 
 @pytest.mark.parametrize("speed", [1e3, 1.0, 1e-3])
@@ -196,7 +221,7 @@ def test_validate_caps_the_buckets_of_a_slow_signal_drain(tmp_path, capsys, spee
     s = replace(shipped, loads=[0.3], seeds=[1], duration=0.4, warmup=0.1, signal_speed=speed)
     errors = validate(s)
     assert len(errors) == 1, errors
-    assert errors[0].startswith("bucket_width: a duration of 0.4 s and a drain of ")
+    assert errors[0].startswith("duration: a duration of 0.4 s and a drain of ")
     # `run` rejects it too, before it makes the out-dir or its staging directory
     path = write_scn(tmp_path, scenario_text(s))
     assert rejected_by_both(capsys, path, tmp_path / "out") == [f"error: {errors[0]}"]
@@ -206,10 +231,8 @@ def test_validate_caps_the_expected_bursts(tmp_path):
     # a run's bursts are its arrival rates at the highest load times its duration
     _, _, connections = nsfnet_workload(0.5, seed=1)
     longest = MAX_BURSTS / sum(c.lambda_ for c in connections)
-    assert validate(small_scenario(tmp_path, loads=[0.3, 0.5], duration=0.99 * longest,
-                                   bucket_width=1.0)) == []
-    errors = validate(small_scenario(tmp_path, loads=[0.3, 0.5], duration=1.01 * longest,
-                                     bucket_width=1.0))
+    assert validate(small_scenario(tmp_path, loads=[0.3, 0.5], duration=0.99 * longest)) == []
+    errors = validate(small_scenario(tmp_path, loads=[0.3, 0.5], duration=1.01 * longest))
     assert len(errors) == 1 and errors[0].startswith("mean_burst_size: 3.2e+06 bits at load 0.5 ")
     # each pair's rate is finite, but their sum overflows: the run would never end
     assert validate(small_scenario(tmp_path, mean_burst_size=1e-300)) == [
@@ -642,7 +665,7 @@ def test_cli_validate_bad(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("refresh_period", "nan"), ("per_hop_processing", "nan"), ("warmup", "nan"),
-    ("blr_window", "nan"), ("bucket_width", "nan"), ("offset_guard", "nan"),
+    ("blr_window", "nan"), ("offset_guard", "nan"),
     ("duration", "inf"), ("duration", "nan"), ("mean_burst_size", "nan"),
     ("signal_speed", "inf"), ("loads", "nan"), ("loads", "0.3, inf"),
     ("warmup", "inf"), ("duration", "-inf"),  # no `warmup: must be < duration` too
@@ -834,33 +857,73 @@ EDITS = fuzzed_edits()
                          ids=[f"{k}={v}" for k, v in EDITS])
 def test_an_edge_scenario_is_rejected_or_runs(tmp_path, monkeypatch, capsys, key, value,
                                               duration):
-    # the input contract: `validate` exits 0 or 2 and never raises; what it
-    # rejects, `run` rejects with the same lines and no file; what it
-    # passes, `run` completes, or fails (exit 1) only on the documented zero
-    # or NaN `sp` baseline, and a failed run leaves no file
     monkeypatch.setenv("OBS_SIM_THREADS", "1")
     shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
     s = replace(shipped, loads=[0.3], seeds=[1], duration=duration, warmup=duration / 4)
     first = getattr(s, key)
     value = value.format(first[0] if isinstance(first, list) else first)
     path = write_scn(tmp_path, scenario_text(s, **{key: value}))
-    out = str(tmp_path / "out")
-    code = main(["validate", "--scenario", path])
-    assert code in (0, 2)
-    if code == 2:
-        rejected = capsys.readouterr().err
-        assert all(l.startswith("error: ") for l in rejected.splitlines())
-        assert main(["run", "--scenario", path, "--out-dir", out]) == 2
-        assert capsys.readouterr().err == rejected
-        assert not os.path.exists(out)
-        return
-    code = main(["run", "--scenario", path, "--out-dir", out])
-    if code == 1:
-        assert "baseline values must be > 0" in capsys.readouterr().err.splitlines()[-1]
-        assert os.listdir(out) == []
-    else:
-        assert code == 0, capsys.readouterr().err
-        assert "results.csv" in os.listdir(out)
+    rejected_or_runs(capsys, path, str(tmp_path / "out"))
+
+
+# the numeric fields, by position, of the first record of each kind in the
+# shipped input files; `src`, `dst` and `id` name a node
+INPUT_RECORDS = [
+    ("topology", "nsfnet.topo", "node", {1: "id"}),
+    ("topology", "nsfnet.topo", "link",
+     {1: "src", 2: "dst", 3: "km", 4: "control", 5: "data", 6: "rate"}),
+    ("matrix", "us_ref.matrix", None, {0: "src", 1: "dst", 2: "weight"}),
+]
+# `data` stays under `MAX_DATA_CHANNELS`: an int field takes only 0 and -1
+NUMERIC_TEXTS = ("0", "-1", "nan", "inf", "1e308", "1e-320")
+
+
+def input_file_edits():
+    """(file key, edit id, file text) for the shipped topology and matrix,
+    each changed at one line, the first record of a kind in `INPUT_RECORDS`:
+    an extra or a missing field, the line repeated, an unknown record name,
+    a node id out of range (NSFnet has nodes 0-13), a link or pair to
+    itself, or one of `NUMERIC_TEXTS` in one numeric field."""
+    edits = []
+    for key, name, kind, numeric in INPUT_RECORDS:
+        with open(obs_gprm.data_path(name)) as fh:
+            lines = fh.readlines()
+        at = next(i for i, l in enumerate(lines)
+                  if not l.startswith("#") and kind in (None, l.split()[0]))
+        record = lines[at].split()
+
+        def with_field(i, text):
+            return record[:i] + [text] + record[i + 1:]
+
+        ids = [i for i, f in numeric.items() if f in ("src", "dst", "id")]
+        variants = {"extra-field": record + ["1"], "missing-field": record[:-1],
+                    "unknown-record": ["router"] + record[1:],
+                    **{f"{numeric[i]}-out-of-range": with_field(i, "14") for i in ids},
+                    **{f"{numeric[i]}={v}": with_field(i, v)
+                       for i in numeric for v in NUMERIC_TEXTS}}
+        if len(ids) == 2:
+            variants["to-itself"] = with_field(ids[1], record[ids[0]])
+        texts = {what: [" ".join(f) + "\n"] for what, f in variants.items() if f != record}
+        texts["repeated"] = [lines[at]] * 2
+        edits += [(key, f"{key}:{kind or 'pair'}:{what}", "".join(lines[:at] + t + lines[at + 1:]))
+                  for what, t in texts.items()]
+    return edits
+
+
+INPUT_EDITS = input_file_edits()
+
+
+@pytest.mark.parametrize("key, text", [(k, t) for k, _, t in INPUT_EDITS],
+                         ids=[i for _, i, _ in INPUT_EDITS])
+def test_an_edge_input_file_is_rejected_or_runs(tmp_path, monkeypatch, capsys, key, text):
+    # the scenario fuzz's contract, for the topology and matrix files
+    monkeypatch.setenv("OBS_SIM_THREADS", "1")
+    edited = tmp_path / f"edited.{key}"
+    edited.write_text(text)
+    shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
+    s = replace(shipped, loads=[0.3], seeds=[1], duration=0.1, warmup=0.025,
+                **{key: str(edited)})
+    rejected_or_runs(capsys, write_scn(tmp_path, scenario_text(s)), str(tmp_path / "out"))
 
 
 def test_cli_runs_what_it_validates_at_a_vanishing_refresh_period(tmp_path, capsys,
@@ -909,3 +972,11 @@ def test_cli_rejects_the_retired_util_mode_key(tmp_path, capsys):
     path = write_scn(tmp_path, scenario_text(small_scenario(tmp_path)) + "util_mode = all\n")
     lines = rejected_by_both(capsys, path, tmp_path / "out")
     assert lines == [f"error: {path}:{len(fields(Scenario)) + 1}: unknown key 'util_mode'"]
+
+
+def test_cli_rejects_the_retired_bucket_width_key(tmp_path, capsys):
+    # the learning series has one resolution, 10 ms buckets; a file that
+    # still sets another must fail, not run at that one
+    path = write_scn(tmp_path, scenario_text(small_scenario(tmp_path)) + "bucket_width = 0.05\n")
+    lines = rejected_by_both(capsys, path, tmp_path / "out")
+    assert lines == [f"error: {path}:{len(fields(Scenario)) + 1}: unknown key 'bucket_width'"]

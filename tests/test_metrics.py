@@ -28,7 +28,7 @@ def counters(sent=0, delivered=0, **drops):
 
 def result(c, elapsed=1.0):
     """A run whose steady-state cohort is `c`, measured over `elapsed` s."""
-    return RunResult(c, c, TimeSeries(0.01), duration=elapsed, warmup=0.0)
+    return RunResult(c, c, TimeSeries(), duration=elapsed, warmup=0.0)
 
 
 def test_blr_simple():
@@ -122,7 +122,7 @@ def test_gains_rows_recompute_terms_directly():
 
 
 def test_time_series_buckets_and_conservation():
-    ts = TimeSeries(bucket_width=0.01)
+    ts = TimeSeries()
     for t in (0.001, 0.004, 0.012, 0.025, 0.026):
         ts.add_sent(t)
     ts.add_drop(0.013)
@@ -134,35 +134,31 @@ def test_time_series_buckets_and_conservation():
     assert list(dropped) == [0, 1, 1]
 
 
-@pytest.mark.parametrize("width", [0.0, -0.01, math.nan, math.inf, -math.inf])
-def test_time_series_rejects_a_bucket_width_not_finite_and_positive(width):
-    # NaN would fail only at the first bucket index, and an infinite width
-    # would give the one bucket a start time of NaN (0 * inf)
-    with pytest.raises(ValueError, match="bucket width must be finite and > 0"):
-        TimeSeries(width)
-
-
 def test_rolling_blr_window():
-    ts = TimeSeries(bucket_width=0.01)
-    # bucket 0: 4 sent 2 dropped; bucket 1: 4 sent 0 dropped
+    ts = TimeSeries()
+    # bucket 0: 4 sent 2 dropped; buckets 1-21: 1 sent each; bucket 21: 1 dropped
     for i in range(4):
         ts.add_sent(0.001 * i)
-        ts.add_sent(0.01 + 0.001 * i)
+    for i in range(1, 22):
+        ts.add_sent(0.01 * i + 0.005)
     ts.add_drop(0.002)
     ts.add_drop(0.003)
+    ts.add_drop(0.215)
     _, sent, dropped = ts.arrays()
-    rolling = rolling_ratio(sent, dropped, 1)
-    assert rolling[0] == pytest.approx(0.5)
-    assert rolling[1] == pytest.approx(0.0)
-    rolling2 = rolling_ratio(sent, dropped, 2)
-    assert rolling2[1] == pytest.approx(0.25)
+    assert len(sent) == 22 and ROLLING_WINDOW_BUCKETS == 20
+    rolling = rolling_ratio(sent, dropped)
+    # the window holds bucket 0 up to bucket 19, then bucket 0 leaves it
+    assert rolling.tolist()[:20] == [2 / (4 + i) for i in range(20)]
+    assert rolling[20] == 0.0
+    assert rolling[21] == 1 / 20
 
 
 def test_rolling_blr_equals_brute_force_window_sums():
     rng = random.Random(14)
+    w = ROLLING_WINDOW_BUCKETS
     for _ in range(40):
-        ts = TimeSeries(bucket_width=0.01)
-        n = rng.randint(1, 30)
+        ts = TimeSeries()
+        n = rng.randint(1, 3 * w)  # most series are longer than the window
         want_sent, want_dropped = [0] * n, [0] * n
         for i in range(n):
             if rng.random() < 0.4:
@@ -177,30 +173,19 @@ def test_rolling_blr_equals_brute_force_window_sums():
         times, sent, dropped = ts.arrays()
         assert times.tolist() == [i * 0.01 for i in range(len(want_sent))]
         assert (sent.tolist(), dropped.tolist()) == (want_sent, want_dropped)
-        for w in range(1, len(times) + 3):  # up to windows longer than the series
-            expected = []
-            for i in range(len(times)):
-                first = max(0, i - w + 1)
-                s, d = sum(want_sent[first:i + 1]), sum(want_dropped[first:i + 1])
-                expected.append(d / s if s else 0.0)
-            assert rolling_ratio(sent, dropped, w).tolist() == expected
+        expected = []
+        for i in range(len(times)):
+            first = max(0, i - w + 1)
+            s, d = sum(want_sent[first:i + 1]), sum(want_dropped[first:i + 1])
+            expected.append(d / s if s else 0.0)
+        assert rolling_ratio(sent, dropped).tolist() == expected
 
 
 def test_rolling_blr_empty():
-    ts = TimeSeries(bucket_width=0.01)
+    ts = TimeSeries()
     times, sent, dropped = ts.arrays()
-    rolling = rolling_ratio(sent, dropped, ROLLING_WINDOW_BUCKETS)
+    rolling = rolling_ratio(sent, dropped)
     assert len(times) == 0 and len(rolling) == 0
-
-
-@pytest.mark.parametrize("window", [0, -1])
-def test_rolling_blr_rejects_a_window_under_one_bucket(window):
-    ts = TimeSeries(bucket_width=0.01)
-    for t in (0.001, 0.012, 0.025):
-        ts.add_sent(t)
-    _, sent, dropped = ts.arrays()
-    with pytest.raises(ValueError, match="window_buckets must be >= 1"):
-        rolling_ratio(sent, dropped, window)
 
 
 def test_runtime_imports_no_numpy():
