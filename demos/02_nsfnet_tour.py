@@ -9,7 +9,6 @@ from statistics import mean
 
 import obs_gprm
 from obs_gprm.routing import shortest_path_table
-from obs_gprm.signaling import SimConfig
 from obs_gprm.topology import load_topology, propagation_delay
 from obs_gprm.traffic import load_matrix
 
@@ -22,8 +21,7 @@ def main():
     counts = [hops[(i, j)] for i in topo.nodes for j in topo.nodes if i != j]
     print(f"hop counts: mean {mean(counts):.2f}, max {max(counts)}")
 
-    speed = SimConfig().signal_speed
-    delays = [propagation_delay(l, speed) * 1e3 for l in topo.links.values()]
+    delays = [propagation_delay(l) * 1e3 for l in topo.links.values()]
     print(f"one-way link delays: {min(delays):.1f}..{max(delays):.1f} ms "
           f"(mean {mean(delays):.1f} ms)")
 

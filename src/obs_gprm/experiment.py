@@ -16,6 +16,7 @@ from itertools import starmap
 from multiprocessing import Pool
 from typing import get_args, get_origin
 
+from .gprm import PER_HOP_PROCESSING
 from .metrics import BUCKET_WIDTH, DROP_CAUSES, MAX_BUCKETS, MAX_BURSTS, rolling_ratio
 from .signaling import POLICIES, Interval, SimConfig, Simulator, key
 from .topology import TopologyError, load_topology, propagation_delay
@@ -168,12 +169,11 @@ def _check(scenario, threads=None):
                                   f"{bursts:.3g} bursts, more than {MAX_BURSTS}")
     if passed({"warmup", "duration"}) and scenario.duration <= scenario.warmup:
         errors.append("warmup: must be < duration")
-    if passed({"topology", "signal_speed", "per_hop_processing", "duration"}):
+    if passed({"topology", "duration"}):
         # the last drop comes at most N - 1 hops after `duration`: a BHP visits
         # each node once, and a hop takes its processing and one propagation delay
-        longest = max((propagation_delay(l, scenario.signal_speed)
-                       for l in topology.links.values()), default=0.0)
-        drain = (len(topology.nodes) - 1) * (scenario.per_hop_processing + longest)
+        longest = max(map(propagation_delay, topology.links.values()), default=0.0)
+        drain = (len(topology.nodes) - 1) * (PER_HOP_PROCESSING + longest)
         # one bucket of slack for the engine's float sums of event times
         if MAX_BUCKETS * BUCKET_WIDTH < scenario.duration + drain + BUCKET_WIDTH:
             errors.append(f"duration: a duration of {scenario.duration:g} s and a drain of "

@@ -13,6 +13,7 @@ a warm start keeps no counts. `signaling.SimConfig` holds every default.
 from collections import deque
 from typing import NamedTuple
 
+PER_HOP_PROCESSING = 1e-4  # BHP processing time per node, s
 OFFSET_CLASSES = 16  # offset classes 0..15, measured in per-hop processing units
 BLR_CLASSES = 3      # loss-rate classes 0 low, 1 medium, 2 high
 HOP_CLASSES = 16     # hop-count classes 0..15
@@ -57,8 +58,7 @@ class LossRateWindow:
         return min(1.0, len(fl) / len(fw))
 
 
-def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_low, blr_high,
-                     per_hop_processing):
+def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_low, blr_high):
     """Build the evidence vector a node sees for one burst.
 
     The offset class counts how many per-hop processing budgets remain; the
@@ -67,7 +67,7 @@ def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_lo
     thresholds are checked once, by their `SimConfig` field rules and
     `SimConfig.problems()`.
     """
-    q = remaining_offset / per_hop_processing + 1e-9
+    q = remaining_offset / PER_HOP_PROCESSING + 1e-9
     # capped before int(), which raises on a quotient that overflowed to inf
     o = int(q) if q < OFFSET_CLASSES else OFFSET_CLASSES - 1
     b = 0 if local_blr < blr_low else 1 if local_blr < blr_high else 2

@@ -33,6 +33,7 @@ from .gprm import (
     HOP_CLASSES,
     LossRateWindow,
     OFFSET_CLASSES,
+    PER_HOP_PROCESSING,
     SuccessTable,
     cold_start_prior,
     extract_evidence,
@@ -171,7 +172,6 @@ POLICIES = key(["sp", "gprm"], ("sp", "gprm"))
 
 @dataclass
 class SimConfig:
-    per_hop_processing: float = key(1e-4, Interval("(0, inf)"))  # BHP processing per node, s
     offset_guard: float = key(0.0, Interval("[0, inf)"))  # extra offset beyond the hop budget
     alpha: float = key(0.9, Interval("[0, 1]"))
     initial_sp: float = key(0.5, Interval("[0, 1]"))
@@ -182,7 +182,6 @@ class SimConfig:
     blr_high: float = key(0.05, Interval("(0, 1)"))
     blr_window: float = key(0.1, Interval("(0, inf)"))
     warmup: float = key(2.0, Interval("[0, inf)"))
-    signal_speed: float = key(2.0e8, Interval("(0, inf)"))  # m/s, light in fiber
 
     def problems(self):
         """Every invalid field, as a list of `field: reason` strings: at most
@@ -242,15 +241,14 @@ class Simulator:
         # only the schedule holds each link's wavelength count
         self.schedule = ChannelSchedule({uv: l.data_channels for uv, l in topology.links.items()})
         self._gprm = policy == "gprm"
-        self._php = php = cfg.per_hop_processing
         self._warmup = cfg.warmup
         # directed link -> (channel rate, propagation, processing + propagation):
         # a BHP hop adds the two delays to the clock in turn and a notification
         # hop adds their sum; the golden outputs fix that float order
         self._links = {}
         for uv, link in topology.links.items():
-            prop = propagation_delay(link, cfg.signal_speed)
-            self._links[uv] = (link.channel_rate, prop, php + prop)
+            prop = propagation_delay(link)
+            self._links[uv] = (link.channel_rate, prop, PER_HOP_PROCESSING + prop)
         self._heap = []
         self._seq = itertools.count(1)  # event tie-break, in push order
         self._burst_ids = itertools.count(1)
@@ -332,7 +330,6 @@ class Simulator:
             if self._gprm or self.trace is not None:
                 self._notify(now, node, bhp, len(bhp.path_log) - 1)
             return
-        php = self._php
         offset = bhp.remaining_offset
         # Neither the noroute nor the offset drop can fire at the source: its
         # path log is empty, so every neighbour is a candidate, and its offset
@@ -341,7 +338,7 @@ class Simulator:
             loss = self._loss[node]
             cfg = self.config
             evidence = extract_evidence(node, bhp.dest, offset, loss.ratio(now),
-                                        self.hop_counts, cfg.blr_low, cfg.blr_high, php)
+                                        self.hop_counts, cfg.blr_low, cfg.blr_high)
             # the nodes already passed; `node` is not among them, nor its own neighbour
             next_hop = self.nodes[node].lookup(evidence, {hop[0] for hop in bhp.path_log}, now)
             if next_hop is None:
@@ -351,7 +348,7 @@ class Simulator:
         else:
             evidence = None
             next_hop, rate, prop, _ = self._sp_hops[(node, bhp.dest)]
-        remaining = offset - php
+        remaining = offset - PER_HOP_PROCESSING
         if remaining < -OFFSET_EPS:
             self._drop(now, bhp, "offset", node)
             return
@@ -376,7 +373,8 @@ class Simulator:
             loss.record_forward(now)
         if self.trace is not None and not at_source:
             self.trace(now, "BHP_ARRIVE", node, bhp.burst_id, f"forward {next_hop}")
-        heappush(self._heap, (now + php + prop, next(self._seq), BHP_ARRIVE, next_hop, bhp))
+        heappush(self._heap, (now + PER_HOP_PROCESSING + prop, next(self._seq), BHP_ARRIVE,
+                              next_hop, bhp))
 
     def _on_burst_arrive(self, now, node, bhp):
         """A burst's tail reaches its destination."""
@@ -427,7 +425,7 @@ class Simulator:
         # per connection: arrival stream, ingress offset (a budget per hop + guard)
         guard = self.config.offset_guard
         self._streams = [(conn, conn.make_rng(),
-                          self.hop_counts[(conn.src, conn.dst)] * self._php + guard)
+                          self.hop_counts[(conn.src, conn.dst)] * PER_HOP_PROCESSING + guard)
                          for conn in self.connections]
         for idx, (conn, rng, _) in enumerate(self._streams):
             dt, size = next_arrival(conn, rng)

@@ -19,6 +19,7 @@ class TopologyError(Exception):
 
 # a link holds one reservation schedule per data channel, made up front
 MAX_DATA_CHANNELS = 1024
+SIGNAL_SPEED = 2.0e8  # m/s, light in fiber
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,14 @@ class Link:
             if not 0 < x < math.inf:  # NaN fails this too
                 raise TopologyError(f"link {self.src}->{self.dst}: {name} must be "
                                     f"{'> 0' if x <= 0 else 'finite'}")
+        if propagation_delay(self) == math.inf:
+            raise TopologyError(f"link {self.src}->{self.dst}: length {self.length_km:g} km "
+                                "makes its propagation delay overflow")
 
 
-def propagation_delay(link, signal_speed):
-    """One-way propagation delay of a link in seconds, at `signal_speed` m/s."""
-    return link.length_km * 1000.0 / signal_speed
+def propagation_delay(link):
+    """One-way propagation delay of a link in seconds, at `SIGNAL_SPEED`."""
+    return link.length_km * 1000.0 / SIGNAL_SPEED
 
 
 class Topology:

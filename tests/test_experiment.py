@@ -20,6 +20,7 @@ from obs_gprm.experiment import (
     validate,
     worker_count,
 )
+from obs_gprm.gprm import PER_HOP_PROCESSING
 from obs_gprm.metrics import BUCKET_WIDTH, MAX_BUCKETS, MAX_BURSTS
 from obs_gprm.topology import load_topology, propagation_delay
 from obs_gprm.traffic import connection_seed
@@ -119,10 +120,8 @@ SCENARIO_KEYS = [
     ("blr_low", "0.02", 0.02),
     ("blr_high", "0.2", 0.2),
     ("blr_window", "0.3", 0.3),
-    ("per_hop_processing", "2e-4", 2e-4),
     ("offset_guard", "3e-4", 3e-4),
     ("mean_burst_size", "1e5", 1e5),
-    ("signal_speed", "3e8", 3e8),
 ]
 
 
@@ -199,7 +198,7 @@ def test_validate_caps_the_learning_buckets(tmp_path):
     # and at most the longest link's propagation delay. Bursts 10x the
     # default size keep a 10,000 s run under `MAX_BURSTS`
     topo = load_topology(obs_gprm.data_path("nsfnet.topo"))
-    drain = 13 * (1e-4 + max(propagation_delay(l, 2e8) for l in topo.links.values()))
+    drain = 13 * (PER_HOP_PROCESSING + max(map(propagation_delay, topo.links.values())))
     assert drain == pytest.approx(0.1833)
     longest = MAX_BUCKETS * BUCKET_WIDTH - drain - BUCKET_WIDTH  # one bucket of slack
     assert validate(small_scenario(tmp_path, duration=longest * (1 - 1e-9),
@@ -212,16 +211,32 @@ def test_validate_caps_the_learning_buckets(tmp_path):
         f"{MAX_BUCKETS} buckets of 0.01 s"]
 
 
-@pytest.mark.parametrize("speed", [1e3, 1.0, 1e-3])
-def test_validate_caps_the_buckets_of_a_slow_signal_drain(tmp_path, capsys, speed):
-    # a 0.4 s run whose in-flight bursts drain for up to 13 hops of 2,800 km:
-    # their drops would fall in bucket 50,014 at 1e3 m/s, 5.0e7 at 1 m/s and
-    # 5.0e10 at 1e-3 m/s, and the learning series allocates up to the last one
+def long_link_scenario(tmp_path, factor):
+    """The shipped scenario as a 0.4 s run at load 0.3, on NSFnet with every
+    link `factor` times as long."""
+    with open(obs_gprm.data_path("nsfnet.topo")) as fh:
+        records = [line.split() for line in fh]
+    for f in records:
+        if f and f[0] == "link":
+            f[3] = repr(float(f[3]) * factor)
+    topo = tmp_path / f"long-{factor:g}.topo"
+    topo.write_text("".join(" ".join(f) + "\n" for f in records))
     shipped = parse_scenario(obs_gprm.data_path("nsfnet_paper.scn"))
-    s = replace(shipped, loads=[0.3], seeds=[1], duration=0.4, warmup=0.1, signal_speed=speed)
+    return replace(shipped, topology=str(topo), loads=[0.3], seeds=[1], duration=0.4,
+                   warmup=0.1)
+
+
+@pytest.mark.parametrize("factor, drain", [(1e5, "1.82e+04"), (1e8, "1.82e+07"),
+                                           (1e300, "1.82e+299")])
+def test_validate_caps_the_buckets_of_a_long_link_drain(tmp_path, capsys, factor, drain):
+    # a 0.4 s run whose in-flight bursts drain for up to 13 hops of the
+    # longest link, 2,800 km times `factor`: the learning series would
+    # allocate a bucket up to the last drop, past the cap from 1e5 on
+    assert validate(long_link_scenario(tmp_path, 1e4)) == []
+    s = long_link_scenario(tmp_path, factor)
     errors = validate(s)
-    assert len(errors) == 1, errors
-    assert errors[0].startswith("duration: a duration of 0.4 s and a drain of ")
+    assert errors == [f"duration: a duration of 0.4 s and a drain of {drain} s make more "
+                      f"than {MAX_BUCKETS} buckets of 0.01 s"]
     # `run` rejects it too, before it makes the out-dir or its staging directory
     path = write_scn(tmp_path, scenario_text(s))
     assert rejected_by_both(capsys, path, tmp_path / "out") == [f"error: {errors[0]}"]
@@ -664,10 +679,10 @@ def test_cli_validate_bad(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("refresh_period", "nan"), ("per_hop_processing", "nan"), ("warmup", "nan"),
+    ("refresh_period", "nan"), ("warmup", "nan"),
     ("blr_window", "nan"), ("offset_guard", "nan"),
     ("duration", "inf"), ("duration", "nan"), ("mean_burst_size", "nan"),
-    ("signal_speed", "inf"), ("loads", "nan"), ("loads", "0.3, inf"),
+    ("loads", "nan"), ("loads", "0.3, inf"),
     ("warmup", "inf"), ("duration", "-inf"),  # no `warmup: must be < duration` too
 ])
 def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
@@ -697,13 +712,16 @@ def test_cli_validate_rejects_non_finite(tmp_path, capsys, key, value):
     ("", "0 1 1e308", "matrix: {matrix}:2: at load 0.3, pair 0 1: weight 1e+308 and "
                       "mean_burst_size 3.2e+06 make the offered load overflow"),
     ("link 0 1 100 2 4 1e308", "", "topology: egress capacity of nodes [0, 1] overflows"),
+    ("link 0 1 1e308 2 4 1e9", "", "topology: {topo}:3: link 0->1: length 1e+308 km makes "
+                                   "its propagation delay overflow"),
     # a node name is one word, and a link has exactly seven fields
     ("node 2 New York", "", "topology: {topo}:3: malformed line"),
     ("link 0 1 100 2 4 1e9 junk", "", "topology: {topo}:3: malformed line"),
 ], ids=["bad-link-record", "bad-matrix-line", "matrix-node-not-in-topology",
         "negative-matrix-weight", "self-traffic-weight", "nan-matrix-weight",
         "inf-matrix-weight", "nan-link-length", "inf-link-length", "nan-link-rate",
-        "inf-link-rate", "huge-matrix-weight", "huge-link-rate", "extra-node-field",
+        "inf-link-rate", "huge-matrix-weight", "huge-link-rate", "huge-link-length",
+        "extra-node-field",
         "extra-link-field"])
 def test_cli_validate_parses_topology_and_matrix(tmp_path, capsys, topo_line, matrix_line,
                                                  expected):
@@ -809,9 +827,8 @@ def rule_values(rule, kind):
     with: each word of a word rule and a wrong one; or each end of an
     interval, the values just inside and just outside it, -0.0, nan and inf,
     and for a float also 1e-320, 1e-300 and 1e308. These finite values pass
-    most rules, but their quotients (offset / per_hop_processing, now /
-    refresh_period, event times grown by a vanishing signal speed) overflow,
-    or their burst count does."""
+    most rules, but their quotients (an offset over `gprm.PER_HOP_PROCESSING`,
+    now / refresh_period) overflow, or their burst count does."""
     if isinstance(rule, tuple):
         return [*rule, "bogus"]
     values = [-0.0, math.nan, math.inf]
@@ -966,17 +983,18 @@ def test_run_takes_every_setting_from_the_scenario(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-def test_cli_rejects_the_retired_util_mode_key(tmp_path, capsys):
-    # utilization counts delivered bursts only; a file that still picks a
-    # mode must fail, not run with the other accounting
-    path = write_scn(tmp_path, scenario_text(small_scenario(tmp_path)) + "util_mode = all\n")
+@pytest.mark.parametrize("key, value", [
+    # utilization counts delivered bursts only
+    ("util_mode", "all"),
+    # the learning series has one resolution, `metrics.BUCKET_WIDTH`
+    ("bucket_width", "0.05"),
+    # the signal speed and the BHP processing time are constants of the model,
+    # `topology.SIGNAL_SPEED` and `gprm.PER_HOP_PROCESSING`
+    ("signal_speed", "3e8"),
+    ("per_hop_processing", "2e-4"),
+])
+def test_cli_rejects_a_retired_key(tmp_path, capsys, key, value):
+    # a file that still sets a retired key must fail, not run without it
+    path = write_scn(tmp_path, scenario_text(small_scenario(tmp_path)) + f"{key} = {value}\n")
     lines = rejected_by_both(capsys, path, tmp_path / "out")
-    assert lines == [f"error: {path}:{len(fields(Scenario)) + 1}: unknown key 'util_mode'"]
-
-
-def test_cli_rejects_the_retired_bucket_width_key(tmp_path, capsys):
-    # the learning series has one resolution, 10 ms buckets; a file that
-    # still sets another must fail, not run at that one
-    path = write_scn(tmp_path, scenario_text(small_scenario(tmp_path)) + "bucket_width = 0.05\n")
-    lines = rejected_by_both(capsys, path, tmp_path / "out")
-    assert lines == [f"error: {path}:{len(fields(Scenario)) + 1}: unknown key 'bucket_width'"]
+    assert lines == [f"error: {path}:{len(fields(Scenario)) + 1}: unknown key '{key}'"]

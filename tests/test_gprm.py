@@ -71,8 +71,7 @@ def test_alternating_stream_settles_in_band():
 def blr_class(local_blr):
     """Loss class `extract_evidence` gives at the default thresholds."""
     cfg = SimConfig()
-    return extract_evidence(0, 3, 3e-4, local_blr, HOPS, cfg.blr_low, cfg.blr_high,
-                            1e-4).blr_class
+    return extract_evidence(0, 3, 3e-4, local_blr, HOPS, cfg.blr_low, cfg.blr_high).blr_class
 
 
 def test_blr_class_boundaries():
@@ -102,34 +101,32 @@ def test_config_rejects_bad_blr_thresholds():
 
 def test_extract_evidence_exact_multiples():
     e = extract_evidence(0, 3, remaining_offset=3e-4, local_blr=0.0, hop_counts=HOPS,
-                         blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
+                         blr_low=0.01, blr_high=0.05)
     assert e == EvidenceVector(3, 0, 3, 3)
 
 
 def test_extract_evidence_clamps():
     e = extract_evidence(0, 3, remaining_offset=40e-4, local_blr=0.0, hop_counts=HOPS,
-                         blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
+                         blr_low=0.01, blr_high=0.05)
     assert e.offset_class == 15
 
 
 def test_extract_evidence_caps_both_classes():
     # a quotient that overflows to inf is offset class 15, not OverflowError
-    for remaining, php in ((3e-4, 1e-320), (3e-4, 5e-324), (1e308, 1e-4)):
-        e = extract_evidence(0, 3, remaining_offset=remaining, local_blr=0.0,
-                             hop_counts=HOPS, blr_low=0.01, blr_high=0.05,
-                             per_hop_processing=php)
-        assert e.offset_class == 15
+    e = extract_evidence(0, 3, remaining_offset=1e308, local_blr=0.0, hop_counts=HOPS,
+                         blr_low=0.01, blr_high=0.05)
+    assert e.offset_class == 15
     # the hop class is capped from 16 hops on, which takes a path of 17 nodes
     hops = path_topology(17).hop_counts()
     for dest, hop_class in ((14, 14), (15, 15), (16, 15)):
         e = extract_evidence(0, dest, remaining_offset=3e-4, local_blr=0.0, hop_counts=hops,
-                             blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
+                             blr_low=0.01, blr_high=0.05)
         assert e.hop_class == hop_class
 
 
 def test_extract_evidence_cold_start_low():
     e = extract_evidence(1, 3, remaining_offset=2e-4, local_blr=0.0, hop_counts=HOPS,
-                         blr_low=0.01, blr_high=0.05, per_hop_processing=1e-4)
+                         blr_low=0.01, blr_high=0.05)
     assert e.blr_class == 0
 
 
@@ -144,7 +141,7 @@ def blr_class_oracle(local_blr, low=0.01, high=0.05):
 def test_extract_evidence_ranges(node, dest, rem, blr_value):
     if node == dest:
         return
-    e = extract_evidence(node, dest, rem, blr_value, HOPS, 0.01, 0.05, 1e-4)
+    e = extract_evidence(node, dest, rem, blr_value, HOPS, 0.01, 0.05)
     assert 0 <= e.offset_class <= 15
     assert e.blr_class == blr_class_oracle(blr_value)
     assert 0 <= e.hop_class <= 15

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import obs_gprm.signaling as signaling
 from conftest import TraceLog, bidir, nsfnet_workload, path_topology, ring_topology, star_into_chain
-from obs_gprm.gprm import EvidenceVector
+from obs_gprm.gprm import PER_HOP_PROCESSING, EvidenceVector
 from obs_gprm.metrics import RunCounters
 from obs_gprm.signaling import ChannelSchedule, SimConfig, Simulator
 from obs_gprm.topology import Topology
@@ -169,22 +169,22 @@ def test_single_burst_end_to_end_timing(arrivals):
     c = res.counters
     assert (c.bursts_sent, c.bursts_delivered, c.bursts_dropped) == (1, 1, 0)
     # delay = offset (2 hops) + propagation (2 us) + transmission (1 ms)
-    expect = 2 * cfg.per_hop_processing + 2e-6 + 1e6 / 1e9
+    expect = 2 * PER_HOP_PROCESSING + 2e-6 + 1e6 / 1e9
     assert res.mean_delay() == pytest.approx(expect, rel=1e-9)
     # single ACK arrived at each forwarding node on the reverse path
     acks = [l for l in trace.of_kind("NOTIFICATION_ARRIVE") if l[4] == "ACK"]
     assert [l[2] for l in acks] == [1, 0]
 
 
-def test_signal_speed_sets_propagation_delay(arrivals):
-    # one 200 km link: 1 ms of propagation at 2e8 m/s, 2 ms at 1e8 m/s
+def test_link_length_sets_propagation_delay(arrivals):
+    # one link: 1 ms of propagation at 200 km, 2 ms at 400 km, in fiber
     delays = {}
-    for speed in (1e8, 2e8):
+    for km in (200.0, 400.0):
         arrivals({(0, 1): [(1 * MS, 1e6)]})
-        sim = Simulator(path_topology(2, km=200.0), [conn(0, 1)], policy="sp",
-                        config=SimConfig(warmup=0.0, signal_speed=speed))
-        delays[speed] = sim.run(1.0).mean_delay()
-    assert delays[1e8] - delays[2e8] == pytest.approx(1 * MS, abs=1e-12)
+        sim = Simulator(path_topology(2, km=km), [conn(0, 1)], policy="sp",
+                        config=SimConfig(warmup=0.0))
+        delays[km] = sim.run(1.0).mean_delay()
+    assert delays[400.0] - delays[200.0] == pytest.approx(1 * MS, abs=1e-12)
 
 
 def test_burst_arrives_after_bhp_everywhere(arrivals):
@@ -317,8 +317,7 @@ def test_zero_traffic_run():
     assert math.isnan(res.blr())
     assert res.utilization(topo) == 0.0
     # a misspelled mode must not silently select the other branch, and the
-    # learning values and the signal speed are checked here, once, before
-    # any table or link delay is built
+    # learning values are checked here, once, before any table is built
     for bad, error in (({"initial_mode": "Warm"}, "initial_mode"),
                        ({"refresh_period": 0}, "refresh_period"),
                        ({"alpha": 1.2}, "alpha"),
@@ -327,10 +326,7 @@ def test_zero_traffic_run():
                        ({"warmup": -1.0}, "warmup"),
                        ({"detour_penalty": 0.0}, "detour_penalty"),
                        ({"blr_window": 0.0}, "blr_window"),
-                       ({"per_hop_processing": 0.0}, "per_hop_processing"),
-                       ({"offset_guard": -1e-4}, "offset_guard"),
-                       *(({"signal_speed": v}, "signal_speed: ")
-                         for v in (-2e8, 0.0, math.nan, math.inf))):
+                       ({"offset_guard": -1e-4}, "offset_guard")):
         with pytest.raises(ValueError, match=error):
             Simulator(topo, [], policy="gprm", config=SimConfig(**bad))
 

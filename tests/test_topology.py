@@ -112,6 +112,8 @@ def test_duplicate_link_rejected(tmp_path):
     # rejected before any per-channel schedule exists
     ("link 0 2 100 2 1000000000000 1e9",
      f"link 0->2: needs >= 1 control channel and 1..{MAX_DATA_CHANNELS} data channels"),
+    # a finite length whose delay overflows is named as such, not as a length out of range
+    ("link 0 2 1e308 2 4 1e9", "link 0->2: length 1e+308 km makes its propagation delay overflow"),
 ])
 def test_bad_link_record_names_its_line(tmp_path, record, reason):
     path = tmp_path / "bad.topo"
@@ -183,9 +185,11 @@ def test_hop_count_triangle_inequality():
 
 
 def test_propagation_delay():
-    assert propagation_delay(Link(0, 1, 200.0, 2, 4, 1e9), 2e8) == pytest.approx(1e-3)
-    assert propagation_delay(Link(0, 1, 0.2, 2, 4, 1e9), 2e8) == pytest.approx(1e-6)
-    assert propagation_delay(Link(0, 1, 1000.0, 2, 4, 1e9), 2e8) == pytest.approx(5e-3)
+    assert propagation_delay(Link(0, 1, 200.0, 2, 4, 1e9)) == pytest.approx(1e-3)
+    assert propagation_delay(Link(0, 1, 0.2, 2, 4, 1e9)) == pytest.approx(1e-6)
+    assert propagation_delay(Link(0, 1, 1000.0, 2, 4, 1e9)) == pytest.approx(5e-3)
+    # a length above 0 whose delay underflows still builds: the link is instant
+    assert propagation_delay(Link(0, 1, 1e-320, 2, 4, 1e9)) == 0.0
 
 
 def test_egress_capacity():
