@@ -236,7 +236,7 @@ def _fmt(v):
 def _gains_rows(rows, loads, seeds):
     """Per-load seed means of both policies and the relative gains of `gprm`
     over `sp` (BLR reduction, utilization increase), as the rows of
-    gains.csv; raises ValueError on a zero baseline."""
+    gains.csv; raises ValueError on a zero or NaN baseline."""
     by_key = {(r["policy"], r["load"], r["seed"]): r for r in rows}
 
     def seed_means(load, column):

@@ -7,8 +7,8 @@ lookup returns the first one not excluded. Learning updates take effect at
 the next refresh: the success table applies them at the start of a refresh
 period. A row is built from that view the first time it is consulted and is
 kept across refreshes; a refresh re-costs and re-ranks only the rows whose
-(neighbor, evidence) values it changed, or drops every row when the
-naive-Bayes fallback is on. The baseline maps (node, destination) to the
+(neighbor, evidence) values it changed, or drops every row under naive
+Bayes (a cold start). The baseline maps (node, destination) to the
 smallest-id neighbor on a minimum-hop path.
 """
 

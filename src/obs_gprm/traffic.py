@@ -90,6 +90,8 @@ def load_matrix(path):
         matrix = TrafficMatrix(weights)
     except PairError as exc:
         raise ValueError(f"{path}:{linenos[exc.pair]}: {exc}") from None
+    except ValueError as exc:  # no positive weight: no line is at fault
+        raise ValueError(f"{path}: {exc}") from None
     matrix.path, matrix.linenos = path, linenos
     return matrix
 

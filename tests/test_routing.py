@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obs_gprm
-from conftest import bidir, flat, triangle, update_and_read, walk_row
+from conftest import bidir, flat, update_and_read, walk_row
 from obs_gprm.gprm import (INFEASIBLE_SP, EvidenceVector, SuccessTable, cold_start_prior,
                            warm_start_prior)
 from obs_gprm.routing import LazyRoutingTable, shortest_path_table
@@ -25,21 +25,6 @@ def cost(t, k, e):
     return 1.0 - t.epoch_success_prob(k, e)
 
 
-def test_lazy_row_costs_and_order():
-    e = EvidenceVector(0, 0, 0, 0)
-    t = table_with({(1, *e): 0.6, (2, *e): 0.8})
-    assert walk_row(LazyRoutingTable(t, refresh_period=1.0), e) == [2, 1]
-    assert cost(t, 2, e) == pytest.approx(0.2)
-    assert cost(t, 1, e) == pytest.approx(0.4)
-
-
-def test_lazy_row_id_tie_break():
-    t = SuccessTable(0, (3, 7), 0.9, flat(0.5))
-    e = EvidenceVector(1, 2, 3, 4)
-    assert walk_row(LazyRoutingTable(t, refresh_period=1.0), e) == [3, 7]
-    assert cost(t, 3, e) == cost(t, 7, e) == pytest.approx(0.5)
-
-
 def test_row_count_identity_small_space():
     t = SuccessTable(0, (1, 2), 0.9, flat(0.5))
     lazy = LazyRoutingTable(t, refresh_period=1.0)
@@ -49,15 +34,6 @@ def test_row_count_identity_small_space():
     # beta_i = 2 candidates for every permutation
     assert sum(len(row) for row in rows) == 240
     assert all(sorted(row) == [1, 2] for row in rows)
-
-
-def test_lookup_picks_first_then_skips_excluded():
-    e = EvidenceVector(0, 0, 0, 0)
-    t = table_with({(3, *e): 0.8, (7, *e): 0.6}, neighbors=(3, 7))
-    lazy = LazyRoutingTable(t, refresh_period=1.0)
-    assert lazy.lookup(e, set(), 0.0) == 3
-    assert lazy.lookup(e, {3}, 0.0) == 7
-    assert lazy.lookup(e, {3, 7}, 0.0) is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -76,20 +52,6 @@ def test_sort_invariant_random_tables(entries):
         assert len(row) == 3
         # non-decreasing cost, equal costs in ascending id
         assert row == sorted(row)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(1, 3), st.integers(0, 1), st.integers(0, 2),
-                                 st.integers(0, 3), st.integers(0, 4)),
-                       st.floats(0, 1), max_size=50))
-def test_lookup_equals_exhaustive_min(raw):
-    values = {(k, o, b, nb, d): sp for (k, o, b, nb, d), sp in raw.items()}
-    t = table_with(values, neighbors=(1, 2, 3))
-    lazy = LazyRoutingTable(t, refresh_period=1.0)
-    for combo in product(range(2), range(3), range(4), range(5)):
-        e = EvidenceVector(*combo)
-        best = min((cost(t, k, e), k) for k in (1, 2, 3))
-        assert lazy.lookup(e, set(), 0.0) == best[1]
 
 
 def test_lazy_table_freezes_within_period():
@@ -206,10 +168,6 @@ def test_lazy_table_matches_snapshot_argmin(ops, naive_bayes, prior):
         left = [(cost(frozen, k, e), k) for k in NEIGHBORS if k not in excluded]
         expect = min(left)[1] if left else None
         assert lazy.lookup(e, excluded, now) == expect, (op, e, now)
-
-
-def test_sp_next_hop_adjacent():
-    assert shortest_path_table(triangle())[(0, 1)] == 1
 
 
 def test_sp_next_hop_tie_break():
