@@ -594,16 +594,27 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
     assert os.listdir(out) == []
 
 
-@pytest.mark.parametrize("value, reason", [("two", "expected an integer, got 'two'"),
-                                           ("0", "must be >= 1, got '0'"),
-                                           ("-3", "must be >= 1, got '-3'")],
-                         ids=["two", "0", "-3"])
-def test_bad_thread_count_is_a_scenario_error(monkeypatch, tmp_path, capsys, value, reason):
-    # `validate` must reject what `run` rejects, with the same line
+def test_bad_thread_count_is_a_scenario_error(monkeypatch):
+    monkeypatch.setenv("OBS_SIM_THREADS", "two")
+    with pytest.raises(ScenarioError) as exc:
+        worker_count(4)
+    assert exc.value.errors == ["OBS_SIM_THREADS: expected an integer, got 'two'"]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_thread_count_is_a_scenario_error(monkeypatch, value):
     monkeypatch.setenv("OBS_SIM_THREADS", value)
     with pytest.raises(ScenarioError) as exc:
         worker_count(4)
-    assert exc.value.errors == [f"OBS_SIM_THREADS: {reason}"]
+    assert exc.value.errors == [f"OBS_SIM_THREADS: must be >= 1, got '{value}'"]
+
+
+@pytest.mark.parametrize("value, reason", [("two", "expected an integer, got 'two'"),
+                                           ("0", "must be >= 1, got '0'"),
+                                           ("-3", "must be >= 1, got '-3'")])
+def test_cli_validate_checks_the_thread_count(monkeypatch, tmp_path, capsys, value, reason):
+    # `validate` must reject what `run` rejects, with the same line
+    monkeypatch.setenv("OBS_SIM_THREADS", value)
     assert rejected_by_both(capsys, obs_gprm.data_path("nsfnet_paper.scn"),
                             tmp_path / "out") == [f"error: OBS_SIM_THREADS: {reason}"]
 
