@@ -9,7 +9,6 @@ feedback separated the candidates.
 import io
 
 import obs_gprm
-from obs_gprm.gprm import EvidenceVector
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import load_topology
 from obs_gprm.traffic import LoadSpec, load_matrix, scale_to_load
@@ -38,8 +37,9 @@ def main():
         print(" ", line)
 
     hops = topo.hop_counts()
-    e = EvidenceVector(hops[(NODE, DEST)] + 3, 0, hops[(NODE, DEST)], DEST)
-    print(f"\nrouting row for evidence {tuple(e)} (cost = 1 - success):")
+    # (offset class, loss class, hop class, destination)
+    e = (hops[(NODE, DEST)] + 3, 0, hops[(NODE, DEST)], DEST)
+    print(f"\nrouting row for evidence {e} (cost = 1 - success):")
     for k in topo.neighbors[NODE]:
         sp = table.epoch_success_prob(k, e)
         print(f"  via {topo.names[k]:>12}: cost {1 - sp:.4f}")

@@ -1,7 +1,7 @@
 """Per-node probabilistic learning state for adaptive next-hop selection.
 
 Every node keeps one SuccessTable: for each neighbor k and each observed
-evidence vector (offset class, loss-rate class, hop-count class, destination)
+evidence tuple (offset class, loss-rate class, hop-count class, destination)
 it stores the learned probability that forwarding via k succeeds. ACK/NACK
 notifications drive an exponential-smoothing update; updates take effect at
 the next routing refresh. An unseen pair scores the table's prior. A cold
@@ -11,7 +11,6 @@ a warm start keeps no counts. `signaling.SimConfig` holds every default.
 """
 
 from collections import deque
-from typing import NamedTuple
 
 PER_HOP_PROCESSING = 1e-4  # BHP processing time per node, s
 OFFSET_CLASSES = 16  # offset classes 0..15, measured in per-hop processing units
@@ -19,13 +18,6 @@ BLR_CLASSES = 3      # loss-rate classes 0 low, 1 medium, 2 high
 HOP_CLASSES = 16     # hop-count classes 0..15
 DEST_NEIGHBOR_SP = 0.95  # cold prior of handing a burst straight to its destination
 INFEASIBLE_SP = 0.02     # warm prior of a neighbor too far for the remaining offset
-
-
-class EvidenceVector(NamedTuple):
-    offset_class: int   # 0..15
-    blr_class: int      # 0 low, 1 medium, 2 high local loss ratio
-    hop_class: int      # 0..15
-    dest: int           # destination node id
 
 
 class LossRateWindow:
@@ -59,7 +51,8 @@ class LossRateWindow:
 
 
 def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_low, blr_high):
-    """Build the evidence vector a node sees for one burst.
+    """The evidence a node sees for one burst, as the plain tuple
+    `(offset_class, blr_class, hop_class, dest)`.
 
     The offset class counts how many per-hop processing budgets remain; the
     small epsilon keeps exact multiples from flooring down a class. The loss
@@ -74,8 +67,7 @@ def extract_evidence(node, dest, remaining_offset, local_blr, hop_counts, blr_lo
     nb = hop_counts[(node, dest)]
     if nb >= HOP_CLASSES:
         nb = HOP_CLASSES - 1
-    # tuple.__new__ builds the same EvidenceVector without the frame of its generated __new__
-    return tuple.__new__(EvidenceVector, (o, b, nb, dest))
+    return (o, b, nb, dest)
 
 
 def cold_start_prior(initial_sp):

@@ -3,13 +3,14 @@
 Under GPRM each node's state is one `LazyRoutingTable`, whose `success` is
 that node's `SuccessTable`. For one evidence vector, a row lists the node's
 neighbors by cost 1 - success probability, ascending, ties by node id; a
-lookup returns the first one not excluded. Learning updates take effect at
-the next refresh: the success table applies them at the start of a refresh
-period. A row is built from that view the first time it is consulted and is
-kept across refreshes; a refresh re-costs and re-ranks only the rows whose
-(neighbor, evidence) values it changed, or drops every row under naive
-Bayes (a cold start). The baseline maps (node, destination) to the
-smallest-id neighbor on a minimum-hop path.
+lookup returns that row, a tuple callers read and never mutate; the engine,
+which owns the path, skips the neighbors a burst has passed. Learning
+updates take effect at the next refresh: the success table applies them at
+the start of a refresh period. A row is built from that view the first time
+it is consulted and is kept across refreshes; a refresh re-costs and
+re-ranks only the rows whose (neighbor, evidence) values it changed, or
+drops every row under naive Bayes (a cold start). The baseline maps (node,
+destination) to the smallest-id neighbor on a minimum-hop path.
 """
 
 
@@ -25,7 +26,8 @@ class LazyRoutingTable:
     (k, e) and a stored value changes only in `begin_epoch`. With naive Bayes
     on, one outcome moves every estimate of its neighbor, so a refresh that
     applied any update drops every row. Hence a built row does not see direct
-    writes into `success.values`; make them before the first lookup.
+    writes into `success.values`; make them before the first lookup. A row
+    is the cached tuple itself: callers read it and never mutate it.
 
     The first period routes on the table as it is given. `maybe_roll` must be
     called before any lookup or any learning update, so that an update which
@@ -59,7 +61,8 @@ class LazyRoutingTable:
                     cost[k] = 1.0 - table.epoch_success_prob(k, e)
                     rows[e] = tuple(sorted(table.neighbors, key=cost.__getitem__))
 
-    def lookup(self, e, excluded, now):
+    def lookup(self, e, now):
+        """The row of evidence `e` at `now`: every neighbor by cost, ties by id."""
         if now / self.refresh_period // 1.0 != self._epoch:
             self.maybe_roll(now)
         row = self._rows.get(e)
@@ -69,10 +72,7 @@ class LazyRoutingTable:
             cost = self._costs[e] = {k: 1.0 - prob(k, e) for k in table.neighbors}
             # a stable sort keeps equal costs in the ascending id order of neighbors
             row = self._rows[e] = tuple(sorted(table.neighbors, key=cost.__getitem__))
-        for k in row:
-            if k not in excluded:
-                return k
-        return None
+        return row
 
 
 def shortest_path_table(topology):

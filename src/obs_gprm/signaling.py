@@ -13,8 +13,9 @@ sends and traces every ACK under both policies. The notification carries
 the BHP record itself and is sent one reverse hop at a time by
 `Simulator._notify`. Under the adaptive policy a node's state is its
 `LazyRoutingTable` in `Simulator.nodes`, which owns the node's success table,
-plus its loss window; every notification updates the learning state of each
-node on the path, taking effect at that node's next routing refresh.
+plus its loss window. A hop takes the first neighbor of its ranked row that
+no `path_log` record names; every notification updates the learning state of
+each node on the path, taking effect at that node's next routing refresh.
 
 One run is strictly single-threaded over a global (time, sequence) ordered
 event queue, so identical inputs replay bit-identically.
@@ -339,9 +340,14 @@ class Simulator:
             cfg = self.config
             evidence = extract_evidence(node, bhp.dest, offset, loss.ratio(now),
                                         self.hop_counts, cfg.blr_low, cfg.blr_high)
-            # the nodes already passed; `node` is not among them, nor its own neighbour
-            next_hop = self.nodes[node].lookup(evidence, {hop[0] for hop in bhp.path_log}, now)
-            if next_hop is None:
+            # the first neighbour in the ranked row that the burst has not passed
+            for next_hop in self.nodes[node].lookup(evidence, now):
+                for hop in bhp.path_log:
+                    if hop[0] == next_hop:  # passed: try the next one
+                        break
+                else:  # no path record names it
+                    break
+            else:  # the burst has passed every neighbour
                 self._drop(now, bhp, "noroute", node)
                 return
             rate, prop, _ = self._links[(node, next_hop)]

@@ -76,15 +76,11 @@ def flat(p):
     return lambda k, e: p
 
 
-def walk_row(router, e, now=0.0):
-    """The next hops of one routing row in lookup order: each lookup excludes
-    the hops already returned, until none is left. A hop returned twice fails
-    at once, rather than walking without end."""
-    hops = []
-    while (k := router.lookup(e, hops, now)) is not None:
-        assert k not in hops, f"lookup returned {k} again, with {hops} excluded"
-        hops.append(k)
-    return hops
+def ranked(table, e):
+    """Oracle of a routing row: the neighbors of `table` by cost 1 - success
+    under evidence `e`, ascending, equal costs by ascending id."""
+    return tuple(k for _, k in sorted((1.0 - table.epoch_success_prob(k, e), k)
+                                      for k in table.neighbors))
 
 
 def update_and_read(table, k, e, success):

@@ -16,9 +16,9 @@ import pytest
 
 import obs_gprm
 from conftest import (TraceLog, bidir, flat, nb_oracle, nsfnet_workload, offered_load,
-                      path_topology, update_and_read, walk_row)
+                      path_topology, ranked, update_and_read)
 from obs_gprm.experiment import parse_scenario, run_experiment
-from obs_gprm.gprm import EvidenceVector, SuccessTable
+from obs_gprm.gprm import SuccessTable
 from obs_gprm.metrics import rolling_ratio
 from obs_gprm.routing import LazyRoutingTable
 from obs_gprm.signaling import SimConfig, Simulator
@@ -165,8 +165,7 @@ def _props_unit_interval():
     rng = random.Random(99)
     t = SuccessTable(0, (1, 2, 3), 0.9, flat(0.5))
     for _ in range(1_000_000):
-        e = EvidenceVector(rng.randrange(16), rng.randrange(3), rng.randrange(16),
-                           rng.randrange(14))
+        e = (rng.randrange(16), rng.randrange(3), rng.randrange(16), rng.randrange(14))
         v = update_and_read(t, (1, 2, 3)[rng.randrange(3)], e, rng.random() < 0.5)
         if not 0.0 <= v <= 1.0:
             return False
@@ -179,16 +178,13 @@ def _props_sort_and_rows():
     for _ in range(20):
         t = SuccessTable(0, (1, 2, 3), 0.9, flat(0.5))
         for _ in range(rng.randrange(80)):
-            e = EvidenceVector(rng.randrange(2), rng.randrange(3), rng.randrange(4),
-                               rng.randrange(5))
+            e = (rng.randrange(2), rng.randrange(3), rng.randrange(4), rng.randrange(5))
             update_and_read(t, rng.choice((1, 2, 3)), e, rng.choice((True, False)))
         lazy = LazyRoutingTable(t, refresh_period=1.0)
         rows = 0
-        for combo in product(*(range(c) for c in counts)):
-            e = EvidenceVector(*combo)
+        for e in product(*(range(c) for c in counts)):
             # every neighbor once, by non-decreasing cost, equal costs by ascending id
-            row = [(1.0 - t.epoch_success_prob(k, e), k) for k in walk_row(lazy, e)]
-            if len(row) != 3 or row != sorted(row):
+            if lazy.lookup(e, 0.0) != ranked(t, e):
                 return False
             rows += 1
         if rows != 120:
@@ -226,7 +222,7 @@ def _props_replay():
 
 def _props_algorithm3_spot():
     t = SuccessTable(0, (1,), 0.9, flat(0.5))
-    e = EvidenceVector(1, 0, 1, 1)
+    e = (1, 0, 1, 1)
     ok = abs(update_and_read(t, 1, e, True) - 0.55) < 1e-12
     t2 = SuccessTable(0, (1,), 0.9, flat(0.5))
     ok &= abs(update_and_read(t2, 1, e, False) - 0.45) < 1e-12
@@ -240,13 +236,11 @@ def _props_nb_exhaustive():
         t = SuccessTable(0, (1,), 0.9, flat(0.5), counts)
         history = []  # (evidence, success) as fed to the table
         for _ in range(rng.randrange(1, 25)):
-            e = EvidenceVector(rng.randrange(2), rng.randrange(2), rng.randrange(2),
-                               rng.randrange(2))
+            e = (rng.randrange(2), rng.randrange(2), rng.randrange(2), rng.randrange(2))
             ok = rng.choice((True, False))
             update_and_read(t, 1, e, ok)
             history.append((e, ok))
-        for combo in product(range(2), repeat=4):
-            e = EvidenceVector(*combo)
+        for e in product(range(2), repeat=4):
             scores = nb_oracle(history, e, counts)
             got = t._nb_scores(1, e)
             if any(abs(g - s) > 1e-12 for g, s in zip(got, scores)):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import obs_gprm
 from obs_gprm.gprm import (
-    EvidenceVector,
     LossRateWindow,
     SuccessTable,
     extract_evidence,
@@ -15,7 +14,7 @@ from conftest import flat, nb_oracle, path_topology, update_and_read
 from obs_gprm.signaling import SimConfig, Simulator
 from obs_gprm.topology import load_topology
 
-EV = EvidenceVector(3, 0, 3, 2)
+EV = (3, 0, 3, 2)  # (offset class, loss class, hop class, destination)
 STATE_COUNTS = (16, 3, 16, 8)
 HOPS = path_topology(4).hop_counts()  # the path graph 0-1-2-3
 
@@ -28,7 +27,7 @@ def test_update_ack_from_half(tmp_path):
     t = fresh_table(alpha=0.9)
     assert update_and_read(t, 1, EV, True) == pytest.approx(0.55)
     assert t.epoch_success_prob(1, EV) == pytest.approx(0.55)
-    update_and_read(t, 1, EvidenceVector(0, 0, 0, 2), False)
+    update_and_read(t, 1, (0, 0, 0, 2), False)
     path = tmp_path / "table.txt"
     with open(path, "w") as fh:
         t.dump(fh)  # observed entries only, as sorted `k o b nb d sp` lines
@@ -61,7 +60,7 @@ def test_alternating_stream_settles_in_band():
 def blr_class(local_blr):
     """Loss class `extract_evidence` gives at the default thresholds."""
     cfg = SimConfig()
-    return extract_evidence(0, 3, 3e-4, local_blr, HOPS, cfg.blr_low, cfg.blr_high).blr_class
+    return extract_evidence(0, 3, 3e-4, local_blr, HOPS, cfg.blr_low, cfg.blr_high)[1]
 
 
 def test_blr_class_boundaries():
@@ -90,32 +89,32 @@ def test_config_rejects_bad_blr_thresholds():
 def test_extract_evidence_exact_multiples():
     e = extract_evidence(0, 3, remaining_offset=3e-4, local_blr=0.0, hop_counts=HOPS,
                          blr_low=0.01, blr_high=0.05)
-    assert e == EvidenceVector(3, 0, 3, 3)
+    assert type(e) is tuple and e == (3, 0, 3, 3)
 
 
 def test_extract_evidence_clamps():
     e = extract_evidence(0, 3, remaining_offset=40e-4, local_blr=0.0, hop_counts=HOPS,
                          blr_low=0.01, blr_high=0.05)
-    assert e.offset_class == 15
+    assert e[0] == 15
 
 
 def test_extract_evidence_caps_both_classes():
     # a quotient that overflows to inf is offset class 15, not OverflowError
     e = extract_evidence(0, 3, remaining_offset=1e308, local_blr=0.0, hop_counts=HOPS,
                          blr_low=0.01, blr_high=0.05)
-    assert e.offset_class == 15
+    assert e[0] == 15
     # the hop class is capped from 16 hops on, which takes a path of 17 nodes
     hops = path_topology(17).hop_counts()
     for dest, hop_class in ((14, 14), (15, 15), (16, 15)):
         e = extract_evidence(0, dest, remaining_offset=3e-4, local_blr=0.0, hop_counts=hops,
                              blr_low=0.01, blr_high=0.05)
-        assert e.hop_class == hop_class
+        assert e[2] == hop_class
 
 
 def test_extract_evidence_cold_start_low():
     e = extract_evidence(1, 3, remaining_offset=2e-4, local_blr=0.0, hop_counts=HOPS,
                          blr_low=0.01, blr_high=0.05)
-    assert e.blr_class == 0
+    assert e[1] == 0
 
 
 def blr_class_oracle(local_blr, low=0.01, high=0.05):
@@ -130,10 +129,10 @@ def test_extract_evidence_ranges(node, dest, rem, blr_value):
     if node == dest:
         return
     e = extract_evidence(node, dest, rem, blr_value, HOPS, 0.01, 0.05)
-    assert 0 <= e.offset_class <= 15
-    assert e.blr_class == blr_class_oracle(blr_value)
-    assert 0 <= e.hop_class <= 15
-    assert e.dest == dest
+    assert 0 <= e[0] <= 15
+    assert e[1] == blr_class_oracle(blr_value)
+    assert 0 <= e[2] <= 15
+    assert e[3] == dest
 
 
 def nb_scores(table, k, e):
@@ -147,7 +146,7 @@ def test_nb_scores_unanimous_success():
     s_succ, s_fail = nb_scores(t, 1, EV)
     assert s_succ > s_fail > 0
     # one field away from EV is unseen evidence, which routing scores by naive Bayes
-    e = EV._replace(blr_class=1)
+    e = (3, 1, 3, 2)
     s_succ, s_fail = nb_scores(t, 1, e)
     assert t.epoch_success_prob(1, e) == pytest.approx(s_succ / (s_succ + s_fail))
     assert t.epoch_success_prob(1, e) > 0.5
@@ -159,16 +158,16 @@ def test_nb_scores_require_observations():
     assert t.epoch_success_prob(1, EV) == 0.5
     update_and_read(t, 2, EV, False)
     assert t.epoch_success_prob(1, EV) == 0.5
-    assert t.epoch_success_prob(2, EV._replace(blr_class=1)) != 0.5
+    assert t.epoch_success_prob(2, (3, 1, 3, 2)) != 0.5
 
 
 def test_warm_table_keeps_no_naive_bayes_counts():
     t = fresh_table()  # no naive-Bayes space, as on every warm start
     update_and_read(t, 1, EV, True)
-    update_and_read(t, 1, EvidenceVector(0, 1, 2, 3), False)
+    update_and_read(t, 1, (0, 1, 2, 3), False)
     assert t._totals == {} and t._factor_counts == {}
     # unseen evidence still scores the prior
-    assert t.epoch_success_prob(1, EV._replace(blr_class=1)) == 0.5
+    assert t.epoch_success_prob(1, (3, 1, 3, 2)) == 0.5
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,12 +177,12 @@ def test_warm_table_keeps_no_naive_bayes_counts():
 def test_nb_scores_match_bruteforce_oracle(history):
     counts = (3, 3, 3, 3)
     t = SuccessTable(0, (1,), 0.9, flat(0.5), counts)
-    fed = [(EvidenceVector(o, b, nb, d), ok) for o, b, nb, d, ok in history]
+    fed = [((o, b, nb, d), ok) for o, b, nb, d, ok in history]
     for e, ok in fed:
         update_and_read(t, 1, e, ok)
     for o in range(3):
         for b in range(3):
-            e = EvidenceVector(o, b, 1, 2)
+            e = (o, b, 1, 2)
             s_succ, s_fail = oracle = nb_oracle(fed, e, counts)
             assert nb_scores(t, 1, e) == pytest.approx(oracle)
             if (1, *e) not in t.values:
@@ -198,10 +197,10 @@ def nb_count_state(table):
 def test_scoring_unseen_evidence_leaves_the_counts_alone():
     t = fresh_table(nb_space=STATE_COUNTS)
     update_and_read(t, 1, EV, True)
-    update_and_read(t, 2, EvidenceVector(0, 1, 2, 3), False)
+    update_and_read(t, 2, (0, 1, 2, 3), False)
     before = nb_count_state(t)
     for k in (1, 2):
-        for e in (EvidenceVector(15, 2, 15, 7), EvidenceVector(0, 0, 0, 0)):
+        for e in ((15, 2, 15, 7), (0, 0, 0, 0)):
             assert (k, *e) not in t.values
             t.epoch_success_prob(k, e)
             nb_scores(t, k, e)
@@ -213,7 +212,7 @@ def test_naive_bayes_rejects_a_field_value_out_of_range(field):
     # each evidence field value must lie in range(nb_space[field])
     t = fresh_table(nb_space=STATE_COUNTS)
     update_and_read(t, 1, EV, True)
-    e = EV._replace(**{EV._fields[field]: STATE_COUNTS[field]})
+    e = EV[:field] + (STATE_COUNTS[field],) + EV[field + 1:]
     with pytest.raises(IndexError):
         t.epoch_success_prob(1, e)
     t.sp_update(1, e, True)
@@ -227,7 +226,7 @@ def test_naive_bayes_refresh_bases_each_entry_on_the_earlier_ones():
     t = fresh_table(alpha=0.9, nb_space=STATE_COUNTS)
     history = [(EV, True)]
     update_and_read(t, 1, EV, True)
-    e2, e3 = EV._replace(blr_class=1), EV._replace(blr_class=2)
+    e2, e3 = (3, 1, 3, 2), (3, 2, 3, 2)  # EV in loss classes 1 and 2
     routed = t.epoch_success_prob(1, e3)  # routing's view in the ending period
     t.sp_update(1, e2, False)
     t.sp_update(1, e3, True)
@@ -245,10 +244,10 @@ def test_naive_bayes_refresh_bases_each_entry_on_the_earlier_ones():
 
 def test_warm_start_prior_prefers_min_hop():
     prior = warm_start_prior(HOPS, owner=1, detour_base=0.8)
-    e_far = EvidenceVector(10, 0, 2, 3)  # plenty of offset budget
+    e_far = (10, 0, 2, 3)  # plenty of offset budget
     assert prior(2, e_far) == pytest.approx(1.0)       # 2 is on the shortest path 1-2-3
     assert prior(0, e_far) < prior(2, e_far)           # 0 walks away from 3
-    e_tight = EvidenceVector(1, 0, 2, 3)  # budget too small to go via 2 then 3
+    e_tight = (1, 0, 2, 3)  # budget too small to go via 2 then 3
     assert prior(2, e_tight) < 0.1
 
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obs_gprm
-from conftest import bidir, flat, update_and_read, walk_row
-from obs_gprm.gprm import (INFEASIBLE_SP, EvidenceVector, SuccessTable, cold_start_prior,
-                           warm_start_prior)
+from conftest import bidir, flat, ranked, update_and_read
+from obs_gprm.gprm import INFEASIBLE_SP, SuccessTable, cold_start_prior, warm_start_prior
 from obs_gprm.routing import LazyRoutingTable, shortest_path_table
 from obs_gprm.topology import Topology, load_topology
 
@@ -21,15 +20,10 @@ def table_with(values, neighbors=(1, 2), initial=0.5):
     return t
 
 
-def cost(t, k, e):
-    return 1.0 - t.epoch_success_prob(k, e)
-
-
 def test_row_count_identity_small_space():
     t = SuccessTable(0, (1, 2), 0.9, flat(0.5))
     lazy = LazyRoutingTable(t, refresh_period=1.0)
-    rows = [walk_row(lazy, EvidenceVector(*combo))
-            for combo in product(*(range(c) for c in SMALL))]
+    rows = [lazy.lookup(e, 0.0) for e in product(*(range(c) for c in SMALL))]
     assert len(rows) == 120
     # beta_i = 2 candidates for every permutation
     assert sum(len(row) for row in rows) == 240
@@ -46,36 +40,33 @@ def test_sort_invariant_random_tables(entries):
         values[(k, o, b, nb, d)] = sp
     t = table_with(values, neighbors=(1, 2, 3))
     lazy = LazyRoutingTable(t, refresh_period=1.0)
-    for combo in product(range(2), range(3), range(4), range(5)):
-        e = EvidenceVector(*combo)
-        row = [(cost(t, k, e), k) for k in walk_row(lazy, e)]
-        assert len(row) == 3
+    for e in product(range(2), range(3), range(4), range(5)):
         # non-decreasing cost, equal costs in ascending id
-        assert row == sorted(row)
+        assert lazy.lookup(e, 0.0) == ranked(t, e)
 
 
 def test_lazy_table_freezes_within_period():
-    e = EvidenceVector(0, 0, 0, 0)
+    e = (0, 0, 0, 0)
     t = table_with({(1, *e): 0.9, (2, *e): 0.4})
     lazy = LazyRoutingTable(t, refresh_period=1.0)
-    assert lazy.lookup(e, set(), now=0.1) == 1
+    assert lazy.lookup(e, now=0.1) == (1, 2)
     # updates inside the period do not change the frozen view...
     for _ in range(10):
         t.sp_update(1, e, False)
-    assert lazy.lookup(e, set(), now=0.5) == 1
+    assert lazy.lookup(e, now=0.5) == (1, 2)
     # ...but the next period sees them
-    assert lazy.lookup(e, set(), now=1.2) == 2
+    assert lazy.lookup(e, now=1.2) == (2, 1)
 
 
 def test_lazy_roll_before_update_keeps_boundary_semantics():
-    e = EvidenceVector(0, 0, 0, 0)
+    e = (0, 0, 0, 0)
     t = table_with({(1, *e): 0.9, (2, *e): 0.4})
     lazy = LazyRoutingTable(t, refresh_period=1.0)
-    assert lazy.lookup(e, set(), now=0.1) == 1
+    assert lazy.lookup(e, now=0.1) == (1, 2)
     lazy.maybe_roll(1.05)  # boundary passed before this update arrives
     t.sp_update(1, e, False)  # 0.81, still best
-    assert lazy.lookup(e, set(), now=1.1) == 1
-    assert lazy.lookup(e, set(), now=2.1) == 1
+    assert lazy.lookup(e, now=1.1) == (1, 2)
+    assert lazy.lookup(e, now=2.1) == (1, 2)
 
 
 def counting_prob(table):
@@ -96,21 +87,21 @@ def test_refresh_recosts_only_updated_rows(naive_bayes):
     t = SuccessTable(0, (1, 2, 3), 0.9, flat(0.5), SMALL if naive_bayes else None)
     lazy = LazyRoutingTable(t, refresh_period=1.0)
     calls = counting_prob(t)
-    e, f = EvidenceVector(0, 0, 0, 0), EvidenceVector(1, 0, 0, 0)
-    assert walk_row(lazy, e, 0.5) == walk_row(lazy, f, 0.5) == [1, 2, 3]
+    e, f = (0, 0, 0, 0), (1, 0, 0, 0)
+    assert lazy.lookup(e, 0.5) == lazy.lookup(f, 0.5) == (1, 2, 3)
     assert len(calls) == 6
     # a refresh that applied nothing keeps every row as built
     calls.clear()
-    assert walk_row(lazy, e, 1.5) == [1, 2, 3]
+    assert lazy.lookup(e, 1.5) == (1, 2, 3)
     assert calls == []
     t.sp_update(2, e, False)  # 0.45: neighbor 2 drops to the end of row e
     calls.clear()
-    assert walk_row(lazy, e, 2.5) == [1, 3, 2]
+    assert lazy.lookup(e, 2.5) == (1, 3, 2)
     if naive_bayes:  # the outcome moves every estimate of 2, so both rows are rebuilt
-        assert walk_row(lazy, f, 2.5) == [1, 3, 2]
+        assert lazy.lookup(f, 2.5) == (1, 3, 2)
         assert sorted(calls) == sorted((k, x) for x in (e, f) for k in (1, 2, 3))
     else:
-        assert walk_row(lazy, f, 2.5) == [1, 2, 3]
+        assert lazy.lookup(f, 2.5) == (1, 2, 3)
         assert calls == [(2, e)]
 
 
@@ -124,20 +115,19 @@ HOPS = Topology([0, 1, 2, 3, 4], bidir(0, 1) + bidir(1, 2) + bidir(1, 4) + bidir
                 + bidir(2, 4) + bidir(3, 4)).hop_counts()
 PRIORS = {"flat": flat(0.5), "cold": cold_start_prior(0.5),
           "warm": warm_start_prior(HOPS, OWNER, 0.8)}
-# (operation, neighbor, evidence, success?, excluded next hops, time step);
-# steps of 0.3 and 1.0 against a period of 1.0 cross boundaries often
+# (operation, neighbor, evidence, success?, time step); steps of 0.3 and 1.0
+# against a period of 1.0 cross boundaries often
 LAZY_OPS = st.lists(st.tuples(
     st.sampled_from(["sp_update", "maybe_roll", "lookup"]), st.sampled_from(NEIGHBORS),
     st.tuples(*(st.integers(0, c - 1) for c in TINY)), st.booleans(),
-    st.frozensets(st.sampled_from(NEIGHBORS), max_size=2),
     st.sampled_from([0.0, 0.3, 1.0])), min_size=10, max_size=60)
 
 
 def test_warm_prior_of_the_oracle_mixes_feasible_and_infeasible():
     prior = PRIORS["warm"]
-    e = EvidenceVector(2, 0, 0, 1)
+    e = (2, 0, 0, 1)
     assert [prior(k, e) for k in NEIGHBORS] == [1.0, pytest.approx(0.8), INFEASIBLE_SP]
-    assert [prior(k, EvidenceVector(1, 0, 0, 1)) for k in NEIGHBORS] == \
+    assert [prior(k, (1, 0, 0, 1)) for k in NEIGHBORS] == \
         [1.0, INFEASIBLE_SP, INFEASIBLE_SP]
 
 
@@ -152,9 +142,8 @@ def test_lazy_table_matches_snapshot_argmin(ops, naive_bayes, prior):
     # a copy of the reference, which applies each update at once, as it stood
     # when the period began
     frozen, epoch, now = copy.deepcopy(reference), 0, 0.0
-    for op, k, e, success, excluded, step in ops:
+    for op, k, e, success, step in ops:
         now += step
-        e = EvidenceVector(*e)
         if op == "sp_update":
             t.sp_update(k, e, success)
             update_and_read(reference, k, e, success)
@@ -165,9 +154,7 @@ def test_lazy_table_matches_snapshot_argmin(ops, naive_bayes, prior):
         if op == "maybe_roll":
             lazy.maybe_roll(now)
             continue
-        left = [(cost(frozen, k, e), k) for k in NEIGHBORS if k not in excluded]
-        expect = min(left)[1] if left else None
-        assert lazy.lookup(e, excluded, now) == expect, (op, e, now)
+        assert lazy.lookup(e, now) == ranked(frozen, e), (op, e, now)
 
 
 def test_sp_next_hop_tie_break():

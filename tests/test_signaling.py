@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import obs_gprm.signaling as signaling
 from conftest import TraceLog, bidir, nsfnet_workload, path_topology, ring_topology, star_into_chain
-from obs_gprm.gprm import PER_HOP_PROCESSING, EvidenceVector
+from obs_gprm.gprm import PER_HOP_PROCESSING
 from obs_gprm.metrics import RunCounters
 from obs_gprm.signaling import ChannelSchedule, SimConfig, Simulator
 from obs_gprm.topology import Topology
@@ -216,10 +216,27 @@ def test_contention_drop_nack_and_update(arrivals):
     nacks = [l for l in trace.of_kind("NOTIFICATION_ARRIVE") if l[4] == "NACK"]
     assert [l[2] for l in nacks] == [3]  # only the loser's source hears the NACK
     # Algorithm-3 arithmetic at the updated node: 0.9 * 0.5 + 0.1 * 0 = 0.45
-    e = EvidenceVector(2, 0, 2, 2)
+    e = (2, 0, 2, 2)
     assert sim.nodes[3].success.epoch_success_prob(1, e) == pytest.approx(0.45)
     # and the winner's path learned success: 0.9 * 0.5 + 0.1 * 1 = 0.55
     assert sim.nodes[0].success.epoch_success_prob(1, e) == pytest.approx(0.55)
+
+
+def test_relay_skips_the_node_the_burst_came_from(arrivals):
+    # Y topology: the relay 1 ranks 0, where the burst for 2 came from, first;
+    # the burst goes to the second-ranked neighbor instead
+    topo = star_into_chain(data=4)
+    arrivals({(0, 2): [(1 * MS, 1e6)]})
+    trace = TraceLog()
+    cfg = SimConfig(warmup=0.0, initial_mode="cold", alpha=0.9)
+    sim = Simulator(topo, [conn(0, 2)], policy="gprm", config=cfg, trace=trace)
+    e_at_1 = (1, 0, 1, 2)  # one hop budget left, low loss, one hop from 2
+    sim.nodes[1].success.values[(0, *e_at_1)] = 0.99  # above the destination's 0.95
+    assert sim.nodes[1].lookup(e_at_1, 0.0) == (0, 2, 3)
+    res = sim.run(1.0)
+    assert [l[1:] for l in trace.lines if l[4].startswith("forward")] == [
+        ("BHP_ARRIVE", 1, 1, "forward 2")]
+    assert res.counters.bursts_delivered == 1
 
 
 def test_dead_end_drop_noroute_nack(arrivals):
@@ -235,8 +252,8 @@ def test_dead_end_drop_noroute_nack(arrivals):
     assert c.drops_noroute == 1
     assert c.bursts_delivered == 0
     # NACK walked back through both forwarding nodes
-    e_at_1 = EvidenceVector(11, 0, 1, 0)
-    e_at_3 = EvidenceVector(12, 0, 2, 0)
+    e_at_1 = (11, 0, 1, 0)
+    e_at_3 = (12, 0, 2, 0)
     assert sim.nodes[1].success.epoch_success_prob(2, e_at_1) == pytest.approx(0.9 * 0.99)
     assert sim.nodes[3].success.epoch_success_prob(1, e_at_3) == pytest.approx(0.45)
 
@@ -284,7 +301,7 @@ def test_insufficient_offset_detour_drop(arrivals):
     arrivals({(0, 2): [(1 * MS, 1e6)]})
     cfg = SimConfig(warmup=0.0, initial_mode="cold", alpha=0.9)
     sim = Simulator(topo, [conn(0, 2)], policy="gprm", config=cfg)
-    e = EvidenceVector(2, 0, 2, 2)
+    e = (2, 0, 2, 2)
     sim.nodes[0].success.values[(4, *e)] = 0.99  # lure the burst backwards
     res = sim.run(1.0)
     c = res.counters
